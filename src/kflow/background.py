@@ -237,14 +237,14 @@ class WarpTable:
     identity lambda'^2 = kappa + lambda^2 - 2 m lambda^(2-n) holds pointwise
     at interpolation accuracy (~1e-13 relative).
 
-    The cumulative fiber coordinate phi(r) = int_0^r ds / lambda(s) is
-    tabulated alongside (absent when the table starts at lambda = 0, where
-    that integral diverges).
+    Only lambda itself is looked up; lambda' and lambda'' are the closed
+    forms of that lambda (``derivatives_at``), so one table search yields
+    all three.
     """
 
     interpolation_order = 3
 
-    def __init__(self, params, r_grid, lam_nodes, phi_nodes=None):
+    def __init__(self, params, r_grid, lam_nodes):
         n, m = params.n, params.m
         self.params = params
         self.r_grid = np.asarray(r_grid, dtype=float)
@@ -254,6 +254,11 @@ class WarpTable:
         if np.any(np.diff(self.r_grid) <= 0.0) or np.any(np.diff(self.lam_nodes) <= 0.0):
             raise NumericsError("warp table nodes must be strictly increasing")
         self.d_lam_nodes = np.sqrt(np.maximum(v_squared(params, self.lam_nodes), 0.0))
+        if self.lam_nodes[0] > 0.0:
+            # The table starts at the horizon, a root of V^2, so lambda'(0) = 0.
+            # The polished root leaves |V^2| up to ~1e-14 rho0^2 there, which the
+            # square root would turn into a spurious slope of up to ~1e-7.
+            self.d_lam_nodes[0] = 0.0
         if m == 0.0:  # avoid 0 * inf when the table starts at lambda = 0
             self.dd_lam_nodes = self.lam_nodes.copy()
             self.d3_lam_nodes = self.d_lam_nodes.copy()
@@ -262,34 +267,32 @@ class WarpTable:
             self.d3_lam_nodes = self.d_lam_nodes * (
                 1.0 - (n - 2) * (n - 1) * m * self.lam_nodes ** (-n)
             )
-        self.phi_nodes = None if phi_nodes is None else np.asarray(phi_nodes, dtype=float)
         self.rho0 = float(self.lam_nodes[0])
         self.r_max = float(self.r_grid[-1])
 
     def lam(self, r):
         return hermite_eval(r, self.r_grid, self.lam_nodes, self.d_lam_nodes, "lambda")
 
-    def dlam(self, r):
-        """lambda'(r) from the closed form V(lambda(r)); machine-consistent with lam."""
-        return np.sqrt(np.maximum(v_squared(self.params, self.lam(r)), 0.0))
-
-    def ddlam(self, r):
-        """lambda''(r) from the closed form lambda + (n-2) m lambda^(1-n)."""
-        lam = self.lam(r)
+    def derivatives_at(self, lam):
+        """(lambda', lambda'') at warp values ``lam`` from the closed forms
+        V(lambda) and lambda + (n-2) m lambda^(1-n); no table search."""
+        dlam = np.sqrt(np.maximum(v_squared(self.params, lam), 0.0))
         n, m = self.params.n, self.params.m
         if m == 0.0:
-            return lam
-        return lam + (n - 2) * m * lam ** (1 - n)
+            return dlam, lam
+        return dlam, lam + (n - 2) * m * lam ** (1 - n)
+
+    def dlam(self, r):
+        """lambda'(r) = V(lambda(r)); machine-consistent with lam."""
+        return self.derivatives_at(self.lam(r))[0]
+
+    def ddlam(self, r):
+        """lambda''(r) = lambda + (n-2) m lambda^(1-n) at lambda(r)."""
+        return self.derivatives_at(self.lam(r))[1]
 
     def dlam_interp(self, r):
         """lambda'(r) by Hermite interpolation of the nodal values (probe path)."""
         return hermite_eval(r, self.r_grid, self.d_lam_nodes, self.dd_lam_nodes, "lambda'")
-
-    def phi(self, r):
-        """Fiber coordinate phi(r) = int_0^r ds / lambda(s)."""
-        if self.phi_nodes is None:
-            raise DomainError("phi is not tabulated (table starts at lambda = 0)")
-        return hermite_eval(r, self.r_grid, self.phi_nodes, 1.0 / self.lam_nodes, "phi")
 
     def r_from_rho(self, rho):
         """Invert lambda: the r with lambda(r) = rho (scalar, bisection)."""
@@ -343,7 +346,7 @@ class WarpTable:
 
 
 def _build_nodes(params, rho_start, r_max, h_target, singular_start):
-    """rho ladder plus cumulative (r, phi) by panel quadrature of 1/V and 1/(lambda V)."""
+    """rho ladder plus cumulative r by panel quadrature of 1/V."""
 
     def vfun(rho):
         return np.sqrt(np.maximum(v_squared(params, rho), 0.0))
@@ -355,31 +358,23 @@ def _build_nodes(params, rho_start, r_max, h_target, singular_start):
         n_a = int(np.clip(math.ceil(xi_c / (0.1 * h_target * math.sqrt(pp))), 64, 80000))
         xi_edges = xi_c * np.linspace(0.0, 1.0, n_a + 1)
         r_inc = panel_integrals(lambda xi: 2.0 * xi / vfun(rho_start + xi**2), xi_edges)
-        phi_inc = panel_integrals(
-            lambda xi: 2.0 * xi / ((rho_start + xi**2) * vfun(rho_start + xi**2)), xi_edges
-        )
         rho_a = rho_start + xi_edges**2
     else:
         n_a = max(64, int(math.ceil((rho_c - rho_start) / h_target)))
         rho_edges = np.linspace(rho_start, rho_c, n_a + 1)
         r_inc = panel_integrals(lambda rho: 1.0 / vfun(rho), rho_edges)
-        with np.errstate(divide="ignore"):
-            phi_inc = panel_integrals(lambda rho: 1.0 / (rho * vfun(rho)), rho_edges)
         rho_a = rho_edges
     r_a = np.concatenate([[0.0], np.cumsum(r_inc)])
-    phi_a = np.concatenate([[0.0], np.cumsum(phi_inc)])
 
     d_sigma = 0.8 * h_target
     n_b = int(math.ceil(((r_max - r_a[-1]) * 1.3 + 2.0) / d_sigma))
     sig_edges = d_sigma * np.arange(n_b + 1)
     rho_of = lambda s: rho_c * np.exp(s)
     r_inc_b = panel_integrals(lambda s: rho_of(s) / vfun(rho_of(s)), sig_edges)
-    phi_inc_b = panel_integrals(lambda s: 1.0 / vfun(rho_of(s)), sig_edges)
 
     rho_nodes = np.concatenate([rho_a, rho_of(sig_edges[1:])])
     r_nodes = np.concatenate([r_a, r_a[-1] + np.cumsum(r_inc_b)])
-    phi_nodes = np.concatenate([phi_a, phi_a[-1] + np.cumsum(phi_inc_b)])
-    return rho_nodes, r_nodes, phi_nodes
+    return rho_nodes, r_nodes
 
 
 def build_warp_table(params, r_max=25.0, tol=1e-11, target_nodes=4000):
@@ -400,10 +395,10 @@ def build_warp_table(params, r_max=25.0, tol=1e-11, target_nodes=4000):
         raise ResolutionError(
             "degenerate (critical-mass) horizon: the radial coordinate is not tabulable"
         )
-    rho_nodes, r_nodes, phi_nodes = _build_nodes(params, rho0, r_max, h_target, True)
+    rho_nodes, r_nodes = _build_nodes(params, rho0, r_max, h_target, True)
     stop = int(np.searchsorted(r_nodes, r_max))
     stop = min(stop + 1, len(r_nodes))
-    return WarpTable(params, r_nodes[:stop], rho_nodes[:stop], phi_nodes[:stop])
+    return WarpTable(params, r_nodes[:stop], rho_nodes[:stop])
 
 
 class _HyperbolicParams(SpaceParams):
@@ -418,9 +413,9 @@ def hyperbolic_reference_table(n, r_max=25.0, target_nodes=4000):
     theta = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     params = _HyperbolicParams(n=n, kappa=1, m=0.0, theta=theta)
     h_target = r_max / max(200, int(target_nodes))
-    rho_nodes, r_nodes, _ = _build_nodes(params, 0.0, r_max, h_target, False)
+    rho_nodes, r_nodes = _build_nodes(params, 0.0, r_max, h_target, False)
     stop = min(int(np.searchsorted(r_nodes, r_max)) + 1, len(r_nodes))
-    return WarpTable(params, r_nodes[:stop], rho_nodes[:stop], phi_nodes=None)
+    return WarpTable(params, r_nodes[:stop], rho_nodes[:stop])
 
 
 # ---------------------------------------------------------------------------

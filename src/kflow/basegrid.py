@@ -201,19 +201,25 @@ def integrate(field):
     return float(np.sum(field.grid.quad_weights * field.values))
 
 
-def _d1_periodic(f, axis, dx):
-    r1 = np.roll(f, -1, axis)
-    r2 = np.roll(f, -2, axis)
-    l1 = np.roll(f, 1, axis)
-    l2 = np.roll(f, 2, axis)
+def _periodic_neighbours(f, axis):
+    """f[i-2], f[i-1], f[i+1], f[i+2] along ``axis``, as slices of one wrap-padded copy."""
+    m = f.shape[axis]
+    padded = np.take(f, np.arange(-2, m + 2) % m, axis=axis)
+    window = [slice(None)] * f.ndim
+    neighbours = []
+    for k in (-2, -1, 1, 2):
+        window[axis] = slice(2 + k, 2 + k + m)
+        neighbours.append(padded[tuple(window)])
+    return neighbours
+
+
+def _d1_periodic(neighbours, dx):
+    l2, l1, r1, r2 = neighbours
     return (l2 - 8.0 * l1 + 8.0 * r1 - r2) / (12.0 * dx)
 
 
-def _d2_periodic(f, axis, dx):
-    r1 = np.roll(f, -1, axis)
-    r2 = np.roll(f, -2, axis)
-    l1 = np.roll(f, 1, axis)
-    l2 = np.roll(f, 2, axis)
+def _d2_periodic(f, neighbours, dx):
+    l2, l1, r1, r2 = neighbours
     return (-l2 + 16.0 * l1 - 30.0 * f + 16.0 * r1 - r2) / (12.0 * dx * dx)
 
 
@@ -239,11 +245,13 @@ def differentiate(field):
     f = field.values
     if grid.mode == "torus2d":
         dx = grid.aux["dx"]
-        fx = _d1_periodic(f, 0, dx)
-        fy = _d1_periodic(f, 1, dx)
-        fxx = _d2_periodic(f, 0, dx)
-        fyy = _d2_periodic(f, 1, dx)
-        fxy = _d1_periodic(fx, 1, dx)
+        along_x = _periodic_neighbours(f, 0)
+        along_y = _periodic_neighbours(f, 1)
+        fx = _d1_periodic(along_x, dx)
+        fy = _d1_periodic(along_y, dx)
+        fxx = _d2_periodic(f, along_x, dx)
+        fyy = _d2_periodic(f, along_y, dx)
+        fxy = _d1_periodic(_periodic_neighbours(fx, 1), dx)
         return Derivatives(
             mode=grid.mode,
             grad=(fx, fy),

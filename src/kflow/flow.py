@@ -77,16 +77,15 @@ class FlowConfig:
     integrator: str = "rk2_adaptive"
 
     def __post_init__(self):
-        if self.t_end <= 0.0:
-            raise DomainError(f"t_end must be positive, got {self.t_end!r}")
+        for name in ("t_end", "dt_max", "record_interval", "h_floor"):
+            value = getattr(self, name)
+            if name == "h_floor" and value is None:
+                continue
+            # NaN fails every comparison, so test finiteness explicitly.
+            if not math.isfinite(value) or value <= 0.0:
+                raise DomainError(f"{name} must be positive and finite, got {value!r}")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise DomainError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety!r}")
-        if self.dt_max <= 0.0:
-            raise DomainError(f"dt_max must be positive, got {self.dt_max!r}")
-        if self.record_interval <= 0.0:
-            raise DomainError(f"record_interval must be positive, got {self.record_interval!r}")
-        if self.h_floor is not None and self.h_floor <= 0.0:
-            raise DomainError(f"h_floor must be positive, got {self.h_floor!r}")
         if self.integrator != "rk2_adaptive":
             raise DomainError(f"unknown integrator {self.integrator!r}")
 

@@ -1,18 +1,22 @@
 """Induced geometry and functionals of star-shaped graphs.
 
 A star-shaped hypersurface Sigma in the background (P, dr^2 + lambda(r)^2 ghat)
-is the radial graph {(u(x), x) : x in N}.  With phi defined through
-phi_i = u_i / lambda(u) (so phi is the fiber coordinate int du / lambda) and
-v = sqrt(1 + |grad phi|^2), the induced metric, second fundamental form and
-mean curvature are
+is the radial graph {(u(x), x) : x in N}.  The fiber coordinate phi =
+int du / lambda is notation only: it enters through its derivatives
+phi_i = u_i / lambda(u) and phi_ij = u_ij / lambda - lambda' u_i u_j / lambda^2,
+which are formed from the derivatives of u, and is never evaluated itself.
+With v = sqrt(1 + |grad phi|^2), the induced metric, second fundamental form
+and mean curvature are
 
     g_ij = lambda^2 (ghat_ij + phi_i phi_j),
     h_ij = (lambda / v) (lambda' (ghat_ij + phi_i phi_j) - phi_ij),
     H    = (n-1) lambda' / (lambda v) - gtil^ij phi_ij / (lambda v),
 
-with gtil^ij = ghat^ij - phi^i phi^j / v^2.  The support function is
-p = <grad V, nu> = lambda''(u) / v, using <d_r, nu> = 1/v, and the
-star-shapedness witness is chi = v / lambda.
+with gtil^ij = ghat^ij - phi^i phi^j / v^2.  Only H is formed; g_ij and h_ij
+are not returned.  The support function is p = <grad V, nu> = lambda''(u) / v,
+using <d_r, nu> = 1/v, and the star-shapedness witness is chi = v / lambda.
+lambda(u) is looked up in the warp table once per evaluation; lambda'(u)
+and lambda''(u) are its closed forms.
 
 Aggregate functionals (all integrals over Sigma with its area measure
 lambda^(n-1) v d mu_ghat):
@@ -109,8 +113,16 @@ class FunctionalRecord:
 
 @dataclass(frozen=True, eq=False)
 class SurfaceGeometry:
+    """Per-node geometry of a graph plus its functional record.
+
+    ``lam``, ``dlam``, ``ddlam`` are lambda, lambda' = V(lambda) and lambda''
+    at the graph height u; ``grad_phi_sq`` = |grad phi|^2, ``v`` =
+    sqrt(1 + |grad phi|^2), ``H`` the mean curvature, ``p`` the support
+    function lambda'' / v, ``chi`` = v / lambda, and ``area_element`` =
+    lambda^(n-1) v, the density of the area measure against d mu_ghat.
+    """
+
     surface: GraphSurface
-    phi: np.ndarray
     lam: np.ndarray
     dlam: np.ndarray
     ddlam: np.ndarray
@@ -120,8 +132,6 @@ class SurfaceGeometry:
     p: np.ndarray
     chi: np.ndarray
     area_element: np.ndarray
-    metric: dict
-    second_form: dict
     functionals: FunctionalRecord
 
     @property
@@ -139,9 +149,7 @@ def compute_geometry(surface):
     u = surface.u.values
 
     lam = warp.lam(u)
-    dlam = warp.dlam(u)
-    ddlam = warp.ddlam(u)
-    phi = warp.phi(u) if warp.phi_nodes is not None else np.zeros_like(lam)
+    dlam, ddlam = warp.derivatives_at(lam)
 
     d = differentiate(surface.u)
     grad_phi_sq = d.grad_sq / lam**2
@@ -161,7 +169,6 @@ def compute_geometry(surface):
     p = ddlam / v
     chi = v / lam
     area_element = lam ** (n - 1) * v
-    metric, second_form = _tensor_components(grid, lam, dlam, v, d)
 
     w = grid.quad_weights
     area = float(np.sum(w * area_element))
@@ -191,7 +198,6 @@ def compute_geometry(surface):
     )
     return SurfaceGeometry(
         surface=surface,
-        phi=phi,
         lam=lam,
         dlam=dlam,
         ddlam=ddlam,
@@ -201,45 +207,8 @@ def compute_geometry(surface):
         p=p,
         chi=chi,
         area_element=area_element,
-        metric=metric,
-        second_form=second_form,
         functionals=rec,
     )
-
-
-def _tensor_components(grid, lam, dlam, v, d):
-    """Mode-specific components of the induced metric and second fundamental form."""
-    if grid.mode == "torus2d":
-        ux, uy = d.grad
-        uxx, uxy, uyy = d.hess
-        px, py = ux / lam, uy / lam
-        pxx = uxx / lam - dlam * ux * ux / lam**2
-        pxy = uxy / lam - dlam * ux * uy / lam**2
-        pyy = uyy / lam - dlam * uy * uy / lam**2
-        metric = {
-            "g11": lam**2 * (1.0 + px * px),
-            "g12": lam**2 * px * py,
-            "g22": lam**2 * (1.0 + py * py),
-        }
-        second = {
-            "h11": lam / v * (dlam * (1.0 + px * px) - pxx),
-            "h12": lam / v * (dlam * px * py - pxy),
-            "h22": lam / v * (dlam * (1.0 + py * py) - pyy),
-        }
-        return metric, second
-    if grid.mode == "sphere_axisym":
-        (uth,) = d.grad
-        uthth, utan = d.hess
-        pth = uth / lam
-        pthth = uthth / lam - dlam * uth * uth / lam**2
-        ptan = utan / lam
-        metric = {"g_rad": lam**2 * (1.0 + pth * pth), "g_tan": lam**2 * np.ones_like(lam)}
-        second = {
-            "h_rad": lam / v * (dlam * (1.0 + pth * pth) - pthth),
-            "h_tan": lam / v * (dlam - ptan),
-        }
-        return metric, second
-    return {"g": lam**2}, {"h": lam * dlam}
 
 
 def _area_powers(geom):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kflow as kf
@@ -150,15 +150,6 @@ class TestWarpTable:
             r = warp_flat.r_from_rho(rho)
             assert float(warp_flat.lam(r)) == pytest.approx(rho, rel=1e-11)
 
-    def test_phi_accumulator(self, warp_flat):
-        # d phi / dr = 1 / lambda, probed by central differences.  Beyond
-        # r ~ 10 the increments of phi fall below float resolution, so the
-        # probe stays in the moderate-lambda window.
-        r = np.linspace(0.5, 8.0, 40)
-        h = 1e-3
-        dphi = (warp_flat.phi(r + h) - warp_flat.phi(r - h)) / (2 * h)
-        assert np.max(np.abs(dphi * warp_flat.lam(r) - 1.0)) < 1e-6
-
     def test_resolution_error(self, params_flat):
         with pytest.raises(ResolutionError):
             kf.build_warp_table(params_flat, r_max=25.0, tol=1e-18)
@@ -187,6 +178,9 @@ class TestWarpTable:
         kappa=st.integers(min_value=-1, max_value=1),
         mscale=st.floats(min_value=0.05, max_value=5.0),
     )
+    # Its polished horizon root leaves V^2 slightly positive; lambda'(0) must
+    # still be exactly 0, or the residual at the first interval exceeds 1e-10.
+    @example(n=3, kappa=-1, mscale=4.0)
     def test_identity_property(self, n, kappa, mscale):
         m = mscale if kappa >= 0 else mscale + 0.95 * kf.critical_mass(n)
         if kappa < 0 and m < 0.9 * kf.critical_mass(n):

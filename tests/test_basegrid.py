@@ -119,6 +119,32 @@ class TestDerivatives:
         expect = fx**2 * fxx + 2 * fx * fy * fxy + fy**2 * fyy
         assert np.max(np.abs(d.quad_form - expect)) == 0.0
 
+    def test_torus_stencils_match_roll_reference(self, torus64):
+        # The stencils read neighbours from a wrap-padded copy; np.roll with
+        # the same operand order must give bitwise equal results, also on a
+        # rough field where any misplaced neighbour would show.
+        def d1(f, axis, dx):
+            r1, r2 = np.roll(f, -1, axis), np.roll(f, -2, axis)
+            l1, l2 = np.roll(f, 1, axis), np.roll(f, 2, axis)
+            return (l2 - 8.0 * l1 + 8.0 * r1 - r2) / (12.0 * dx)
+
+        def d2(f, axis, dx):
+            r1, r2 = np.roll(f, -1, axis), np.roll(f, -2, axis)
+            l1, l2 = np.roll(f, 1, axis), np.roll(f, 2, axis)
+            return (-l2 + 16.0 * l1 - 30.0 * f + 16.0 * r1 - r2) / (12.0 * dx * dx)
+
+        f = np.random.default_rng(17).normal(size=torus64.shape)
+        dx = torus64.aux["dx"]
+        fx, fy = d1(f, 0, dx), d1(f, 1, dx)
+        fxx, fyy = d2(f, 0, dx), d2(f, 1, dx)
+        fxy = d1(fx, 1, dx)
+        d = differentiate(ScalarField(f, torus64))
+        for got, want in zip(d.grad + d.hess, (fx, fy, fxx, fxy, fyy)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(d.lap, fxx + fyy)
+        assert np.array_equal(d.grad_sq, fx**2 + fy**2)
+        assert np.array_equal(d.quad_form, fx**2 * fxx + 2.0 * fx * fy * fxy + fy**2 * fyy)
+
     def test_symmetric_derivatives_vanish(self, sym_grid):
         d = differentiate(ScalarField.constant(sym_grid, 1.3))
         assert np.all(d.lap == 0.0) and np.all(d.grad_sq == 0.0)

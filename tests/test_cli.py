@@ -143,6 +143,14 @@ class TestMain:
         code = cli.main(["mass", "--config", str(path), "--quiet"])
         assert code == 1
 
+    def test_main_non_finite_t_end_is_error(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(SMALL_FLOW))
+        cfg["flow"]["t_end"] = math.nan  # json writes the NaN token, which json.load accepts
+        code = cli.main(["flow", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        assert "t_end" in capsys.readouterr().err
+
     def test_main_requires_config(self):
         assert cli.main(["mass", "--quiet"]) == 1
 

@@ -158,6 +158,21 @@ class TestStability:
         with pytest.raises(DomainError):
             kf.FlowConfig(t_end=1.0, integrator="euler")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("t_end", math.nan),
+            ("t_end", math.inf),
+            ("dt_max", math.nan),
+            ("record_interval", math.nan),
+            ("h_floor", math.nan),
+        ],
+    )
+    def test_config_rejects_non_finite(self, field, value):
+        kwargs = {"t_end": 1.0, field: value}
+        with pytest.raises(DomainError, match=field):
+            kf.FlowConfig(**kwargs)
+
 
 class TestMonotonicityReport:
     def test_adversarial_q1_bump_flagged(self, torus64, warp_flat):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kflow as kf
+import kflow.background
 from kflow.basegrid import ScalarField
 from kflow.errors import DomainError, MeanConvexityError
 
@@ -76,6 +77,43 @@ class TestHyperbolicSliceLimit:
         assert float(geom.H[0]) == pytest.approx(2.0, rel=1e-5)
 
 
+class TestOneLookup:
+    """compute_geometry searches the warp table once; lambda' and lambda''
+    come from the closed forms of that lambda."""
+
+    @pytest.fixture
+    def surfaces(self, torus64, warp_flat, sphere64, warp_sphere, sym_grid, warp_hyp_sym):
+        return [
+            kf.random_star_shaped(torus64, warp_flat, seed=2, amplitude=0.05,
+                                  base_r=warp_flat.r_from_rho(2.0)),
+            kf.random_star_shaped(sphere64, warp_sphere, seed=2, amplitude=0.05,
+                                  base_r=warp_sphere.r_from_rho(3.0)),
+            kf.slice_surface(sym_grid, warp_hyp_sym, lam_value=2.0),
+        ]
+
+    def test_one_table_search_per_evaluation(self, surfaces, monkeypatch):
+        calls = []
+        original = kflow.background.hermite_eval
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kflow.background, "hermite_eval", counting)
+        for surf in surfaces:
+            calls.clear()
+            kf.compute_geometry(surf)
+            assert len(calls) == 1, surf.grid.mode
+
+    def test_derivatives_match_table_methods(self, surfaces):
+        for surf in surfaces:
+            geom = kf.compute_geometry(surf)
+            u = surf.u.values
+            assert np.array_equal(geom.lam, surf.warp.lam(u))
+            assert np.array_equal(geom.dlam, surf.warp.dlam(u))
+            assert np.array_equal(geom.ddlam, surf.warp.ddlam(u))
+
+
 class TestFirstVariationOracle:
     def test_mean_curvature_from_area_gradient(self, params_flat, warp_flat):
         # dArea/du_k = H_k lambda^(n-1)_k w_k (normal speed of a nodal bump
@@ -124,7 +162,7 @@ class TestDeficitProperties:
         geom = kf.compute_geometry(surf)
         rec = geom.functionals
         halved = replace(rec, intVoverH=rec.intVoverH / 2.0)
-        geom_halved = replace_functionals(geom, halved)
+        geom_halved = replace(geom, functionals=halved)
         assert kf.heintze_karcher_deficit(geom_halved) < kf.heintze_karcher_deficit(geom)
 
     def test_divergence_residual_is_quadrature_tight(self, torus64, warp_flat):
@@ -214,21 +252,3 @@ class TestValidation:
         with pytest.raises(kf.ConfigurationError):
             kf.GraphSurface(ScalarField.constant(sphere64, 1.0), warp_flat)
 
-
-def replace_functionals(geom, rec):
-    return kf.SurfaceGeometry(
-        surface=geom.surface,
-        phi=geom.phi,
-        lam=geom.lam,
-        dlam=geom.dlam,
-        ddlam=geom.ddlam,
-        grad_phi_sq=geom.grad_phi_sq,
-        v=geom.v,
-        H=geom.H,
-        p=geom.p,
-        chi=geom.chi,
-        area_element=geom.area_element,
-        metric=geom.metric,
-        second_form=geom.second_form,
-        functionals=rec,
-    )
