@@ -231,9 +231,9 @@ class WarpTable:
     Nodes are generated by integrating dr = d rho / V from the horizon.  The
     square-root singularity of 1/V at rho0 is removed by the substitution
     rho = rho0 + xi^2, integrated on composite Gauss-Legendre panels; the far
-    field uses log-radius panels.  Node values of lambda', lambda'' and
-    lambda''' come from closed forms, never from divided differences, and
-    evaluation between nodes is exact-slope cubic Hermite, so the first-order
+    field uses log-radius panels.  Node values of lambda' and lambda'' come
+    from closed forms, never from divided differences, and evaluation
+    between nodes is exact-slope cubic Hermite, so the first-order
     identity lambda'^2 = kappa + lambda^2 - 2 m lambda^(2-n) holds pointwise
     at interpolation accuracy (~1e-13 relative).
 
@@ -261,12 +261,8 @@ class WarpTable:
             self.d_lam_nodes[0] = 0.0
         if m == 0.0:  # avoid 0 * inf when the table starts at lambda = 0
             self.dd_lam_nodes = self.lam_nodes.copy()
-            self.d3_lam_nodes = self.d_lam_nodes.copy()
         else:
             self.dd_lam_nodes = self.lam_nodes + (n - 2) * m * self.lam_nodes ** (1 - n)
-            self.d3_lam_nodes = self.d_lam_nodes * (
-                1.0 - (n - 2) * (n - 1) * m * self.lam_nodes ** (-n)
-            )
         self.rho0 = float(self.lam_nodes[0])
         self.r_max = float(self.r_grid[-1])
 
@@ -379,10 +375,10 @@ def _build_nodes(params, rho_start, r_max, h_target, singular_start):
 
 def build_warp_table(params, r_max=25.0, tol=1e-11, target_nodes=4000):
     """Tabulate lambda(r) on [0, r_max] to the requested relative tolerance."""
-    if r_max <= 0.0:
-        raise DomainError(f"r_max must be positive, got {r_max!r}")
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    for name, value in (("r_max", r_max), ("tol", tol), ("target_nodes", target_nodes)):
+        # NaN fails every comparison, so test finiteness explicitly.
+        if not math.isfinite(value) or value <= 0.0:
+            raise DomainError(f"{name} must be positive and finite, got {value!r}")
     h_target = r_max / max(200, int(target_nodes))
     # Exact-slope cubic Hermite error ~ h^4 |lambda''''| / 384 ~ h^4/384 relative.
     if h_target**4 / 384.0 > tol:

@@ -384,9 +384,9 @@ def _run_mass_pipeline(scn, out_dir, quiet):
         checks["penrose_equality"] = abs(deficit) <= 1e-6
     if "s2_nonneg" in scn.checks:
         rho_probe = np.linspace(graph.rho_inner + 1e-4, graph.rho_inner + 20.0, 60)
-        s2_vals = [radial_shape_operator(graph, float(r)).s2 for r in rho_probe]
-        checks["s2_nonneg"] = bool(min(s2_vals) >= -1e-9)
-        payload["s2_min_probe"] = float(min(s2_vals))
+        s2_min = float(np.min(radial_shape_operator(graph, rho_probe).s2))
+        checks["s2_nonneg"] = s2_min >= -1e-9
+        payload["s2_min_probe"] = s2_min
     payload["checks"] = checks
     payload["passed_enabled_checks"] = all(checks.values()) if checks else True
     _write_json(os.path.join(out_dir, "mass.json"), payload)

@@ -55,6 +55,7 @@ from .background import (
     _v_squared_prime,
     find_horizon,
     kottler_graph_profile,
+    profile_decay_order,
     v_squared,
 )
 from .errors import DecayViolationError, DomainError
@@ -84,6 +85,7 @@ class RadialGraph:
     ``psi`` is the radial metric perturbation (V f')^2 in a cancellation-free
     closed form; ``f_prime2`` may be None, in which case a high-order finite
     difference of f' is used where a second derivative is needed.
+    ``f_prime``, ``f_prime2`` and ``psi`` must accept arrays of radii.
     ``decay_tau`` is the fitted decay order (psi = O(rho^(-tau-2))).
     """
 
@@ -96,17 +98,6 @@ class RadialGraph:
     horizon_graph: bool
     bulk_cut: float
     oracle: dict = None
-
-
-def _fitted_tau(psi, n):
-    rho = np.geomspace(50.0, 800.0, 7)
-    vals = np.abs(np.asarray(psi(rho), dtype=float))
-    if np.all(vals < 1e-280):
-        return math.inf
-    slope = fit_log_slope(rho, vals)
-    if slope is None:
-        return math.inf
-    return -slope - 2.0
 
 
 def _validated(graph):
@@ -122,7 +113,7 @@ def _validated(graph):
 def kottler_pair_graph(params, m_graph):
     """The mass-``m_graph`` Kottler space as a radial graph over ``params``."""
     profile = kottler_graph_profile(params.m, m_graph, params)
-    tau = _fitted_tau(profile.psi, params.n)
+    tau = profile_decay_order(profile.psi, params.n)
     return _validated(
         RadialGraph(
             base=params,
@@ -196,7 +187,7 @@ def mass_profile_graph(params, m_horizon, m_total, rate=1.0):
             f_prime2=f_prime2,
             psi=psi,
             rho_inner=rho_i,
-            decay_tau=_fitted_tau(psi, n),
+            decay_tau=profile_decay_order(psi, n),
             horizon_graph=True,
             bulk_cut=rho_i + max(45.0 / rate, 10.0),
             oracle={
@@ -233,7 +224,7 @@ def graph_from_f_prime(params, f_prime, rho_inner, decay_tau=None, f_prime2=None
             f_prime2=f_prime2,
             psi=psi,
             rho_inner=float(rho_inner),
-            decay_tau=_fitted_tau(psi, params.n),
+            decay_tau=profile_decay_order(psi, params.n),
             horizon_graph=False,
             bulk_cut=max(4.0 * rho_inner, 200.0),
         )
@@ -340,6 +331,8 @@ def mass_limit(graph, rho_schedule=DEFAULT_RHO_SCHEDULE):
 
 @dataclass(frozen=True)
 class ShapeRecord:
+    """Floats for a scalar radius; arrays shaped like the radii otherwise."""
+
     kappa_rad: float
     kappa_tan: float
     s2: float
@@ -347,33 +340,40 @@ class ShapeRecord:
 
 def _f_second(graph, rho):
     if graph.f_prime2 is not None:
-        return float(graph.f_prime2(rho))
-    h = max(1e-5 * max(1.0, rho), 1e-7)
-    h = min(h, 0.25 * (rho - graph.rho_inner)) if rho > graph.rho_inner else h
+        return np.asarray(graph.f_prime2(rho), dtype=float)
+    h = np.maximum(1e-5 * np.maximum(1.0, rho), 1e-7)
+    h = np.where(rho > graph.rho_inner, np.minimum(h, 0.25 * (rho - graph.rho_inner)), h)
     fp = graph.f_prime
-    return float(
-        (float(fp(rho - 2 * h)) - 8 * float(fp(rho - h)) + 8 * float(fp(rho + h)) - float(fp(rho + 2 * h)))
-        / (12.0 * h)
-    )
+    return (fp(rho - 2 * h) - 8 * fp(rho - h) + 8 * fp(rho + h) - fp(rho + 2 * h)) / (12.0 * h)
 
 
 def radial_shape_operator(graph, rho):
-    """Principal curvatures (radial, tangential) and S2 of the radial graph."""
+    """Principal curvatures (radial, tangential) and S2 of the radial graph.
+
+    Vectorized in ``rho``: an array of radii gives a record of arrays of the
+    same shape, and a scalar radius gives a record of Python floats.  Every
+    radius must lie beyond ``rho_inner``.
+    """
     params = graph.base
-    rho = float(rho)
-    if rho <= graph.rho_inner:
-        raise DomainError(f"rho={rho:.6g} not beyond rho_inner={graph.rho_inner:.6g}")
+    scalar = np.ndim(rho) == 0
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho <= graph.rho_inner):
+        raise DomainError(
+            f"rho={float(np.min(rho)):.6g} not beyond rho_inner={graph.rho_inner:.6g}"
+        )
     n = params.n
-    v2 = float(v_squared(params, rho))
-    v = math.sqrt(v2)
-    dv = float(_v_squared_prime(params, rho)) / (2.0 * v)
-    fp = float(graph.f_prime(rho))
-    big_g = 1.0 + v2 * float(graph.psi(rho))
-    sqrt_g = math.sqrt(big_g)
+    v2 = v_squared(params, rho)
+    v = np.sqrt(v2)
+    dv = _v_squared_prime(params, rho) / (2.0 * v)
+    fp = np.asarray(graph.f_prime(rho), dtype=float)
+    big_g = 1.0 + v2 * graph.psi(rho)
+    sqrt_g = np.sqrt(big_g)
     k_tan = v2 * v * fp / (rho * sqrt_g)
     fpp = _f_second(graph, rho)
     k_rad = (v / sqrt_g) * ((v2 * fpp + 2.0 * v * dv * fp) / big_g + v * dv * fp)
     s2 = (n - 1) * k_rad * k_tan + 0.5 * (n - 1) * (n - 2) * k_tan**2
+    if scalar:
+        return ShapeRecord(kappa_rad=float(k_rad), kappa_tan=float(k_tan), s2=float(s2))
     return ShapeRecord(kappa_rad=k_rad, kappa_tan=k_tan, s2=s2)
 
 
@@ -383,23 +383,23 @@ def _bulk_energy_integral(graph):
     Near the inner boundary the profile gradient blows up like
     (rho - rho_inner)^(-1/2); the substitution rho = rho_inner + zeta^2 keeps
     the integrand smooth (S2 stays bounded there and <dt, xi> -> 0).
+
+    The integrand is vectorized: each ``integrate_panels`` call evaluates
+    S2, V^2, psi, <dt, xi> and the volume factor once, on its whole
+    (n_panels, order) node array.
     """
     params = graph.base
     n = params.n
     rho_i = graph.rho_inner
     two_cn_theta = 2.0 * params.mass_constant * params.theta  # = 1/(n-1)
 
-    def integrand(rho_arr):
-        flat = np.ravel(rho_arr)
-        out = np.empty_like(flat)
-        for k, rho in enumerate(flat):
-            s2 = radial_shape_operator(graph, float(rho)).s2
-            v2 = float(v_squared(params, rho))
-            psi = float(graph.psi(rho))
-            dt_xi = math.sqrt(v2) / math.sqrt(1.0 + v2 * psi)
-            vol = rho ** (n - 1) * math.sqrt(1.0 / v2 + psi)
-            out[k] = s2 * dt_xi * vol
-        return out.reshape(np.shape(rho_arr))
+    def integrand(rho):
+        s2 = radial_shape_operator(graph, rho).s2
+        v2 = v_squared(params, rho)
+        psi = graph.psi(rho)
+        dt_xi = np.sqrt(v2) / np.sqrt(1.0 + v2 * psi)
+        vol = rho ** (n - 1) * np.sqrt(1.0 / v2 + psi)
+        return s2 * dt_xi * vol
 
     near = integrate_panels(
         lambda z: integrand(rho_i + z * z) * 2.0 * z, 0.0, 1.0, n_panels=16, order=12

@@ -154,6 +154,12 @@ class TestWarpTable:
         with pytest.raises(ResolutionError):
             kf.build_warp_table(params_flat, r_max=25.0, tol=1e-18)
 
+    @pytest.mark.parametrize("field", ["r_max", "tol", "target_nodes"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_settings_must_be_positive_and_finite(self, params_flat, field, value):
+        with pytest.raises(DomainError, match=field):
+            kf.build_warp_table(params_flat, **{field: value})
+
     def test_critical_mass_table_rejected(self):
         p = kf.SpaceParams(3, -1, kf.critical_mass(3), 1.0)
         with pytest.raises(ResolutionError):

@@ -151,6 +151,14 @@ class TestMain:
         assert code == 1
         assert "t_end" in capsys.readouterr().err
 
+    def test_main_non_finite_warp_tol_is_error(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(SMALL_FLOW))
+        cfg["warp"] = {"tol": math.nan}
+        code = cli.main(["flow", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        assert "tol" in capsys.readouterr().err
+
     def test_main_requires_config(self):
         assert cli.main(["mass", "--quiet"]) == 1
 

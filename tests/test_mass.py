@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kflow as kf
+import kflow.mass
 from kflow.background import _v_squared_prime, v_squared
 from kflow.errors import DecayViolationError, DomainError
 
@@ -194,6 +195,66 @@ class TestShapeOperator:
         probe = np.linspace(family_flat.rho_inner + 0.05, family_flat.rho_inner + 5.0, 40)
         vals = [abs(kf.radial_shape_operator(family_flat, float(r)).s2) for r in probe]
         assert max(vals) > 1e-3
+
+
+class TestArrayPath:
+    """radial_shape_operator on arrays agrees with its scalar calls, and the
+    bulk quadrature evaluates it once per panel array."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self, base_flat, pair_flat, family_flat):
+        fd_only = kf.graph_from_f_prime(
+            base_flat, lambda r: 0.3 * np.asarray(r, float) ** -3.5, rho_inner=2.0
+        )
+        assert fd_only.f_prime2 is None  # exercises the finite-difference fallback
+        return [pair_flat, family_flat, fd_only]
+
+    def test_array_matches_scalar_calls(self, graphs):
+        for graph in graphs:
+            rho = graph.rho_inner + np.geomspace(1e-4, 200.0, 48).reshape(4, 12)
+            rec = kf.radial_shape_operator(graph, rho)
+            for field in ("kappa_rad", "kappa_tan", "s2"):
+                got = getattr(rec, field)
+                assert got.shape == rho.shape
+                expect = np.array(
+                    [getattr(kf.radial_shape_operator(graph, float(r)), field) for r in rho.flat]
+                ).reshape(rho.shape)
+                np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
+
+    def test_scalar_returns_floats(self, graphs):
+        for graph in graphs:
+            for rho in (graph.rho_inner + 0.5, np.float64(graph.rho_inner + 0.5)):
+                rec = kf.radial_shape_operator(graph, rho)
+                assert all(type(v) is float for v in (rec.kappa_rad, rec.kappa_tan, rec.s2))
+
+    def test_array_domain(self, graphs):
+        for graph in graphs:
+            rho = np.array([graph.rho_inner + 1.0, graph.rho_inner, graph.rho_inner + 2.0])
+            with pytest.raises(DomainError):
+                kf.radial_shape_operator(graph, rho)
+            with pytest.raises(DomainError):
+                kf.radial_shape_operator(graph, rho[:1] - 2.0)
+
+    def test_one_shape_call_per_panel_integral(self, pair_flat, family_flat, monkeypatch):
+        shape_calls, panel_calls = [], []
+        shape_op, panels = kflow.mass.radial_shape_operator, kflow.mass.integrate_panels
+
+        def counting_shape(*args, **kwargs):
+            shape_calls.append(1)
+            return shape_op(*args, **kwargs)
+
+        def counting_panels(*args, **kwargs):
+            panel_calls.append(1)
+            return panels(*args, **kwargs)
+
+        monkeypatch.setattr(kflow.mass, "radial_shape_operator", counting_shape)
+        monkeypatch.setattr(kflow.mass, "integrate_panels", counting_panels)
+        for graph in (pair_flat, family_flat):
+            shape_calls.clear()
+            panel_calls.clear()
+            kflow.mass._bulk_energy_integral(graph)
+            assert 2 <= len(panel_calls) <= 9
+            assert len(shape_calls) == len(panel_calls)
 
 
 class TestMassIdentity:
