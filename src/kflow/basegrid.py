@@ -312,10 +312,7 @@ def _beckner_terms(field, n, grad_coeff):
 def beckner_deficit(field, n):
     """Sharp-form deficit (gradient coefficient (n-2)/2); >= 0 on the sphere,
     on the homogeneous mode, and trivially for kappa = 0."""
-    if n < 3:
-        raise DomainError(f"need n >= 3, got {n}")
-    t_curv, t_grad, t_sharp = _beckner_terms(field, n, 0.5 * (n - 2))
-    return t_curv + t_grad - t_sharp
+    return beckner_report(field, n)["sharp"]
 
 
 def beckner_report(field, n):

@@ -4,11 +4,11 @@ Subcommands: ``flow``, ``mass``, ``check-inequalities``, ``slice-check``,
 ``beckner``, ``all``.  A scenario is a single JSON file (unknown keys are
 rejected); artifacts (CSV trace, JSON reports, SVG plots) are written under
 ``--out``.  Exit codes: 0 all enabled checks pass, 2 a monitor/check failed,
-1 runtime or configuration error.  ``KFLOW_THREADS`` caps the number of
-scenarios ``all`` may run concurrently.
+1 runtime or configuration error.
 """
 
 import argparse
+import copy
 import json
 import math
 import os
@@ -81,6 +81,9 @@ class Scenario:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
+# Schema marker for a list whose elements must be finite real numbers.
+_REALS = "list of finite reals"
+
 _SCHEMA = {
     "name": str,
     "space": {"n": int, "kappa": int, "m": (int, float), "theta": (int, float)},
@@ -105,11 +108,11 @@ _SCHEMA = {
         "m_horizon": (int, float),
         "m_total": (int, float),
         "rate": (int, float),
-        "rho_schedule": list,
+        "rho_schedule": _REALS,
         "expect_mass": (int, float),
         "tol": (int, float),
     },
-    "slice_check": {"lambdas": list, "tol_rel": (int, float)},
+    "slice_check": {"lambdas": _REALS, "tol_rel": (int, float)},
     "inequalities": {
         "count": int,
         "amplitude": (int, float),
@@ -134,6 +137,16 @@ def _check_keys(obj, schema, path, problems):
         want = schema[key]
         if isinstance(want, dict):
             _check_keys(val, want, f"{path}.{key}", problems)
+        elif want is _REALS:
+            if not isinstance(val, list):
+                problems.append(f"{path}.{key}: expected a list, got {type(val).__name__}")
+                continue
+            for i, item in enumerate(val):
+                if (isinstance(item, bool) or not isinstance(item, (int, float))
+                        or not math.isfinite(item)):
+                    problems.append(
+                        f"{path}.{key}[{i}]: expected a finite real number, got {item!r}"
+                    )
         elif not isinstance(val, want) or isinstance(val, bool):
             problems.append(f"{path}.{key}: expected {want}, got {type(val).__name__}")
 
@@ -193,24 +206,16 @@ def scenario_from_dict(raw):
         problems.append("scenario.flow: needs a surface section")
     if raw.get("flow") is not None and grid_cfg is None:
         problems.append("scenario.flow: needs a grid section")
+    for key, value, low in (
+        ("seed", raw.get("seed", 0), 0),
+        ("surface.seed", (surface_cfg or {}).get("seed", 0), 0),
+        ("grid.resolution", (grid_cfg or {}).get("resolution", 1), 1),
+    ):
+        if value < low:
+            problems.append(f"scenario.{key}: must be >= {low}, got {value}")
     if problems:
         raise ConfigurationError(problems)
-
-    scn = Scenario(
-        name=name,
-        space=dict(raw["space"]),
-        grid=dict(grid_cfg) if grid_cfg is not None else None,
-        surface=dict(surface_cfg) if surface_cfg is not None else None,
-        flow=dict(raw["flow"]) if raw.get("flow") is not None else None,
-        mass=dict(raw["mass"]) if raw.get("mass") is not None else None,
-        slice_check=dict(raw["slice_check"]) if raw.get("slice_check") is not None else None,
-        inequalities=dict(raw["inequalities"]) if raw.get("inequalities") is not None else None,
-        beckner=dict(raw["beckner"]) if raw.get("beckner") is not None else None,
-        warp=dict(raw.get("warp", {"r_max": 25.0, "target_nodes": 4000})),
-        checks=list(raw.get("checks", [])),
-        seed=int(raw.get("seed", 0)),
-    )
-    return scn
+    return Scenario(**copy.deepcopy(raw))
 
 
 def _space_params(scn):
@@ -222,7 +227,7 @@ def _grid(scn, params, resolution=None):
     cfg = scn.grid
     if cfg is None:
         raise ConfigurationError("scenario.grid: required for this pipeline")
-    res = int(resolution or cfg["resolution"])
+    res = int(cfg["resolution"] if resolution is None else resolution)
     mode = cfg["mode"]
     if mode == "torus2d":
         return make_grid(mode, res, math.sqrt(params.theta))
@@ -301,10 +306,7 @@ def _flow_checks(scn, report, trace):
     return results
 
 
-def _run_flow_pipeline(scn, out_dir, seed, resolution, quiet):
-    params = _space_params(scn)
-    warp = _warp(scn, params)
-    grid = _grid(scn, params, resolution)
+def _run_flow_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
     surface = _initial_surface(scn, grid, warp, seed)
     fl = scn.flow
     config = FlowConfig(
@@ -345,8 +347,7 @@ def _run_flow_pipeline(scn, out_dir, seed, resolution, quiet):
     return 0 if ok else 2
 
 
-def _run_mass_pipeline(scn, out_dir, quiet):
-    params = _space_params(scn)
+def _run_mass_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
     cfg = scn.mass
     kind = cfg.get("kind", "kottler_pair")
     if kind == "kottler_pair":
@@ -397,10 +398,7 @@ def _run_mass_pipeline(scn, out_dir, quiet):
     return 0 if ok else 2
 
 
-def _run_slice_check(scn, out_dir, resolution, quiet):
-    params = _space_params(scn)
-    warp = _warp(scn, params)
-    grid = _grid(scn, params, resolution)
+def _run_slice_check(scn, out_dir, params, grid, warp, seed, quiet):
     cfg = scn.slice_check or {}
     lambdas = [float(x) for x in cfg.get("lambdas", [1.5, 2.0, 4.0])]
     tol_rel = float(cfg.get("tol_rel", 1e-8))
@@ -430,10 +428,7 @@ def _run_slice_check(scn, out_dir, resolution, quiet):
     return 0
 
 
-def _run_inequalities(scn, out_dir, seed, resolution, quiet):
-    params = _space_params(scn)
-    warp = _warp(scn, params)
-    grid = _grid(scn, params, resolution)
+def _run_inequalities(scn, out_dir, params, grid, warp, seed, quiet):
     cfg = scn.inequalities or {}
     count = int(cfg.get("count", 20))
     amplitude = float(cfg.get("amplitude", 0.1))
@@ -462,9 +457,7 @@ def _run_inequalities(scn, out_dir, seed, resolution, quiet):
     return 0
 
 
-def _run_beckner(scn, out_dir, seed, resolution, quiet):
-    params = _space_params(scn)
-    grid = _grid(scn, params, resolution)
+def _run_beckner(scn, out_dir, params, grid, warp, seed, quiet):
     cfg = scn.beckner or {}
     count = int(cfg.get("count", 100))
     amplitude = float(cfg.get("amplitude", 0.2))
@@ -498,34 +491,50 @@ def _run_beckner(scn, out_dir, seed, resolution, quiet):
     return 0
 
 
-def run_scenario(scn, out_root, *, seed=None, resolution=None, quiet=False, dump_warp=False):
-    """Run every pipeline the scenario configures; return the exit code."""
+# Pipeline sections in run order: command -> (Scenario attribute, runner,
+# needs the warp table).  Every section but ``mass`` needs the grid.
+_SECTIONS = {
+    "flow": ("flow", _run_flow_pipeline, True),
+    "mass": ("mass", _run_mass_pipeline, False),
+    "slice-check": ("slice_check", _run_slice_check, True),
+    "check-inequalities": ("inequalities", _run_inequalities, True),
+    "beckner": ("beckner", _run_beckner, False),
+}
+
+
+def run_scenario(scn, out_root, *, seed=None, resolution=None, quiet=False, dump_warp=False,
+                 only=None):
+    """Run the pipelines the scenario configures (or just the ``only`` command's
+    section); return the exit code."""
+    if seed is not None and seed < 0:
+        raise ConfigurationError(f"--seed: must be >= 0, got {seed}")
+    if resolution is not None and resolution < 1:
+        raise ConfigurationError(f"--resolution: must be >= 1, got {resolution}")
+    sections = [
+        entry for command, entry in _SECTIONS.items()
+        if getattr(scn, entry[0]) is not None and only in (None, command)
+    ]
+    if not sections:
+        if only is not None:
+            raise ConfigurationError(
+                f"scenario {scn.name!r} has no section for command {only!r}"
+            )
+        raise ConfigurationError(f"scenario {scn.name}: no pipeline section present")
     out_dir = os.path.join(out_root, scn.name)
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "scenario.normalized.json"), scn.to_dict())
     eff_seed = scn.seed if seed is None else int(seed)
+    params = _space_params(scn)
+    warp = grid = None
+    if dump_warp or any(needs_warp for _, _, needs_warp in sections):
+        warp = _warp(scn, params)
+    if any(attr != "mass" for attr, _, _ in sections):
+        grid = _grid(scn, params, resolution)
     if dump_warp:
-        params = _space_params(scn)
-        _warp(scn, params).to_csv(os.path.join(out_dir, "warp.csv"))
+        warp.to_csv(os.path.join(out_dir, "warp.csv"))
     code = 0
-    ran = False
-    if scn.flow is not None:
-        ran = True
-        code = max(code, _run_flow_pipeline(scn, out_dir, eff_seed, resolution, quiet))
-    if scn.mass is not None:
-        ran = True
-        code = max(code, _run_mass_pipeline(scn, out_dir, quiet))
-    if scn.slice_check is not None:
-        ran = True
-        code = max(code, _run_slice_check(scn, out_dir, resolution, quiet))
-    if scn.inequalities is not None:
-        ran = True
-        code = max(code, _run_inequalities(scn, out_dir, eff_seed, resolution, quiet))
-    if scn.beckner is not None:
-        ran = True
-        code = max(code, _run_beckner(scn, out_dir, eff_seed, resolution, quiet))
-    if not ran:
-        raise ConfigurationError(f"scenario {scn.name}: no pipeline section present")
+    for _, runner, _ in sections:
+        code = max(code, runner(scn, out_dir, params, grid, warp, eff_seed, quiet))
     return code
 
 
@@ -537,19 +546,9 @@ def shipped_scenarios():
     )
 
 
-def _threads():
-    raw = os.environ.get("KFLOW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigurationError(f"KFLOW_THREADS must be an integer, got {raw!r}") from None
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="kflow", description=__doc__)
-    parser.add_argument("command", choices=[
-        "flow", "mass", "check-inequalities", "slice-check", "beckner", "all",
-    ])
+    parser.add_argument("command", choices=[*_SECTIONS, "all"])
     parser.add_argument("--config", help="scenario JSON path (not used by 'all')")
     parser.add_argument("--out", default="out", help="output directory root")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
@@ -558,68 +557,28 @@ def main(argv=None):
     parser.add_argument("--dump-warp", action="store_true", help="also write warp.csv")
     args = parser.parse_args(argv)
 
+    options = dict(seed=args.seed, resolution=args.resolution, quiet=args.quiet)
+    if args.command == "all":
+        codes = {}
+        for path in shipped_scenarios():
+            name = os.path.splitext(os.path.basename(path))[0]
+            try:
+                scn = parse_scenario(path)
+                name = scn.name
+                codes[name] = run_scenario(scn, args.out, **options)
+            except KFlowError as exc:
+                print(f"error: [{name}] {exc}", file=sys.stderr)
+                codes[name] = 1
+        if not args.quiet:
+            for name in sorted(codes):
+                print(f"{name}: {'pass' if codes[name] == 0 else 'FAIL'}")
+        return max(codes.values()) if codes else 1
+
     try:
-        if args.command == "all":
-            codes = {}
-            jobs = [(path, parse_scenario(path)) for path in shipped_scenarios()]
-            workers = min(_threads(), max(1, len(jobs)))
-            if workers > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    futures = {
-                        pool.submit(
-                            run_scenario,
-                            scn,
-                            args.out,
-                            seed=args.seed,
-                            resolution=args.resolution,
-                            quiet=True,
-                        ): scn.name
-                        for _, scn in jobs
-                    }
-                    for fut, name in futures.items():
-                        codes[name] = fut.result()
-            else:
-                for _, scn in jobs:
-                    codes[scn.name] = run_scenario(
-                        scn, args.out, seed=args.seed, resolution=args.resolution,
-                        quiet=args.quiet,
-                    )
-            if not args.quiet:
-                for name in sorted(codes):
-                    print(f"{name}: {'pass' if codes[name] == 0 else 'FAIL'}")
-            return max(codes.values()) if codes else 1
-
         if not args.config:
             raise ConfigurationError(f"--config is required for {args.command!r}")
-        scn = parse_scenario(args.config)
-        section = {
-            "flow": scn.flow,
-            "mass": scn.mass,
-            "check-inequalities": scn.inequalities,
-            "slice-check": scn.slice_check,
-            "beckner": scn.beckner,
-        }[args.command]
-        if section is None:
-            raise ConfigurationError(
-                f"scenario {scn.name!r} has no section for command {args.command!r}"
-            )
-        out_dir = os.path.join(args.out, scn.name)
-        os.makedirs(out_dir, exist_ok=True)
-        _write_json(os.path.join(out_dir, "scenario.normalized.json"), scn.to_dict())
-        if args.dump_warp:
-            _warp(scn, _space_params(scn)).to_csv(os.path.join(out_dir, "warp.csv"))
-        eff_seed = scn.seed if args.seed is None else args.seed
-        if args.command == "flow":
-            return _run_flow_pipeline(scn, out_dir, eff_seed, args.resolution, args.quiet)
-        if args.command == "mass":
-            return _run_mass_pipeline(scn, out_dir, args.quiet)
-        if args.command == "check-inequalities":
-            return _run_inequalities(scn, out_dir, eff_seed, args.resolution, args.quiet)
-        if args.command == "slice-check":
-            return _run_slice_check(scn, out_dir, args.resolution, args.quiet)
-        return _run_beckner(scn, out_dir, eff_seed, args.resolution, args.quiet)
+        return run_scenario(parse_scenario(args.config), args.out, dump_warp=args.dump_warp,
+                            only=args.command, **options)
     except KFlowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -199,36 +199,22 @@ def stable_dt(geom, cfl_safety):
     return cfl_safety * grid.dx_min**2 * float(coeff.min()) / 2.0
 
 
-class _StepRejected(Exception):
-    pass
+def flow_step(surface, geometry, dt):
+    """One explicit-midpoint update of u under du/dt = v/H.
 
-
-def _attempt_step(surface, geom, dt):
-    """One explicit-midpoint update of u under du/dt = v/H."""
-    grid = surface.grid
-    try:
-        u_half = surface.u.values + 0.5 * dt * geom.speed
-        half = GraphSurface(ScalarField(u_half, grid), surface.warp)
-        geom_half = compute_geometry(half)
-        u_new = surface.u.values + dt * geom_half.speed
-        new = GraphSurface(ScalarField(u_new, grid), surface.warp)
-        geom_new = compute_geometry(new)
-    except (DomainError, MeanConvexityError) as exc:
-        raise _StepRejected(str(exc)) from exc
-    return new, geom_new
-
-
-def flow_step(surface, geometry, dt, h_floor=0.0):
-    """Public single-step interface; dt = 0 returns the surface unchanged."""
+    Returns ``(surface, geometry)`` at t + dt; dt = 0 returns the inputs
+    unchanged.  Raises DomainError or MeanConvexityError when the step leaves
+    the tabulated range, loses finiteness or loses mean convexity.
+    """
     if dt == 0.0:
-        return surface
-    new, geom_new = _attempt_step(surface, geometry, dt)
-    if float(geom_new.H.min()) <= h_floor:
-        raise FlowBreakdownError(
-            f"mean curvature {float(geom_new.H.min()):.6g} at/below floor {h_floor:.6g}",
-            surface=new,
-        )
-    return new
+        return surface, geometry
+    grid = surface.grid
+    u_half = surface.u.values + 0.5 * dt * geometry.speed
+    half = GraphSurface(ScalarField(u_half, grid), surface.warp)
+    geom_half = compute_geometry(half)
+    u_new = surface.u.values + dt * geom_half.speed
+    new = GraphSurface(ScalarField(u_new, grid), surface.warp)
+    return new, compute_geometry(new)
 
 
 def run_flow(surface0, config):
@@ -253,9 +239,9 @@ def run_flow(surface0, config):
         dt = min(config.dt_max, stable_dt(geom, config.cfl_safety), t_next - t)
         while True:
             try:
-                surface_new, geom_new = _attempt_step(surface, geom, dt)
+                surface_new, geom_new = flow_step(surface, geom, dt)
                 break
-            except _StepRejected as exc:
+            except (DomainError, MeanConvexityError) as exc:
                 trace.rejected_steps += 1
                 dt *= 0.5
                 if dt < 1e-13:

@@ -74,6 +74,27 @@ class TestParsing:
         with pytest.raises(ConfigurationError):
             cli.parse_scenario(write_config(tmp_path, bad))
 
+    @pytest.mark.parametrize("section, key, value, where", [
+        ("slice_check", "lambdas", ["a"], "scenario.slice_check.lambdas[0]"),
+        ("slice_check", "lambdas", [2.0, True], "scenario.slice_check.lambdas[1]"),
+        ("slice_check", "lambdas", [math.inf], "scenario.slice_check.lambdas[0]"),
+        ("slice_check", "lambdas", 2.0, "scenario.slice_check.lambdas"),
+        ("mass", "rho_schedule", [50, None], "scenario.mass.rho_schedule[1]"),
+        ("mass", "rho_schedule", [50, math.nan], "scenario.mass.rho_schedule[1]"),
+        (None, "seed", -1, "scenario.seed"),
+        ("surface", "seed", -1, "scenario.surface.seed"),
+        ("grid", "resolution", 0, "scenario.grid.resolution"),
+    ])
+    def test_bad_value_names_key(self, tmp_path, section, key, value, where):
+        cfg = json.loads(json.dumps(SMALL_FLOW))
+        cfg["mass"] = dict(MINIMAL_MASS["mass"])
+        cfg["slice_check"] = {"lambdas": [2.0]}
+        cfg["surface"] = {"base_lambda": 2.0, "amplitude": 0.05}
+        (cfg if section is None else cfg[section])[key] = value
+        with pytest.raises(ConfigurationError) as err:
+            cli.parse_scenario(write_config(tmp_path, cfg))
+        assert any(p.startswith(where + ":") for p in err.value.problems), err.value.problems
+
 
 class TestRunScenario:
     def test_mass_scenario_pass(self, tmp_path):
@@ -116,6 +137,23 @@ class TestRunScenario:
         assert report["passed"] is False
         assert report["breakdown"]
 
+    def test_one_warp_table_per_scenario(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.build_warp_table
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_warp_table", counting)
+        scn = cli.scenario_from_dict(dict(SMALL_FLOW, slice_check={"lambdas": [2.0]}))
+        code = cli.run_scenario(scn, str(tmp_path / "out"), quiet=True, dump_warp=True)
+        assert code == 0
+        assert len(calls) == 1
+        base = tmp_path / "out" / "t-flow"
+        for name in ("warp.csv", "trace.csv", "slice_check.json"):
+            assert (base / name).exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         scn = cli.parse_scenario(write_config(tmp_path, SMALL_FLOW))
         cli.run_scenario(scn, str(tmp_path / "a"), quiet=True)
@@ -131,6 +169,26 @@ class TestMain:
         cfg = write_config(tmp_path, SMALL_FLOW)
         code = cli.main(["flow", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 0
+
+    def test_main_matches_run_scenario(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL_FLOW)
+        assert cli.main(["flow", "--config", cfg, "--out", str(tmp_path / "a"), "--quiet"]) == 0
+        scn = cli.parse_scenario(cfg)
+        assert cli.run_scenario(scn, str(tmp_path / "b"), quiet=True, only="flow") == 0
+        a_files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*"))
+        b_files = sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*"))
+        assert a_files == b_files
+        for rel in a_files:
+            if (tmp_path / "a" / rel).is_file():
+                assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+    @pytest.mark.parametrize("flag, value", [("--resolution", "0"), ("--seed", "-1")])
+    def test_main_bad_flag_is_error(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path, SMALL_FLOW)
+        code = cli.main(["flow", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet",
+                         flag, value])
+        assert code == 1
+        assert flag in capsys.readouterr().err
 
     def test_main_missing_section(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL_MASS)
@@ -178,19 +236,29 @@ class TestMain:
 
 
 class TestAllCommand:
-    def test_all_runs_shipped_suite(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("KFLOW_THREADS", "1")
+    def test_all_runs_shipped_suite(self, tmp_path):
         code = cli.main(["all", "--out", str(tmp_path / "all"), "--quiet"])
         assert code == 0
         names = {p.name for p in (tmp_path / "all").iterdir()}
         assert {"kottler-mass", "perturbed-flow", "slice-equality"} <= names
 
-    def test_threads_env_validation(self, monkeypatch):
-        monkeypatch.setenv("KFLOW_THREADS", "zounds")
-        with pytest.raises(ConfigurationError):
-            cli._threads()
-        monkeypatch.setenv("KFLOW_THREADS", "4")
-        assert cli._threads() == 4
+    def test_all_isolates_a_failing_scenario(self, tmp_path, monkeypatch, capsys):
+        bad = json.loads(json.dumps(SMALL_FLOW))
+        bad["name"] = "t-bad"
+        bad["flow"]["t_end"] = -1.0  # parses, then FlowConfig rejects it at run time
+        broken = tmp_path / "c-broken.json"
+        broken.write_text("{not json")
+        paths = [write_config(tmp_path, bad, "a-bad.json"),
+                 write_config(tmp_path, MINIMAL_MASS, "b-good.json"), str(broken)]
+        monkeypatch.setattr(cli, "shipped_scenarios", lambda: paths)
+        code = cli.main(["all", "--out", str(tmp_path / "all")])
+        assert code == 1
+        assert (tmp_path / "all" / "t-mass" / "mass.json").exists()
+        out, err = capsys.readouterr()
+        assert "error:" in err and "t_end" in err
+        assert "t-bad: FAIL" in out
+        assert "t-mass: pass" in out
+        assert "c-broken: FAIL" in out
 
 
 class TestPlots:

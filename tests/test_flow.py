@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 import kflow as kf
-from kflow.errors import DomainError, FlowBreakdownError
-from kflow.flow import _attempt_step
+from kflow.errors import DomainError, FlowBreakdownError, MeanConvexityError
 
 
 class TestFlowStep:
     def test_zero_dt_identity(self, slice_flat):
         geom = kf.compute_geometry(slice_flat)
-        out = kf.flow_step(slice_flat, geom, 0.0)
+        out, out_geom = kf.flow_step(slice_flat, geom, 0.0)
         assert out is slice_flat
+        assert out_geom is geom
 
     def test_slice_step_third_order(self, torus64, warp_flat):
         # Exact slice solution: lambda(u(t)) = lambda(u(0)) e^(t/(n-1));
@@ -24,7 +24,7 @@ class TestFlowStep:
         geom = kf.compute_geometry(surf)
 
         def step_error(dt):
-            out = kf.flow_step(surf, geom, dt)
+            out, _ = kf.flow_step(surf, geom, dt)
             lam_num = float(warp_flat.lam(out.u.values[0, 0]))
             lam_exact = 2.0 * math.exp(dt / 2.0)
             return abs(lam_num - lam_exact)
@@ -36,21 +36,24 @@ class TestFlowStep:
 
     def test_slice_stays_flat(self, slice_flat, warp_flat):
         geom = kf.compute_geometry(slice_flat)
-        out = kf.flow_step(slice_flat, geom, 0.01)
+        out, out_geom = kf.flow_step(slice_flat, geom, 0.01)
+        assert out_geom.surface is out
         assert np.ptp(out.u.values) == 0.0
 
     def test_breakdown_floor(self, slice_flat):
-        geom = kf.compute_geometry(slice_flat)
+        # H = n-1 = 2 on the slice, so a floor of 10 trips after the first step
         with pytest.raises(FlowBreakdownError) as err:
-            kf.flow_step(slice_flat, geom, 0.01, h_floor=10.0)
+            kf.run_flow(slice_flat, kf.FlowConfig(t_end=1.0, h_floor=10.0))
         assert err.value.surface is not None
+        assert err.value.surface is not slice_flat
+        assert "floor" in err.value.trace.breakdown["reason"]
 
     def test_large_step_rejected_signal(self, torus64, warp_flat):
         surf = kf.random_star_shaped(torus64, warp_flat, seed=2, amplitude=0.1,
                                      base_r=warp_flat.r_from_rho(2.0))
         geom = kf.compute_geometry(surf)
-        with pytest.raises(Exception):
-            _attempt_step(surf, geom, 1e4)  # leaves the table / loses convexity
+        with pytest.raises((DomainError, MeanConvexityError)):
+            kf.flow_step(surf, geom, 1e4)  # leaves the table / loses convexity
 
 
 class TestRunFlow:
