@@ -47,20 +47,25 @@ def hermite_eval(x, xs, ys, ds, what="table"):
     x = np.asarray(x, dtype=float)
     lo, hi = xs[0], xs[-1]
     pad = 1e-12 * max(1.0, abs(hi))
-    if np.any(x < lo - pad) or np.any(x > hi + pad):
+    if (x < lo - pad).any() or (x > hi + pad).any():
         raise DomainError(
             f"{what}: evaluation at {float(np.min(x)):.6g}..{float(np.max(x)):.6g} "
             f"outside tabulated range [{lo:.6g}, {hi:.6g}]"
         )
-    idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
-    h = xs[idx + 1] - xs[idx]
-    t = np.clip((x - xs[idx]) / h, 0.0, 1.0)
+    # Searching the interior nodes yields the interval index already clipped
+    # to [0, len(xs) - 2]: points below xs[1] land in interval 0, points at or
+    # above xs[-2] in the last one.
+    idx = xs[1:-1].searchsorted(x, side="right")
+    nxt = idx + 1
+    x0 = xs[idx]
+    h = xs[nxt] - x0
+    t = np.minimum(np.maximum((x - x0) / h, 0.0), 1.0)
     omt = 1.0 - t
     h00 = (1.0 + 2.0 * t) * omt * omt
     h10 = t * omt * omt
     h01 = t * t * (3.0 - 2.0 * t)
     h11 = t * t * (t - 1.0)
-    return h00 * ys[idx] + h * h10 * ds[idx] + h01 * ys[idx + 1] + h * h11 * ds[idx + 1]
+    return h00 * ys[idx] + h * h10 * ds[idx] + h01 * ys[nxt] + h * h11 * ds[nxt]
 
 
 def fit_log_slope(x, y, eps=0.0):

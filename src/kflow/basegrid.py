@@ -89,7 +89,7 @@ class ScalarField:
             raise DomainError(
                 f"field shape {vals.shape} does not match grid shape {self.grid.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise DomainError("field contains non-finite values")
 
     @classmethod
@@ -265,7 +265,7 @@ def differentiate(field):
         d = grid.aux["D"]
         # Differencing against the mean keeps constants exactly annihilated
         # (D @ const is only zero to rounding, and D @ (D @ const) amplifies).
-        shifted = f - f.mean()
+        shifted = f - f.sum() / f.size
         fmu = d @ shifted
         fmumu = d @ fmu
         one_m = 1.0 - mu**2

@@ -81,49 +81,66 @@ class Scenario:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-# Schema marker for a list whose elements must be finite real numbers.
+# Schema markers: a finite real number, and a list of finite real numbers.
+_REAL = "finite real"
 _REALS = "list of finite reals"
 
 _SCHEMA = {
     "name": str,
-    "space": {"n": int, "kappa": int, "m": (int, float), "theta": (int, float)},
+    "space": {"n": int, "kappa": int, "m": _REAL, "theta": _REAL},
     "grid": {"mode": str, "resolution": int},
     "surface": {
-        "slice_lambda": (int, float),
-        "base_lambda": (int, float),
-        "amplitude": (int, float),
+        "slice_lambda": _REAL,
+        "base_lambda": _REAL,
+        "amplitude": _REAL,
         "seed": int,
     },
     "flow": {
-        "t_end": (int, float),
-        "cfl_safety": (int, float),
-        "dt_max": (int, float),
-        "h_floor": (int, float),
-        "record_interval": (int, float),
+        "t_end": _REAL,
+        "cfl_safety": _REAL,
+        "dt_max": _REAL,
+        "h_floor": _REAL,
+        "record_interval": _REAL,
         "integrator": str,
     },
     "mass": {
         "kind": str,
-        "m_graph": (int, float),
-        "m_horizon": (int, float),
-        "m_total": (int, float),
-        "rate": (int, float),
+        "m_graph": _REAL,
+        "m_horizon": _REAL,
+        "m_total": _REAL,
+        "rate": _REAL,
         "rho_schedule": _REALS,
-        "expect_mass": (int, float),
-        "tol": (int, float),
+        "expect_mass": _REAL,
+        "tol": _REAL,
     },
-    "slice_check": {"lambdas": _REALS, "tol_rel": (int, float)},
+    "slice_check": {"lambdas": _REALS, "tol_rel": _REAL},
     "inequalities": {
         "count": int,
-        "amplitude": (int, float),
-        "base_lambda": (int, float),
-        "tol_rel": (int, float),
+        "amplitude": _REAL,
+        "base_lambda": _REAL,
+        "tol_rel": _REAL,
     },
-    "beckner": {"count": int, "amplitude": (int, float), "tol_rel": (int, float)},
-    "warp": {"r_max": (int, float), "target_nodes": int, "tol": (int, float)},
+    "beckner": {"count": int, "amplitude": _REAL, "tol_rel": _REAL},
+    "warp": {"r_max": _REAL, "target_nodes": int, "tol": _REAL},
     "checks": list,
     "seed": int,
 }
+
+# Tolerances that must be strictly positive: a zero or negative tolerance
+# fails every check, so it is a configuration error, not a monitor failure.
+_TOLERANCES = (
+    ("mass", "tol"),
+    ("slice_check", "tol_rel"),
+    ("inequalities", "tol_rel"),
+    ("beckner", "tol_rel"),
+    ("warp", "tol"),
+)
+
+
+def _finite_real_problem(path, val):
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+        return f"{path}: expected a finite real number, got {val!r}"
+    return None
 
 
 def _check_keys(obj, schema, path, problems):
@@ -137,16 +154,18 @@ def _check_keys(obj, schema, path, problems):
         want = schema[key]
         if isinstance(want, dict):
             _check_keys(val, want, f"{path}.{key}", problems)
+        elif want is _REAL:
+            problem = _finite_real_problem(f"{path}.{key}", val)
+            if problem:
+                problems.append(problem)
         elif want is _REALS:
             if not isinstance(val, list):
                 problems.append(f"{path}.{key}: expected a list, got {type(val).__name__}")
                 continue
             for i, item in enumerate(val):
-                if (isinstance(item, bool) or not isinstance(item, (int, float))
-                        or not math.isfinite(item)):
-                    problems.append(
-                        f"{path}.{key}[{i}]: expected a finite real number, got {item!r}"
-                    )
+                problem = _finite_real_problem(f"{path}.{key}[{i}]", item)
+                if problem:
+                    problems.append(problem)
         elif not isinstance(val, want) or isinstance(val, bool):
             problems.append(f"{path}.{key}: expected {want}, got {type(val).__name__}")
 
@@ -210,9 +229,19 @@ def scenario_from_dict(raw):
         ("seed", raw.get("seed", 0), 0),
         ("surface.seed", (surface_cfg or {}).get("seed", 0), 0),
         ("grid.resolution", (grid_cfg or {}).get("resolution", 1), 1),
+        # A count of 0, like an empty lambdas list, would let the section
+        # pass without evaluating anything.
+        ("inequalities.count", (raw.get("inequalities") or {}).get("count", 1), 1),
+        ("beckner.count", (raw.get("beckner") or {}).get("count", 1), 1),
     ):
         if value < low:
             problems.append(f"scenario.{key}: must be >= {low}, got {value}")
+    if (raw.get("slice_check") or {}).get("lambdas") == []:
+        problems.append("scenario.slice_check.lambdas: must not be empty")
+    for section, key in _TOLERANCES:
+        value = (raw.get(section) or {}).get(key, 1.0)
+        if value <= 0.0:
+            problems.append(f"scenario.{section}.{key}: must be > 0, got {value}")
     if problems:
         raise ConfigurationError(problems)
     return Scenario(**copy.deepcopy(raw))
@@ -557,7 +586,8 @@ def main(argv=None):
     parser.add_argument("--dump-warp", action="store_true", help="also write warp.csv")
     args = parser.parse_args(argv)
 
-    options = dict(seed=args.seed, resolution=args.resolution, quiet=args.quiet)
+    options = dict(seed=args.seed, resolution=args.resolution, quiet=args.quiet,
+                   dump_warp=args.dump_warp)
     if args.command == "all":
         codes = {}
         for path in shipped_scenarios():
@@ -577,8 +607,7 @@ def main(argv=None):
     try:
         if not args.config:
             raise ConfigurationError(f"--config is required for {args.command!r}")
-        return run_scenario(parse_scenario(args.config), args.out, dump_warp=args.dump_warp,
-                            only=args.command, **options)
+        return run_scenario(parse_scenario(args.config), args.out, only=args.command, **options)
     except KFlowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,11 @@ with gtil^ij = ghat^ij - phi^i phi^j / v^2.  Only H is formed; g_ij and h_ij
 are not returned.  The support function is p = <grad V, nu> = lambda''(u) / v,
 using <d_r, nu> = 1/v, and the star-shapedness witness is chi = v / lambda.
 lambda(u) is looked up in the warp table once per evaluation; lambda'(u)
-and lambda''(u) are its closed forms.
+and lambda''(u) are its closed forms.  ``compute_geometry`` forms only what
+a flow step and its checks read (lambda, lambda', lambda'', |grad phi|^2, v
+and H); p, chi and the area element are formed when read, and the
+aggregate functional record below on its first read.  A flow reads the
+record only at its record times, so its midpoint stages never form it.
 
 Aggregate functionals (all integrals over Sigma with its area measure
 lambda^(n-1) v d mu_ghat):
@@ -38,6 +42,7 @@ mean-convex star-shaped graphs.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,9 +80,9 @@ class GraphSurface:
                 f"background (n={params.n}, kappa={params.kappa})"
             )
         vals = self.u.values
-        if np.any(vals <= 0.0):
+        if (vals <= 0.0).any():
             raise DomainError("graph height must be strictly positive (outside the horizon)")
-        if np.any(vals > self.warp.r_grid[-1]):
+        if (vals > self.warp.r_grid[-1]).any():
             raise DomainError(
                 f"graph height exceeds the tabulated range r <= {self.warp.r_grid[-1]:.6g}"
             )
@@ -113,13 +118,16 @@ class FunctionalRecord:
 
 @dataclass(frozen=True, eq=False)
 class SurfaceGeometry:
-    """Per-node geometry of a graph plus its functional record.
+    """Per-node geometry of a graph; its functional record is formed on first read.
 
     ``lam``, ``dlam``, ``ddlam`` are lambda, lambda' = V(lambda) and lambda''
     at the graph height u; ``grad_phi_sq`` = |grad phi|^2, ``v`` =
-    sqrt(1 + |grad phi|^2), ``H`` the mean curvature, ``p`` the support
-    function lambda'' / v, ``chi`` = v / lambda, and ``area_element`` =
-    lambda^(n-1) v, the density of the area measure against d mu_ghat.
+    sqrt(1 + |grad phi|^2) and ``H`` the mean curvature.  These are what a
+    flow step reads.  The support function ``p`` = lambda'' / v, ``chi`` =
+    v / lambda and ``area_element`` = lambda^(n-1) v (the density of the area
+    measure against d mu_ghat) are formed on each read; ``functionals``, the
+    aggregate record, is formed on the first read and then kept, so a flow
+    pays for it only at record times.
     """
 
     surface: GraphSurface
@@ -129,23 +137,69 @@ class SurfaceGeometry:
     grad_phi_sq: np.ndarray
     v: np.ndarray
     H: np.ndarray
-    p: np.ndarray
-    chi: np.ndarray
-    area_element: np.ndarray
-    functionals: FunctionalRecord
 
     @property
     def speed(self):
         """Graph-height speed v / H of the inverse mean curvature flow."""
         return self.v / self.H
 
+    @property
+    def p(self):
+        return self.ddlam / self.v
+
+    @property
+    def chi(self):
+        return self.v / self.lam
+
+    @property
+    def area_element(self):
+        return self.lam ** (self.surface.warp.params.n - 1) * self.v
+
+    @cached_property
+    def functionals(self):
+        """Aggregate functional record (see the module docstring)."""
+        warp = self.surface.warp
+        params = warp.params
+        n = params.n
+        lam, dlam, H = self.lam, self.dlam, self.H
+        area_element = self.area_element
+        w = self.surface.grid.quad_weights
+        area = float(np.sum(w * area_element))
+        int_vh = float(np.sum(w * dlam * H * area_element))
+        int_p = float(np.sum(w * self.p * area_element))
+        int_v_over_h = float(np.sum(w * (dlam / H) * area_element))
+        rho0 = warp.rho0
+        theta = params.theta
+        j_val = float(np.sum(w * (lam**n - rho0**n)))
+        k_val = theta * ((area / theta) ** (n / (n - 1)) - rho0**n)
+        q1 = (
+            int_vh - (n - 1) * j_val + (n - 1) * params.kappa * rho0 ** (n - 2) * theta
+        ) / area ** ((n - 2) / (n - 1))
+        q2 = (
+            int_vh
+            + 2.0 * (n - 1) * params.m * theta
+            - (n - 1) * theta * (area / theta) ** (n / (n - 1))
+        ) / (area / theta) ** ((n - 2) / (n - 1))
+        return FunctionalRecord(
+            area=area,
+            intVH=int_vh,
+            intP=int_p,
+            intVoverH=int_v_over_h,
+            J=j_val,
+            K=k_val,
+            Q1=q1,
+            Q2=q2,
+        )
+
 
 def compute_geometry(surface):
-    """Per-node geometry and the aggregate functional record of a graph."""
+    """Per-node geometry of a graph: what a flow step and its checks read.
+
+    Raises MeanConvexityError when H <= 0 at any node.  The functional record
+    is not formed here; ``SurfaceGeometry.functionals`` forms it on first read.
+    """
     warp = surface.warp
-    params = warp.params
-    grid = surface.grid
-    n = params.n
+    n = warp.params.n
     u = surface.u.values
 
     lam = warp.lam(u)
@@ -159,43 +213,13 @@ def compute_geometry(surface):
     gtil_phi = lap_phi - quad_phi / v**2
     H = ((n - 1) * dlam - gtil_phi) / (lam * v)
 
-    if np.any(H <= 0.0):
+    if (H <= 0.0).any():
         bad = np.argwhere(H <= 0.0)
         raise MeanConvexityError(
             f"mean convexity violated at {len(bad)} node(s); min H = {float(H.min()):.6g}",
             nodes=bad,
         )
 
-    p = ddlam / v
-    chi = v / lam
-    area_element = lam ** (n - 1) * v
-
-    w = grid.quad_weights
-    area = float(np.sum(w * area_element))
-    int_vh = float(np.sum(w * dlam * H * area_element))
-    int_p = float(np.sum(w * p * area_element))
-    int_v_over_h = float(np.sum(w * (dlam / H) * area_element))
-    rho0 = warp.rho0
-    theta = params.theta
-    j_val = float(np.sum(w * (lam**n - rho0**n)))
-    k_val = theta * ((area / theta) ** (n / (n - 1)) - rho0**n)
-    q1 = (int_vh - (n - 1) * j_val + (n - 1) * params.kappa * rho0 ** (n - 2) * theta) / area ** (
-        (n - 2) / (n - 1)
-    )
-    q2 = (
-        int_vh + 2.0 * (n - 1) * params.m * theta - (n - 1) * theta * (area / theta) ** (n / (n - 1))
-    ) / (area / theta) ** ((n - 2) / (n - 1))
-
-    rec = FunctionalRecord(
-        area=area,
-        intVH=int_vh,
-        intP=int_p,
-        intVoverH=int_v_over_h,
-        J=j_val,
-        K=k_val,
-        Q1=q1,
-        Q2=q2,
-    )
     return SurfaceGeometry(
         surface=surface,
         lam=lam,
@@ -204,10 +228,6 @@ def compute_geometry(surface):
         grad_phi_sq=grad_phi_sq,
         v=v,
         H=H,
-        p=p,
-        chi=chi,
-        area_element=area_element,
-        functionals=rec,
     )
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kflow as kf
+from kflow import _util
 from kflow.background import _v_squared_prime, profile_decay_order, v_squared
 from kflow.errors import (
     DomainError,
@@ -195,6 +196,77 @@ class TestWarpTable:
         w = kf.build_warp_table(p, r_max=8.0, target_nodes=1500)
         assert w.identity_residual() < 1e-10
         assert w.convexity_margin() >= -1e-12
+
+
+def _hermite_reference(x, xs, ys, ds, what="table"):
+    """hermite_eval with the interval index and t clipped by np.clip."""
+    x = np.asarray(x, dtype=float)
+    lo, hi = xs[0], xs[-1]
+    pad = 1e-12 * max(1.0, abs(hi))
+    if np.any(x < lo - pad) or np.any(x > hi + pad):
+        raise DomainError(
+            f"{what}: evaluation at {float(np.min(x)):.6g}..{float(np.max(x)):.6g} "
+            f"outside tabulated range [{lo:.6g}, {hi:.6g}]"
+        )
+    idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+    h = xs[idx + 1] - xs[idx]
+    t = np.clip((x - xs[idx]) / h, 0.0, 1.0)
+    omt = 1.0 - t
+    h00 = (1.0 + 2.0 * t) * omt * omt
+    h10 = t * omt * omt
+    h01 = t * t * (3.0 - 2.0 * t)
+    h11 = t * t * (t - 1.0)
+    return h00 * ys[idx] + h * h10 * ds[idx] + h01 * ys[idx + 1] + h * h11 * ds[idx + 1]
+
+
+class TestHermiteEval:
+    """hermite_eval is bitwise equal to the np.clip reference everywhere in range."""
+
+    @pytest.fixture
+    def tables(self, warp_flat):
+        hyp = kf.hyperbolic_reference_table(3, r_max=12.0)  # starts at lambda = 0
+        two = (np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([0.5, 1.5]))
+        return [
+            (warp_flat.r_grid, warp_flat.lam_nodes, warp_flat.d_lam_nodes),
+            (hyp.r_grid, hyp.lam_nodes, hyp.d_lam_nodes),
+            two,
+        ]
+
+    @staticmethod
+    def _points(xs):
+        lo, hi = xs[0], xs[-1]
+        pad = 1e-12 * max(1.0, abs(hi))
+        rng = np.random.default_rng(4)
+        return np.concatenate([
+            xs,
+            np.nextafter(xs, -np.inf)[1:],
+            np.nextafter(xs, np.inf)[:-1],
+            [lo - pad, lo, -0.0, hi, hi + pad],
+            rng.uniform(lo, hi, 4096),
+        ])
+
+    def test_bitwise_equal_to_reference(self, tables):
+        for xs, ys, ds in tables:
+            x = self._points(xs)
+            got = _util.hermite_eval(x, xs, ys, ds)
+            want = _hermite_reference(x, xs, ys, ds)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            for xi in (x[0], x[len(xs) // 2], x[-1], float(x[-7])):
+                got = _util.hermite_eval(xi, xs, ys, ds)
+                want = _hermite_reference(xi, xs, ys, ds)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_out_of_range_raises_same_error(self, tables):
+        for xs, ys, ds in tables:
+            pad = 1e-12 * max(1.0, abs(xs[-1]))
+            for bad in (xs[0] - 2.0 * pad, xs[-1] + 2.0 * pad, np.array([xs[0], xs[-1] + 1.0])):
+                with pytest.raises(DomainError) as got:
+                    _util.hermite_eval(bad, xs, ys, ds, "lambda")
+                with pytest.raises(DomainError) as want:
+                    _hermite_reference(bad, xs, ys, ds, "lambda")
+                assert str(got.value) == str(want.value)
 
 
 class TestCurvature:

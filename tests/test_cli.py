@@ -84,13 +84,28 @@ class TestParsing:
         (None, "seed", -1, "scenario.seed"),
         ("surface", "seed", -1, "scenario.surface.seed"),
         ("grid", "resolution", 0, "scenario.grid.resolution"),
+        # A section that would pass without evaluating anything.
+        ("slice_check", "lambdas", [], "scenario.slice_check.lambdas"),
+        ("inequalities", "count", 0, "scenario.inequalities.count"),
+        ("beckner", "count", 0, "scenario.beckner.count"),
+        ("beckner", "count", -3, "scenario.beckner.count"),
+        # Scalar reals must be finite; tolerances must be positive.
+        ("mass", "tol", math.inf, "scenario.mass.tol"),
+        ("mass", "expect_mass", math.nan, "scenario.mass.expect_mass"),
+        ("space", "m", -math.inf, "scenario.space.m"),
+        ("surface", "amplitude", math.nan, "scenario.surface.amplitude"),
+        ("mass", "tol", 0.0, "scenario.mass.tol"),
+        ("slice_check", "tol_rel", -1e-8, "scenario.slice_check.tol_rel"),
+        ("inequalities", "tol_rel", 0, "scenario.inequalities.tol_rel"),
+        ("beckner", "tol_rel", 0.0, "scenario.beckner.tol_rel"),
+        ("warp", "tol", -1e-11, "scenario.warp.tol"),
     ])
     def test_bad_value_names_key(self, tmp_path, section, key, value, where):
         cfg = json.loads(json.dumps(SMALL_FLOW))
         cfg["mass"] = dict(MINIMAL_MASS["mass"])
         cfg["slice_check"] = {"lambdas": [2.0]}
         cfg["surface"] = {"base_lambda": 2.0, "amplitude": 0.05}
-        (cfg if section is None else cfg[section])[key] = value
+        (cfg if section is None else cfg.setdefault(section, {}))[key] = value
         with pytest.raises(ConfigurationError) as err:
             cli.parse_scenario(write_config(tmp_path, cfg))
         assert any(p.startswith(where + ":") for p in err.value.problems), err.value.problems
@@ -217,6 +232,24 @@ class TestMain:
         assert code == 1
         assert "tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("slice-check", "slice_check", "lambdas", []),
+        ("check-inequalities", "inequalities", "count", 0),
+        ("beckner", "beckner", "count", 0),
+        ("mass", "mass", "tol", math.inf),
+        ("mass", "mass", "expect_mass", math.nan),
+    ])
+    def test_main_vacuous_or_non_finite_is_error(self, tmp_path, capsys, command, section,
+                                                 key, value):
+        cfg = json.loads(json.dumps(SMALL_FLOW))
+        cfg["mass"] = dict(MINIMAL_MASS["mass"])
+        cfg.setdefault(section, {})[key] = value
+        code = cli.main([command, "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        assert f"scenario.{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_main_requires_config(self):
         assert cli.main(["mass", "--quiet"]) == 1
 
@@ -259,6 +292,22 @@ class TestAllCommand:
         assert "t-bad: FAIL" in out
         assert "t-mass: pass" in out
         assert "c-broken: FAIL" in out
+
+
+    def test_all_dump_warp(self, tmp_path, monkeypatch):
+        slices = dict(SMALL_FLOW, name="t-slices", slice_check={"lambdas": [2.0]})
+        del slices["flow"]
+        paths = [write_config(tmp_path, MINIMAL_MASS, "a.json"),
+                 write_config(tmp_path, slices, "b.json")]
+        monkeypatch.setattr(cli, "shipped_scenarios", lambda: paths)
+        assert cli.main(["all", "--out", str(tmp_path / "plain"), "--quiet"]) == 0
+        assert cli.main(["all", "--out", str(tmp_path / "dump"), "--quiet", "--dump-warp"]) == 0
+        for name in ("t-mass", "t-slices"):
+            assert not (tmp_path / "plain" / name / "warp.csv").exists()
+            assert (tmp_path / "dump" / name / "warp.csv").exists()
+            plain = sorted(p.name for p in (tmp_path / "plain" / name).iterdir())
+            dump = sorted(p.name for p in (tmp_path / "dump" / name).iterdir())
+            assert dump == sorted(plain + ["warp.csv"])
 
 
 class TestPlots:

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -77,19 +78,21 @@ class TestHyperbolicSliceLimit:
         assert float(geom.H[0]) == pytest.approx(2.0, rel=1e-5)
 
 
+@pytest.fixture
+def surfaces(torus64, warp_flat, sphere64, warp_sphere, sym_grid, warp_hyp_sym):
+    """One graph on each grid mode: torus2d, sphere_axisym, symmetric."""
+    return [
+        kf.random_star_shaped(torus64, warp_flat, seed=2, amplitude=0.05,
+                              base_r=warp_flat.r_from_rho(2.0)),
+        kf.random_star_shaped(sphere64, warp_sphere, seed=2, amplitude=0.05,
+                              base_r=warp_sphere.r_from_rho(3.0)),
+        kf.slice_surface(sym_grid, warp_hyp_sym, lam_value=2.0),
+    ]
+
+
 class TestOneLookup:
     """compute_geometry searches the warp table once; lambda' and lambda''
     come from the closed forms of that lambda."""
-
-    @pytest.fixture
-    def surfaces(self, torus64, warp_flat, sphere64, warp_sphere, sym_grid, warp_hyp_sym):
-        return [
-            kf.random_star_shaped(torus64, warp_flat, seed=2, amplitude=0.05,
-                                  base_r=warp_flat.r_from_rho(2.0)),
-            kf.random_star_shaped(sphere64, warp_sphere, seed=2, amplitude=0.05,
-                                  base_r=warp_sphere.r_from_rho(3.0)),
-            kf.slice_surface(sym_grid, warp_hyp_sym, lam_value=2.0),
-        ]
 
     def test_one_table_search_per_evaluation(self, surfaces, monkeypatch):
         calls = []
@@ -112,6 +115,47 @@ class TestOneLookup:
             assert np.array_equal(geom.lam, surf.warp.lam(u))
             assert np.array_equal(geom.dlam, surf.warp.dlam(u))
             assert np.array_equal(geom.ddlam, surf.warp.ddlam(u))
+
+
+def _eager_record(geom):
+    """The functional record formed eagerly, with the expressions and operand
+    order compute_geometry used when it built the record on every call."""
+    warp = geom.surface.warp
+    params = warp.params
+    n = params.n
+    lam, dlam, ddlam, v, H = geom.lam, geom.dlam, geom.ddlam, geom.v, geom.H
+    p = ddlam / v
+    area_element = lam ** (n - 1) * v
+    w = geom.surface.grid.quad_weights
+    area = float(np.sum(w * area_element))
+    int_vh = float(np.sum(w * dlam * H * area_element))
+    int_p = float(np.sum(w * p * area_element))
+    int_v_over_h = float(np.sum(w * (dlam / H) * area_element))
+    rho0 = warp.rho0
+    theta = params.theta
+    j_val = float(np.sum(w * (lam**n - rho0**n)))
+    k_val = theta * ((area / theta) ** (n / (n - 1)) - rho0**n)
+    q1 = (int_vh - (n - 1) * j_val + (n - 1) * params.kappa * rho0 ** (n - 2) * theta) / area ** (
+        (n - 2) / (n - 1)
+    )
+    q2 = (
+        int_vh + 2.0 * (n - 1) * params.m * theta - (n - 1) * theta * (area / theta) ** (n / (n - 1))
+    ) / (area / theta) ** ((n - 2) / (n - 1))
+    return kf.FunctionalRecord(area=area, intVH=int_vh, intP=int_p, intVoverH=int_v_over_h,
+                               J=j_val, K=k_val, Q1=q1, Q2=q2)
+
+
+class TestRecordOnFirstRead:
+    """compute_geometry forms only what a flow step reads; the functional
+    record is formed on its first read, equal to the eager one, and kept."""
+
+    def test_record_formed_on_first_read(self, surfaces):
+        for surf in surfaces:
+            geom = kf.compute_geometry(surf)
+            assert "functionals" not in geom.__dict__, surf.grid.mode
+            assert geom.functionals == _eager_record(geom), surf.grid.mode
+            assert "functionals" in geom.__dict__
+            assert geom.functionals is geom.functionals
 
 
 class TestFirstVariationOracle:
@@ -162,7 +206,7 @@ class TestDeficitProperties:
         geom = kf.compute_geometry(surf)
         rec = geom.functionals
         halved = replace(rec, intVoverH=rec.intVoverH / 2.0)
-        geom_halved = replace(geom, functionals=halved)
+        geom_halved = SimpleNamespace(surface=geom.surface, functionals=halved)
         assert kf.heintze_karcher_deficit(geom_halved) < kf.heintze_karcher_deficit(geom)
 
     def test_divergence_residual_is_quadrature_tight(self, torus64, warp_flat):
