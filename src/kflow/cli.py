@@ -9,20 +9,22 @@ rejected); artifacts (CSV trace, JSON reports, SVG plots) are written under
 
 import argparse
 import copy
+import inspect
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import plots
 from .background import SpaceParams, build_warp_table
-from .basegrid import ScalarField, beckner_report, low_frequency_field, make_grid
+from .basegrid import MODES, ScalarField, beckner_report, low_frequency_field, make_grid
 from .errors import ConfigurationError, FlowBreakdownError, KFlowError
 from .flow import FlowConfig, monotonicity_report, run_flow
 from .mass import (
+    DEFAULT_RHO_SCHEDULE,
     kottler_pair_graph,
     mass_identity_check,
     mass_limit,
@@ -41,133 +43,200 @@ from .surface import (
     weighted_volume_deficit,
 )
 
-KNOWN_CHECKS = (
-    "q1_monotone",
-    "q1_constant",
-    "area_law",
-    "barrier",
-    "p_balance",
-    "q2_monotone",
-    "final_bound",
-    "h_limit",
-    "grad_decay",
-    "mass_value",
-    "mass_identity",
-    "penrose",
-    "penrose_equality",
-    "s2_nonneg",
-    "slice_equality",
-    "inequality_ensemble",
-    "beckner_nonneg",
-)
-
-
-@dataclass
-class Scenario:
-    name: str
-    space: dict
-    grid: dict = None
-    surface: dict = None
-    flow: dict = None
-    mass: dict = None
-    slice_check: dict = None
-    inequalities: dict = None
-    beckner: dict = None
-    warp: dict = field(default_factory=lambda: {"r_max": 25.0, "target_nodes": 4000})
-    checks: list = field(default_factory=list)
-    seed: int = 0
-
-    def to_dict(self):
-        return {k: v for k, v in asdict(self).items() if v is not None}
-
-
-# Schema markers: a finite real number, and a list of finite real numbers.
-_REAL = "finite real"
-_REALS = "list of finite reals"
-
-_SCHEMA = {
-    "name": str,
-    "space": {"n": int, "kappa": int, "m": _REAL, "theta": _REAL},
-    "grid": {"mode": str, "resolution": int},
-    "surface": {
-        "slice_lambda": _REAL,
-        "base_lambda": _REAL,
-        "amplitude": _REAL,
-        "seed": int,
-    },
-    "flow": {
-        "t_end": _REAL,
-        "cfl_safety": _REAL,
-        "dt_max": _REAL,
-        "h_floor": _REAL,
-        "record_interval": _REAL,
-        "integrator": str,
-    },
-    "mass": {
-        "kind": str,
-        "m_graph": _REAL,
-        "m_horizon": _REAL,
-        "m_total": _REAL,
-        "rate": _REAL,
-        "rho_schedule": _REALS,
-        "expect_mass": _REAL,
-        "tol": _REAL,
-    },
-    "slice_check": {"lambdas": _REALS, "tol_rel": _REAL},
-    "inequalities": {
-        "count": int,
-        "amplitude": _REAL,
-        "base_lambda": _REAL,
-        "tol_rel": _REAL,
-    },
-    "beckner": {"count": int, "amplitude": _REAL, "tol_rel": _REAL},
-    "warp": {"r_max": _REAL, "target_nodes": int, "tol": _REAL},
-    "checks": list,
-    "seed": int,
+# Each check and the scenario section whose run evaluates it.
+KNOWN_CHECKS = {
+    "q1_monotone": "flow",
+    "q1_constant": "flow",
+    "area_law": "flow",
+    "barrier": "flow",
+    "p_balance": "flow",
+    "q2_monotone": "flow",
+    "final_bound": "flow",
+    "h_limit": "flow",
+    "grad_decay": "flow",
+    "mass_value": "mass",
+    "mass_identity": "mass",
+    "penrose": "mass",
+    "penrose_equality": "mass",
+    "s2_nonneg": "mass",
+    "slice_equality": "slice_check",
+    "inequality_ensemble": "inequalities",
+    "beckner_nonneg": "beckner",
 }
 
-# Tolerances that must be strictly positive: a zero or negative tolerance
-# fails every check, so it is a configuration error, not a monitor failure.
-_TOLERANCES = (
-    ("mass", "tol"),
-    ("slice_check", "tol_rel"),
-    ("inequalities", "tol_rel"),
-    ("beckner", "tol_rel"),
-    ("warp", "tol"),
-)
+# Key types besides int, str and list: a finite real number, and a nonempty
+# list of them.  The type of a section is the table of its keys.
+_REAL = "a finite real number"
+_REALS = "a nonempty list of finite real numbers"
 
 
-def _finite_real_problem(path, val):
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
-        return f"{path}: expected a finite real number, got {val!r}"
-    return None
+class _Key(NamedTuple):
+    """One scenario key.
+
+    ``default`` is used when the key is absent; None leaves it absent, so a
+    library default applies.  ``range`` is a ``(test, text)`` pair, read as
+    "must be <text>".  ``required`` is a ``(test, reason)`` pair on the whole
+    scenario, or None for an optional key.
+    """
+
+    type: object
+    default: object = None
+    range: tuple = None
+    required: tuple = None
 
 
-def _check_keys(obj, schema, path, problems):
-    if not isinstance(obj, dict):
-        problems.append(f"{path}: expected an object")
-        return
-    for key, val in obj.items():
-        if key not in schema:
-            problems.append(f"{path}.{key}: unknown key")
+_POSITIVE = (lambda v: v > 0, "> 0")
+_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+_FILE_NAME = (lambda v: v and not any(c in v for c in r'/\:*?"<>| '),
+              "nonempty and filesystem-safe")
+_ALWAYS = (lambda raw: True, "")
+
+
+def _one_of(values):
+    return (lambda v: v in values, f"one of {values}")
+
+
+def _if_present(*sections):
+    return (lambda raw: any(raw.get(s) is not None for s in sections),
+            f" (needed by {' and '.join(sections)})")
+
+
+def _if_mass_kind(kind):
+    return (lambda raw: raw["mass"].get("kind", _TABLE["mass"].type["kind"].default) == kind,
+            f" (mass.kind is {kind!r})")
+
+
+def _if_check(check):
+    return (lambda raw: isinstance(raw.get("checks"), list) and check in raw["checks"],
+            f" ({check} is enabled)")
+
+
+def _parameter_keys(func, value_range=None):
+    """Keys of a section passed to ``func`` as keyword arguments: one per
+    parameter, typed by its annotation or default, required without a default.
+    The library applies its own defaults."""
+    types = {int: int, float: _REAL, str: str}
+    return {
+        name: _Key(types[p.annotation if p.annotation is not p.empty else type(p.default)],
+                   range=value_range, required=_ALWAYS if p.default is p.empty else None)
+        for name, p in inspect.signature(func).parameters.items() if name != "params"
+    }
+
+
+_WARP_PARAMETERS = inspect.signature(build_warp_table).parameters
+
+# The scenario table: every key a scenario may hold, with its type, default,
+# range and required-ness.  The parser and the runners both read it.
+_TABLE = {
+    "name": _Key(str, range=_FILE_NAME, required=_ALWAYS),
+    "seed": _Key(int, 0, _NONNEGATIVE),
+    "checks": _Key(list, []),
+    "space": _Key(_parameter_keys(SpaceParams), required=_ALWAYS),
+    "grid": _Key({
+        "mode": _Key(str, range=_one_of(MODES), required=_ALWAYS),
+        "resolution": _Key(int, range=_AT_LEAST_ONE, required=_ALWAYS),
+    }, required=_if_present("flow", "slice_check", "inequalities", "beckner")),
+    "surface": _Key({
+        "slice_lambda": _Key(_REAL),
+        "base_lambda": _Key(_REAL),
+        "amplitude": _Key(_REAL, 0.0),
+        "seed": _Key(int, range=_NONNEGATIVE),
+    }, required=_if_present("flow")),
+    "flow": _Key(_parameter_keys(FlowConfig)),
+    "mass": _Key({
+        "kind": _Key(str, "kottler_pair", _one_of(("kottler_pair", "mass_profile"))),
+        "m_graph": _Key(_REAL, required=_if_mass_kind("kottler_pair")),
+        "m_horizon": _Key(_REAL, required=_if_mass_kind("mass_profile")),
+        "m_total": _Key(_REAL, required=_if_mass_kind("mass_profile")),
+        "rate": _Key(_REAL, inspect.signature(mass_profile_graph).parameters["rate"].default),
+        "rho_schedule": _Key(_REALS, list(DEFAULT_RHO_SCHEDULE)),
+        "expect_mass": _Key(_REAL, required=_if_check("mass_value")),
+        "tol": _Key(_REAL, 1e-6, _POSITIVE),
+    }),
+    "slice_check": _Key({
+        "lambdas": _Key(_REALS, [1.5, 2.0, 4.0]),
+        "tol_rel": _Key(_REAL, 1e-8, _POSITIVE),
+    }),
+    "inequalities": _Key({
+        "count": _Key(int, 20, _AT_LEAST_ONE),
+        "amplitude": _Key(_REAL, 0.1),
+        "base_lambda": _Key(_REAL, 2.0),
+        "tol_rel": _Key(_REAL, 1e-7, _POSITIVE),
+    }),
+    "beckner": _Key({
+        "count": _Key(int, 100, _AT_LEAST_ONE),
+        "amplitude": _Key(_REAL, 0.2),
+        "tol_rel": _Key(_REAL, 1e-8, _POSITIVE),
+    }),
+    # A scenario without a warp section records these two of the table's
+    # settings in its normalized form.
+    "warp": _Key(_parameter_keys(build_warp_table, _POSITIVE),
+                 {key: _WARP_PARAMETERS[key].default for key in ("r_max", "target_nodes")}),
+}
+
+
+class Scenario:
+    """A parsed scenario: one attribute per top-level key of the table."""
+
+    def __init__(self, raw):
+        for key, spec in _TABLE.items():
+            setattr(self, key, copy.deepcopy(raw.get(key, spec.default)))
+
+    def to_dict(self):
+        return {key: getattr(self, key) for key in _TABLE if getattr(self, key) is not None}
+
+
+def _settings(section, given):
+    """A scenario section as the runners and library constructors read it: the
+    table's defaults filled in, and reals as float, so an int-valued input
+    writes the same artifacts as the equal float."""
+    settings = {}
+    for key, spec in _TABLE[section].type.items():
+        value = given.get(key, spec.default)
+        if value is None:
             continue
-        want = schema[key]
-        if isinstance(want, dict):
-            _check_keys(val, want, f"{path}.{key}", problems)
-        elif want is _REAL:
-            problem = _finite_real_problem(f"{path}.{key}", val)
-            if problem:
-                problems.append(problem)
-        elif want is _REALS:
-            if not isinstance(val, list):
-                problems.append(f"{path}.{key}: expected a list, got {type(val).__name__}")
-                continue
-            for i, item in enumerate(val):
-                problem = _finite_real_problem(f"{path}.{key}[{i}]", item)
-                if problem:
-                    problems.append(problem)
-        elif not isinstance(val, want) or isinstance(val, bool):
-            problems.append(f"{path}.{key}: expected {want}, got {type(val).__name__}")
+        if spec.type is _REAL:
+            value = float(value)
+        elif spec.type is _REALS:
+            value = [float(x) for x in value]
+        settings[key] = value
+    return settings
+
+
+def _is(value, kind):
+    """Whether ``value`` has the table type ``kind``; list elements are checked apart."""
+    if isinstance(value, bool):
+        return False
+    if kind is _REAL:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    if kind is _REALS:
+        return isinstance(value, list) and value != []
+    return isinstance(value, kind)
+
+
+def _check(obj, table, path, problems, raw):
+    """Append each way ``obj`` breaks ``table`` to ``problems``: an unknown or
+    missing key, a value of the wrong type, or one out of range."""
+    if not isinstance(obj, dict):
+        problems.append(f"{path}: expected an object, got {obj!r}")
+        return
+    problems.extend(f"{path}.{key}: unknown key" for key in obj if key not in table)
+    for key, spec in table.items():
+        where, value = f"{path}.{key}", obj.get(key)
+        if key not in obj:
+            if spec.required and spec.required[0](raw):
+                problems.append(f"{where}: missing required key{spec.required[1]}")
+        elif isinstance(spec.type, dict):
+            _check(value, spec.type, where, problems, raw)
+        elif not _is(value, spec.type):
+            problems.append(f"{where}: expected {getattr(spec.type, '__name__', spec.type)}, "
+                            f"got {value!r}")
+        elif spec.type is _REALS:
+            problems.extend(f"{where}[{i}]: expected {_REAL}, got {x!r}"
+                            for i, x in enumerate(value) if not _is(x, _REAL))
+        elif spec.range and not spec.range[0](value):
+            problems.append(f"{where}: must be {spec.range[1]}, got {value!r}")
 
 
 def parse_scenario(path):
@@ -184,79 +253,43 @@ def parse_scenario(path):
 
 def scenario_from_dict(raw):
     problems = []
-    if not isinstance(raw, dict):
-        raise ConfigurationError("scenario: top level must be a JSON object")
-    _check_keys(raw, _SCHEMA, "scenario", problems)
-    for req in ("name", "space"):
-        if req not in raw:
-            problems.append(f"scenario.{req}: missing required key")
+    _check(raw, _TABLE, "scenario", problems, raw)
     if problems:
         raise ConfigurationError(problems)
 
-    name = raw["name"]
-    if not name or any(c in name for c in r'/\:*?"<>| '):
-        problems.append("scenario.name: must be nonempty and filesystem-safe")
-
-    grid_cfg = raw.get("grid")
-    if grid_cfg is not None:
-        mode = grid_cfg.get("mode")
-        kappa = raw["space"].get("kappa")
-        if mode == "torus2d" and kappa != 0:
-            problems.append(f"scenario.grid.mode: torus2d requires kappa=0, got kappa={kappa}")
-        if mode == "sphere_axisym" and kappa != 1:
-            problems.append(
-                f"scenario.grid.mode: sphere_axisym requires kappa=+1, got kappa={kappa}"
-            )
-        if "resolution" not in grid_cfg or "mode" not in grid_cfg:
-            problems.append("scenario.grid: needs both mode and resolution")
-
-    surface_cfg = raw.get("surface")
-    if surface_cfg is not None:
-        has_slice = "slice_lambda" in surface_cfg
-        has_random = "base_lambda" in surface_cfg
-        if has_slice == has_random:
-            problems.append(
-                "scenario.surface: give exactly one of slice_lambda or base_lambda(+amplitude)"
-            )
+    # Rules that relate keys to each other, then the library's own checks.
+    kappa = raw["space"]["kappa"]
+    mode = (raw.get("grid") or {}).get("mode")
+    if mode == "torus2d" and kappa != 0:
+        problems.append(f"scenario.grid.mode: torus2d requires kappa=0, got kappa={kappa}")
+    if mode == "sphere_axisym" and kappa != 1:
+        problems.append(f"scenario.grid.mode: sphere_axisym requires kappa=+1, got kappa={kappa}")
+    surface = raw.get("surface")
+    if surface is not None and ("slice_lambda" in surface) == ("base_lambda" in surface):
+        problems.append(
+            "scenario.surface: give exactly one of slice_lambda or base_lambda(+amplitude)"
+        )
     for check in raw.get("checks", []):
-        if check not in KNOWN_CHECKS:
+        # A check may be any JSON value, and a list is not a valid dict key.
+        section = KNOWN_CHECKS.get(check) if isinstance(check, str) else None
+        if section is None:
             problems.append(f"scenario.checks: unknown check {check!r}")
-    if raw.get("flow") is not None and surface_cfg is None:
-        problems.append("scenario.flow: needs a surface section")
-    if raw.get("flow") is not None and grid_cfg is None:
-        problems.append("scenario.flow: needs a grid section")
-    for key, value, low in (
-        ("seed", raw.get("seed", 0), 0),
-        ("surface.seed", (surface_cfg or {}).get("seed", 0), 0),
-        ("grid.resolution", (grid_cfg or {}).get("resolution", 1), 1),
-        # A count of 0, like an empty lambdas list, would let the section
-        # pass without evaluating anything.
-        ("inequalities.count", (raw.get("inequalities") or {}).get("count", 1), 1),
-        ("beckner.count", (raw.get("beckner") or {}).get("count", 1), 1),
-    ):
-        if value < low:
-            problems.append(f"scenario.{key}: must be >= {low}, got {value}")
-    if (raw.get("slice_check") or {}).get("lambdas") == []:
-        problems.append("scenario.slice_check.lambdas: must not be empty")
-    for section, key in _TOLERANCES:
-        value = (raw.get(section) or {}).get(key, 1.0)
-        if value <= 0.0:
-            problems.append(f"scenario.{section}.{key}: must be > 0, got {value}")
+        elif raw.get(section) is None:
+            problems.append(f"scenario.checks: {check!r} needs a {section} section")
+    for section, build in (("space", SpaceParams), ("flow", FlowConfig)):
+        if raw.get(section) is not None:
+            try:
+                build(**_settings(section, raw[section]))
+            except KFlowError as exc:
+                problems.append(f"scenario.{section}: {exc}")
     if problems:
         raise ConfigurationError(problems)
-    return Scenario(**copy.deepcopy(raw))
-
-
-def _space_params(scn):
-    sp = scn.space
-    return SpaceParams(n=sp["n"], kappa=sp["kappa"], m=float(sp["m"]), theta=float(sp["theta"]))
+    return Scenario(raw)
 
 
 def _grid(scn, params, resolution=None):
-    cfg = scn.grid
-    if cfg is None:
-        raise ConfigurationError("scenario.grid: required for this pipeline")
-    res = int(cfg["resolution"] if resolution is None else resolution)
+    cfg = _settings("grid", scn.grid)
+    res = cfg["resolution"] if resolution is None else resolution
     mode = cfg["mode"]
     if mode == "torus2d":
         return make_grid(mode, res, math.sqrt(params.theta))
@@ -265,24 +298,13 @@ def _grid(scn, params, resolution=None):
     return make_grid(mode, res, params.theta, n=params.n, kappa=params.kappa)
 
 
-def _warp(scn, params):
-    cfg = scn.warp or {}
-    return build_warp_table(
-        params,
-        r_max=float(cfg.get("r_max", 25.0)),
-        tol=float(cfg.get("tol", 1e-11)),
-        target_nodes=int(cfg.get("target_nodes", 4000)),
-    )
-
-
 def _initial_surface(scn, grid, warp, seed):
-    cfg = scn.surface
+    cfg = _settings("surface", scn.surface)
     if "slice_lambda" in cfg:
-        return slice_surface(grid, warp, lam_value=float(cfg["slice_lambda"]))
-    base_r = warp.r_from_rho(float(cfg["base_lambda"]))
+        return slice_surface(grid, warp, lam_value=cfg["slice_lambda"])
+    base_r = warp.r_from_rho(cfg["base_lambda"])
     return random_star_shaped(
-        grid, warp, seed=cfg.get("seed", seed), amplitude=float(cfg.get("amplitude", 0.0)),
-        base_r=base_r,
+        grid, warp, seed=cfg.get("seed", seed), amplitude=cfg["amplitude"], base_r=base_r,
     )
 
 
@@ -337,17 +359,8 @@ def _flow_checks(scn, report, trace):
 
 def _run_flow_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
     surface = _initial_surface(scn, grid, warp, seed)
-    fl = scn.flow
-    config = FlowConfig(
-        t_end=float(fl["t_end"]),
-        cfl_safety=float(fl.get("cfl_safety", 0.2)),
-        dt_max=float(fl.get("dt_max", 0.005)),
-        h_floor=float(fl["h_floor"]) if "h_floor" in fl else None,
-        record_interval=float(fl.get("record_interval", 0.25)),
-        integrator=fl.get("integrator", "rk2_adaptive"),
-    )
     try:
-        trace = run_flow(surface, config)
+        trace = run_flow(surface, FlowConfig(**_settings("flow", scn.flow)))
     except FlowBreakdownError as exc:
         trace = exc.trace
         if trace is not None:
@@ -377,20 +390,12 @@ def _run_flow_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
 
 
 def _run_mass_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
-    cfg = scn.mass
-    kind = cfg.get("kind", "kottler_pair")
-    if kind == "kottler_pair":
-        graph = kottler_pair_graph(params, float(cfg["m_graph"]))
-    elif kind == "mass_profile":
-        graph = mass_profile_graph(
-            params,
-            float(cfg["m_horizon"]),
-            float(cfg["m_total"]),
-            rate=float(cfg.get("rate", 1.0)),
-        )
+    cfg = _settings("mass", scn.mass)
+    if cfg["kind"] == "kottler_pair":
+        graph = kottler_pair_graph(params, cfg["m_graph"])
     else:
-        raise ConfigurationError(f"scenario.mass.kind: unknown kind {kind!r}")
-    schedule = [float(x) for x in cfg.get("rho_schedule", [50.0, 100.0, 200.0])]
+        graph = mass_profile_graph(params, cfg["m_horizon"], cfg["m_total"], rate=cfg["rate"])
+    schedule = cfg["rho_schedule"]
     est = mass_limit(graph, schedule)
     sigma_area = graph.rho_inner ** (params.n - 1) * params.theta
     deficit = penrose_deficit(est.mass, sigma_area, params)
@@ -405,9 +410,8 @@ def _run_mass_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
         if "mass_identity" in scn.checks:
             checks["mass_identity"] = report.residual <= 1e-5 * max(1.0, abs(report.lhs_mass))
     if "mass_value" in scn.checks:
-        expect = float(cfg["expect_mass"])
-        tol = float(cfg.get("tol", 1e-6))
-        checks["mass_value"] = abs(est.mass - expect) <= tol * max(1.0, abs(expect))
+        expect = cfg["expect_mass"]
+        checks["mass_value"] = abs(est.mass - expect) <= cfg["tol"] * max(1.0, abs(expect))
     if "penrose" in scn.checks:
         checks["penrose"] = deficit >= -1e-6
     if "penrose_equality" in scn.checks:
@@ -428,12 +432,11 @@ def _run_mass_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
 
 
 def _run_slice_check(scn, out_dir, params, grid, warp, seed, quiet):
-    cfg = scn.slice_check or {}
-    lambdas = [float(x) for x in cfg.get("lambdas", [1.5, 2.0, 4.0])]
-    tol_rel = float(cfg.get("tol_rel", 1e-8))
+    cfg = _settings("slice_check", scn.slice_check)
+    tol_rel = cfg["tol_rel"]
     rows = []
     ok = True
-    for lam in lambdas:
+    for lam in cfg["lambdas"]:
         geom = compute_geometry(slice_surface(grid, warp, lam_value=lam))
         scale = deficit_scale(geom)
         vals = {
@@ -458,15 +461,14 @@ def _run_slice_check(scn, out_dir, params, grid, warp, seed, quiet):
 
 
 def _run_inequalities(scn, out_dir, params, grid, warp, seed, quiet):
-    cfg = scn.inequalities or {}
-    count = int(cfg.get("count", 20))
-    amplitude = float(cfg.get("amplitude", 0.1))
-    base_r = warp.r_from_rho(float(cfg.get("base_lambda", 2.0)))
-    tol_rel = float(cfg.get("tol_rel", 1e-7))
+    cfg = _settings("inequalities", scn.inequalities)
+    base_r = warp.r_from_rho(cfg["base_lambda"])
+    tol_rel = cfg["tol_rel"]
     worst = 0.0
     rows = []
-    for k in range(count):
-        surf = random_star_shaped(grid, warp, seed=seed + k, amplitude=amplitude, base_r=base_r)
+    for k in range(cfg["count"]):
+        surf = random_star_shaped(grid, warp, seed=seed + k, amplitude=cfg["amplitude"],
+                                  base_r=base_r)
         geom = compute_geometry(surf)
         scale = deficit_scale(geom)
         deficits = {
@@ -487,27 +489,24 @@ def _run_inequalities(scn, out_dir, params, grid, warp, seed, quiet):
 
 
 def _run_beckner(scn, out_dir, params, grid, warp, seed, quiet):
-    cfg = scn.beckner or {}
-    count = int(cfg.get("count", 100))
-    amplitude = float(cfg.get("amplitude", 0.2))
-    tol_rel = float(cfg.get("tol_rel", 1e-8))
+    cfg = _settings("beckner", scn.beckner)
     asserted = grid.mode in ("sphere_axisym", "symmetric")
     worst = 0.0
     deficits = []
-    for k in range(count):
-        pert = low_frequency_field(grid, seed + k, amplitude)
+    for k in range(cfg["count"]):
+        pert = low_frequency_field(grid, seed + k, cfg["amplitude"])
         rep = beckner_report(ScalarField(1.0 + pert, grid), params.n)
         deficits.append(rep["sharp"])
         scale = max(rep["scale"], 1e-300)
         worst = min(worst, rep["sharp"] / scale)
-    ok = (worst >= -tol_rel) if asserted else True
+    ok = (worst >= -cfg["tol_rel"]) if asserted else True
     payload = {
         "mode": grid.mode,
         "asserted": asserted,
-        "count": count,
+        "count": cfg["count"],
         "worst_relative": worst,
         "deficits": deficits,
-        "tol_rel": tol_rel,
+        "tol_rel": cfg["tol_rel"],
         "passed": ok,
     }
     _write_json(os.path.join(out_dir, "beckner.json"), payload)
@@ -553,10 +552,10 @@ def run_scenario(scn, out_root, *, seed=None, resolution=None, quiet=False, dump
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "scenario.normalized.json"), scn.to_dict())
     eff_seed = scn.seed if seed is None else int(seed)
-    params = _space_params(scn)
+    params = SpaceParams(**_settings("space", scn.space))
     warp = grid = None
     if dump_warp or any(needs_warp for _, _, needs_warp in sections):
-        warp = _warp(scn, params)
+        warp = build_warp_table(params, **_settings("warp", scn.warp))
     if any(attr != "mass" for attr, _, _ in sections):
         grid = _grid(scn, params, resolution)
     if dump_warp:

@@ -144,6 +144,8 @@ def mass_profile_graph(params, m_horizon, m_total, rate=1.0):
         raise DomainError(
             f"need base m < m_horizon <= m_total, got {params.m}, {m_horizon}, {m_total}"
         )
+    if not (math.isfinite(rate) and rate > 0.0):  # the bulk cut-off divides by it
+        raise DomainError(f"rate must be positive and finite, got {rate!r}")
     n, kappa = params.n, params.kappa
     rho_i = find_horizon(replace(params, m=m_horizon)).rho0
     dm_tot = m_total - m_horizon

@@ -1,14 +1,21 @@
 """Scenario parsing, pipeline exit codes, artifact determinism."""
 
+import copy
+import functools
 import json
 import math
+import operator
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kflow as kf
 from kflow import cli, plots
-from kflow.errors import ConfigurationError, DomainError
+from kflow.errors import ConfigurationError, DomainError, KFlowError
 
 MINIMAL_MASS = {
     "name": "t-mass",
@@ -27,10 +34,41 @@ SMALL_FLOW = {
 }
 
 
+SHIPPED = [json.loads(pathlib.Path(path).read_text()) for path in cli.shipped_scenarios()]
+ENERGY_PROFILE = next(cfg for cfg in SHIPPED if cfg["name"] == "energy-profile-mass")
+
+# Replacement values for one mutated scenario key or list element.
+MUTANTS = (math.nan, math.inf, -math.inf, True, "x", None, [], {}, -1, 0)
+
+
 def write_config(tmp_path, obj, name="scn.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def _locations(obj, path=()):
+    """Paths to every dict key and list element inside ``obj``."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    else:
+        items = enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _locations(value, path + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A shipped scenario with one key deleted or one value replaced."""
+    cfg = copy.deepcopy(draw(st.sampled_from(SHIPPED)))
+    path = draw(st.sampled_from(list(_locations(cfg))))
+    parent = functools.reduce(operator.getitem, path[:-1], cfg)
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(MUTANTS)))
+    return cfg
 
 
 class TestParsing:
@@ -99,6 +137,18 @@ class TestParsing:
         ("inequalities", "tol_rel", 0, "scenario.inequalities.tol_rel"),
         ("beckner", "tol_rel", 0.0, "scenario.beckner.tol_rel"),
         ("warp", "tol", -1e-11, "scenario.warp.tol"),
+        # Values the libraries reject fail at parse time, under their section.
+        ("flow", "dt_max", -1, "scenario.flow"),
+        ("flow", "cfl_safety", 2, "scenario.flow"),
+        ("flow", "integrator", "rk4", "scenario.flow"),
+        ("grid", "mode", "cube", "scenario.grid.mode"),
+        ("mass", "kind", "nope", "scenario.mass.kind"),
+        ("space", "n", 2, "scenario.space"),
+        # A check needs the section that evaluates it; any JSON value is a check.
+        (None, "checks", ["beckner_nonneg"], "scenario.checks"),
+        (None, "checks", ["inequality_ensemble"], "scenario.checks"),
+        (None, "checks", [["x"]], "scenario.checks"),
+        (None, "checks", [{}], "scenario.checks"),
     ])
     def test_bad_value_names_key(self, tmp_path, section, key, value, where):
         cfg = json.loads(json.dumps(SMALL_FLOW))
@@ -109,6 +159,26 @@ class TestParsing:
         with pytest.raises(ConfigurationError) as err:
             cli.parse_scenario(write_config(tmp_path, cfg))
         assert any(p.startswith(where + ":") for p in err.value.problems), err.value.problems
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(cfg=mutated_scenarios())
+    @example(cfg=dict(ENERGY_PROFILE, mass=dict(ENERGY_PROFILE["mass"], rate=0)))
+    def test_mutated_shipped_scenario(self, cfg):
+        """A mutated shipped scenario parses or raises ConfigurationError, and a
+        parsed mass-only one runs to an exit code or raises a KFlowError."""
+        try:
+            scn = cli.scenario_from_dict(cfg)
+        except ConfigurationError:
+            return
+        if scn.mass is None or any(getattr(scn, section) is not None
+                                   for section in ("flow", "slice_check", "inequalities",
+                                                   "beckner")):
+            return
+        with tempfile.TemporaryDirectory() as out:
+            try:
+                assert cli.run_scenario(scn, out, quiet=True) in (0, 2)
+            except KFlowError:
+                pass
 
 
 class TestRunScenario:
@@ -250,6 +320,41 @@ class TestMain:
         assert f"scenario.{section}.{key}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, section, key", [
+        ("mass", "mass", "expect_mass"),
+        ("mass", "mass", "m_graph"),
+        ("mass", "mass", "m_horizon"),
+        ("mass", "mass", "m_total"),
+        ("flow", "flow", "t_end"),
+        ("mass", "space", "theta"),
+        ("mass", "space", "n"),
+        ("mass", "space", "kappa"),
+        ("mass", "space", "m"),
+    ])
+    def test_main_missing_key_is_error(self, tmp_path, capsys, command, section, key):
+        cfg = json.loads(json.dumps(SMALL_FLOW))
+        cfg["mass"] = dict(MINIMAL_MASS["mass"])
+        cfg["checks"].append("mass_value")
+        if key in ("m_horizon", "m_total"):
+            cfg["mass"].update(kind="mass_profile", m_horizon=0.75, m_total=1.0)
+        del cfg[section][key]
+        code = cli.main([command, "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        assert f"scenario.{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_main_check_without_its_section_is_error(self, tmp_path, capsys):
+        cfg = dict(MINIMAL_MASS, checks=["q1_monotone", "slice_equality", "beckner_nonneg",
+                                         "inequality_ensemble", "area_law"])
+        code = cli.main(["mass", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        for check in cfg["checks"]:
+            assert f"{check!r} needs a" in err
+        assert not (tmp_path / "o").exists()
+
     def test_main_requires_config(self):
         assert cli.main(["mass", "--quiet"]) == 1
 
@@ -278,7 +383,8 @@ class TestAllCommand:
     def test_all_isolates_a_failing_scenario(self, tmp_path, monkeypatch, capsys):
         bad = json.loads(json.dumps(SMALL_FLOW))
         bad["name"] = "t-bad"
-        bad["flow"]["t_end"] = -1.0  # parses, then FlowConfig rejects it at run time
+        # Below the horizon rho0 = 1: it parses, and only the warp table rejects it.
+        bad["surface"] = {"slice_lambda": 0.5}
         broken = tmp_path / "c-broken.json"
         broken.write_text("{not json")
         paths = [write_config(tmp_path, bad, "a-bad.json"),
@@ -288,14 +394,15 @@ class TestAllCommand:
         assert code == 1
         assert (tmp_path / "all" / "t-mass" / "mass.json").exists()
         out, err = capsys.readouterr()
-        assert "error:" in err and "t_end" in err
+        assert "error:" in err and "outside tabulated range" in err
         assert "t-bad: FAIL" in out
         assert "t-mass: pass" in out
         assert "c-broken: FAIL" in out
 
 
     def test_all_dump_warp(self, tmp_path, monkeypatch):
-        slices = dict(SMALL_FLOW, name="t-slices", slice_check={"lambdas": [2.0]})
+        slices = dict(SMALL_FLOW, name="t-slices", slice_check={"lambdas": [2.0]},
+                      checks=["slice_equality"])
         del slices["flow"]
         paths = [write_config(tmp_path, MINIMAL_MASS, "a.json"),
                  write_config(tmp_path, slices, "b.json")]
