@@ -272,41 +272,68 @@ class WarpTable:
     def derivatives_at(self, lam):
         """(lambda', lambda'') at warp values ``lam`` from the closed forms
         V(lambda) and lambda + (n-2) m lambda^(1-n); no table search."""
-        dlam = np.sqrt(np.maximum(v_squared(self.params, lam), 0.0))
-        n, m = self.params.n, self.params.m
-        if m == 0.0:
-            return dlam, lam
-        return dlam, lam + (n - 2) * m * lam ** (1 - n)
-
-    def dlam(self, r):
-        """lambda'(r) = V(lambda(r)); machine-consistent with lam."""
-        return self.derivatives_at(self.lam(r))[0]
-
-    def ddlam(self, r):
-        """lambda''(r) = lambda + (n-2) m lambda^(1-n) at lambda(r)."""
-        return self.derivatives_at(self.lam(r))[1]
+        n, kappa, m = self.params.n, self.params.kappa, self.params.m
+        if m == 0.0:  # avoid 0 * inf at lambda = 0 in the massless limit
+            return np.sqrt(np.maximum(lam * lam + kappa, 0.0)), lam
+        # q = m lambda^(1-n): V^2 = lambda (lambda - 2 q) + kappa, lambda'' = lambda + (n-2) q.
+        q = m / lam ** (n - 1)
+        return np.sqrt(np.maximum(lam * (lam - 2.0 * q) + kappa, 0.0)), lam + (n - 2) * q
 
     def dlam_interp(self, r):
         """lambda'(r) by Hermite interpolation of the nodal values (probe path)."""
         return hermite_eval(r, self.r_grid, self.d_lam_nodes, self.dd_lam_nodes, "lambda'")
 
     def r_from_rho(self, rho):
-        """Invert lambda: the r with lambda(r) = rho (scalar, bisection)."""
-        rho = float(rho)
-        if rho < self.rho0 * (1.0 - 1e-12) or rho > self.lam_nodes[-1]:
+        """Invert lambda: the r with lambda(r) = rho, for a scalar or an array.
+
+        One interval search brackets each rho; Newton then solves on that
+        cubic Hermite piece with its own slope (V(lambda) at the nodes),
+        started from the upper node.  lambda is convex (lambda'' >= 0), so
+        the iterates fall monotonically onto the root, in a few iterations
+        away from the horizon.  A scalar input returns a float.
+        """
+        rho_arr = np.asarray(rho, dtype=float)
+        lo, hi = self.lam_nodes[0], self.lam_nodes[-1]
+        # NaN fails both comparisons, so it is rejected with the out-of-range values.
+        inside = (rho_arr >= self.rho0 * (1.0 - 1e-12)) & (rho_arr <= hi)
+        if not inside.all():
+            bad = rho_arr[~inside]
+            low, high = float(np.min(bad)), float(np.max(bad))
+            where = f"{low:.12g}" if low == high else f"{low:.12g}..{high:.12g}"
             raise DomainError(
-                f"rho={rho:.12g} outside tabulated range "
-                f"[{self.rho0:.12g}, {self.lam_nodes[-1]:.12g}]"
+                f"rho={where} outside tabulated range [{self.rho0:.12g}, {hi:.12g}]"
             )
-        k = int(np.clip(np.searchsorted(self.lam_nodes, rho) - 1, 0, len(self.lam_nodes) - 2))
-        a, b = self.r_grid[k], self.r_grid[k + 1]
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if float(self.lam(mid)) < rho:
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
+        target = np.maximum(rho_arr, lo)
+        k = np.clip(self.lam_nodes.searchsorted(target) - 1, 0, len(self.lam_nodes) - 2)
+        r0, y0, d0 = self.r_grid[k], self.lam_nodes[k], self.d_lam_nodes[k]
+        r1, y1, d1 = self.r_grid[k + 1], self.lam_nodes[k + 1], self.d_lam_nodes[k + 1]
+        h = r1 - r0
+        # At the horizon the root is r = 0, where the slope vanishes.  A point
+        # stops once its step is at rounding level, so its result does not
+        # depend on the other points.
+        at_horizon = target <= lo
+        done = at_horizon
+        # Next to the horizon r is fixed only to about the square root of the
+        # rounding in lambda, so a residual at rounding level also ends a point.
+        settled = 4.0 * np.spacing(target)
+        r = r1
+        for _ in range(100):
+            t = (r - r0) / h
+            omt = 1.0 - t
+            lam = ((1.0 + 2.0 * t) * omt * y0 + h * t * omt * d0) * omt + t * t * (
+                (3.0 - 2.0 * t) * y1 + h * (t - 1.0) * d1
+            )
+            slope = 6.0 * t * omt * (y1 - y0) / h + omt * (1.0 - 3.0 * t) * d0 + t * (
+                3.0 * t - 2.0
+            ) * d1
+            done = done | (np.abs(lam - target) <= settled)
+            step = np.where(done, 0.0, (lam - target) / slope)
+            r = np.minimum(np.maximum(r - step, r0), r1)
+            done = done | (np.abs(step) <= 1e-15 * r)
+            if done.all():
+                break
+        r = np.where(at_horizon, 0.0, r)
+        return float(r) if rho_arr.ndim == 0 else r
 
     def identity_residual(self):
         """Max relative defect of lambda'^2 - (kappa + lambda^2 - 2 m lambda^(2-n)).
@@ -324,7 +351,8 @@ class WarpTable:
     def convexity_margin(self):
         """Min of lambda'' over nodes and midpoints (should be >= 0)."""
         rm = 0.5 * (self.r_grid[:-1] + self.r_grid[1:])
-        return float(min(np.min(self.dd_lam_nodes), np.min(self.ddlam(rm))))
+        dd_mid = self.derivatives_at(self.lam(rm))[1]
+        return float(min(np.min(self.dd_lam_nodes), np.min(dd_mid)))
 
     def asymptotic_constant(self):
         """(mean, relative variation) of lambda e^-r over the last decade of lambda."""

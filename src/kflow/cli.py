@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import plots
-from .background import SpaceParams, build_warp_table
+from .background import SpaceParams, build_warp_table, find_horizon
 from .basegrid import MODES, ScalarField, beckner_report, low_frequency_field, make_grid
 from .errors import ConfigurationError, FlowBreakdownError, KFlowError
 from .flow import FlowConfig, monotonicity_report, run_flow
@@ -91,6 +91,8 @@ _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 _FILE_NAME = (lambda v: v and not any(c in v for c in r'/\:*?"<>| '),
               "nonempty and filesystem-safe")
 _ALWAYS = (lambda raw: True, "")
+_INCREASING = (lambda v: len(v) >= 3 and all(b > a for a, b in zip(v, v[1:])),
+               "strictly increasing with at least 3 points")
 
 
 def _one_of(values):
@@ -150,7 +152,7 @@ _TABLE = {
         "m_horizon": _Key(_REAL, required=_if_mass_kind("mass_profile")),
         "m_total": _Key(_REAL, required=_if_mass_kind("mass_profile")),
         "rate": _Key(_REAL, inspect.signature(mass_profile_graph).parameters["rate"].default),
-        "rho_schedule": _Key(_REALS, list(DEFAULT_RHO_SCHEDULE)),
+        "rho_schedule": _Key(_REALS, list(DEFAULT_RHO_SCHEDULE), _INCREASING),
         "expect_mass": _Key(_REAL, required=_if_check("mass_value")),
         "tol": _Key(_REAL, 1e-6, _POSITIVE),
     }),
@@ -232,7 +234,7 @@ def _check(obj, table, path, problems, raw):
         elif not _is(value, spec.type):
             problems.append(f"{where}: expected {getattr(spec.type, '__name__', spec.type)}, "
                             f"got {value!r}")
-        elif spec.type is _REALS:
+        elif spec.type is _REALS and not all(_is(x, _REAL) for x in value):
             problems.extend(f"{where}[{i}]: expected {_REAL}, got {x!r}"
                             for i, x in enumerate(value) if not _is(x, _REAL))
         elif spec.range and not spec.range[0](value):
@@ -276,15 +278,46 @@ def scenario_from_dict(raw):
             problems.append(f"scenario.checks: unknown check {check!r}")
         elif raw.get(section) is None:
             problems.append(f"scenario.checks: {check!r} needs a {section} section")
-    for section, build in (("space", SpaceParams), ("flow", FlowConfig)):
-        if raw.get(section) is not None:
-            try:
-                build(**_settings(section, raw[section]))
-            except KFlowError as exc:
-                problems.append(f"scenario.{section}: {exc}")
+    try:
+        rho0 = find_horizon(SpaceParams(**_settings("space", raw["space"]))).rho0
+    except KFlowError as exc:
+        problems.append(f"scenario.space: {exc}")
+    else:
+        problems.extend(_inside_horizon(raw, rho0))
+    if raw.get("flow") is not None:
+        try:
+            FlowConfig(**_settings("flow", raw["flow"]))
+        except KFlowError as exc:
+            problems.append(f"scenario.flow: {exc}")
     if problems:
         raise ConfigurationError(problems)
     return Scenario(raw)
+
+
+# Keys whose values are warp factors lambda (radii rho of the background),
+# which must lie beyond the horizon radius rho0 of the scenario's space.
+_BEYOND_HORIZON = (
+    ("surface", "slice_lambda"),
+    ("surface", "base_lambda"),
+    ("inequalities", "base_lambda"),
+    ("slice_check", "lambdas"),
+    ("mass", "rho_schedule"),
+)
+
+
+def _inside_horizon(raw, rho0):
+    """A problem for each warp-factor value (defaults included) at or below rho0."""
+    problems = []
+    for section, key in _BEYOND_HORIZON:
+        if raw.get(section) is None:
+            continue
+        value = _settings(section, raw[section]).get(key)
+        where = f"scenario.{section}.{key}"
+        located = ([(f"{where}[{i}]", x) for i, x in enumerate(value)]
+                   if isinstance(value, list) else [(where, value)])
+        problems.extend(f"{at}: must be > the horizon radius rho0 = {rho0:.12g}, got {x!r}"
+                        for at, x in located if x is not None and x <= rho0)
+    return problems
 
 
 def _grid(scn, params, resolution=None):

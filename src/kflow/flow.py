@@ -1,23 +1,28 @@
 """Explicit time integration of the inverse mean curvature flow of graphs.
 
-The graph height evolves under du/dt = v/H.  For slice data this reduces to
-the exact ODE d(lambda o u)/dt = lambda/(n-1), i.e. lambda(u(t)) =
-lambda(u(0)) e^(t/(n-1)), and the area obeys |Sigma_t| = e^t |Sigma_0|.
+The graph height evolves under du/dt = v/H.  The state integrated is
+s = log lambda(u), which evolves under ds/dt = v lambda' / (lambda H), so a
+step makes no warp-table search.  For slice data ds/dt = 1/(n-1) is
+constant, i.e. lambda(u(t)) = lambda(u(0)) e^(t/(n-1)), which the scheme
+below integrates exactly up to rounding; the area obeys
+|Sigma_t| = e^t |Sigma_0|.
 
-Scheme: explicit midpoint (RK2) with an adaptive step bounded by
+Scheme: explicit midpoint (RK2) in s with an adaptive step bounded by
 
     dt <= cfl_safety * dx^2 * min_nodes (v^2 lambda^2 H^2) / (2 D_max),
 
 where D_max is the largest eigenvalue of gtil^ij, the coefficient matrix of
 phi_ij in the quasilinear graph equation (its eigenvalues are 1 and 1/v^2 in
-orthonormal fiber coordinates, so D_max = 1), and additionally by ``dt_max``
+orthonormal fiber coordinates, so D_max = 1; s is a pointwise function of u,
+so the bound is the same in s as in u), and additionally by ``dt_max``
 -- an accuracy cap, since the parabolic bound grows like e^(2t/(n-1)) and
 would otherwise let trajectory error eat the area-law budget.  Steps whose
 candidate update loses mean convexity, finiteness or the tabulated range are
 rejected and retried at dt/2.
 
 A run records, at fixed intervals, the aggregate functional record plus
-extrema (H, |grad phi|, u, lambda(u)) and step diagnostics.  The monitor
+extrema (H, |grad phi|, u, lambda(u)) and step diagnostics; the u extrema
+are r(lambda) of the lambda extrema, through the inverse table.  The monitor
 report checks: no increase of the normalized mean-curvature-excess
 functional Q1 between samples; the slice barriers
 lambda(u_min(t)) >= e^(t/(n-1)) lambda(u_min(0)) (and the reverse bound for
@@ -172,20 +177,19 @@ class FlowTrace:
 
 
 def _sample(t, geom, dt):
-    u = geom.surface.u.values
-    grad = np.sqrt(geom.grad_phi_sq)
-    k_min = int(np.argmin(u))
-    k_max = int(np.argmax(u))
+    # u is increasing in lambda, so its extrema are r(lambda_min), r(lambda_max).
+    lam_min, lam_max = float(geom.lam.min()), float(geom.lam.max())
+    u_min, u_max = geom.surface.warp.r_from_rho(np.array([lam_min, lam_max]))
     return FlowSample(
         t=float(t),
         functionals=geom.functionals,
         h_min=float(geom.H.min()),
         h_max=float(geom.H.max()),
-        grad_sup=float(grad.max()),
-        u_min=float(u.flat[k_min]),
-        u_max=float(u.flat[k_max]),
-        lam_umin=float(geom.lam.flat[k_min]),
-        lam_umax=float(geom.lam.flat[k_max]),
+        grad_sup=float(np.sqrt(geom.grad_phi_sq.max())),
+        u_min=float(u_min),
+        u_max=float(u_max),
+        lam_umin=lam_min,
+        lam_umax=lam_max,
         dt=float(dt),
     )
 
@@ -200,7 +204,8 @@ def stable_dt(geom, cfl_safety):
 
 
 def flow_step(surface, geometry, dt):
-    """One explicit-midpoint update of u under du/dt = v/H.
+    """One explicit-midpoint update of s = log lambda(u) under
+    ds/dt = v lambda' / (lambda H).
 
     Returns ``(surface, geometry)`` at t + dt; dt = 0 returns the inputs
     unchanged.  Raises DomainError or MeanConvexityError when the step leaves
@@ -208,12 +213,11 @@ def flow_step(surface, geometry, dt):
     """
     if dt == 0.0:
         return surface, geometry
-    grid = surface.grid
-    u_half = surface.u.values + 0.5 * dt * geometry.speed
-    half = GraphSurface(ScalarField(u_half, grid), surface.warp)
+    grid, warp = surface.grid, surface.warp
+    s = surface.s.values
+    half = GraphSurface.from_log_lambda(ScalarField(s + 0.5 * dt * geometry.speed, grid), warp)
     geom_half = compute_geometry(half)
-    u_new = surface.u.values + dt * geom_half.speed
-    new = GraphSurface(ScalarField(u_new, grid), surface.warp)
+    new = GraphSurface.from_log_lambda(ScalarField(s + dt * geom_half.speed, grid), warp)
     return new, compute_geometry(new)
 
 
@@ -295,6 +299,7 @@ class MonotonicityReport:
     area_law_residual: float
     p_balance_ok: bool
     p_balance_max_rel: float
+    p_balance_skipped: str
     q2_ok: bool
     q2_max_jump: float
     q2_samples_in_regime: int
@@ -335,7 +340,13 @@ class MonotonicityReport:
                 "upper_margin": self.barrier_upper_margin,
             },
             "area_law": {"ok": self.area_law_ok, "residual": self.area_law_residual},
-            "p_balance": {"ok": self.p_balance_ok, "max_rel_error": self.p_balance_max_rel},
+            "p_balance": {
+                "ok": self.p_balance_ok,
+                "evaluated": self.p_balance_skipped is None,
+                "reason": self.p_balance_skipped,
+                "max_rel_error": None if math.isnan(self.p_balance_max_rel)
+                else self.p_balance_max_rel,
+            },
             "q2": {
                 "ok": self.q2_ok,
                 "max_jump": self.q2_max_jump,
@@ -362,7 +373,12 @@ def monotonicity_report(
     p_balance_tol=1e-2,
     final_bound_tol=1e-6,
 ):
-    """Evaluate the flow monitors on a recorded trace."""
+    """Evaluate the flow monitors on a recorded trace.
+
+    The p balance is evaluated only on >= 5 uniformly spaced samples;
+    otherwise ``p_balance_ok`` is False, ``p_balance_max_rel`` is NaN and
+    ``p_balance_skipped`` gives the reason.
+    """
     if not trace.samples:
         raise DomainError("monotonicity_report: empty trace")
     params = trace.params
@@ -395,17 +411,20 @@ def monotonicity_report(
 
     area_resid = float(np.max(np.abs(np.log(area / area[0]) - t)))
 
-    p_ok, p_max = True, 0.0
-    if len(t) >= 5:
-        dt_s = float(t[1] - t[0])
-        uniform = np.allclose(np.diff(t), dt_s, rtol=1e-8, atol=1e-12)
-        if uniform:
-            dintp = _fd_derivative(intp, dt_s)
-            target = n * ivh
-            inner = slice(2, len(t) - 2)
-            rel = np.abs(dintp[inner] - target[inner]) / np.maximum(np.abs(target[inner]), 1e-300)
-            p_max = float(np.max(rel))
-            p_ok = p_max <= p_balance_tol
+    # The balance needs a 4th-order difference, so >= 5 uniform samples; a
+    # balance that was not evaluated does not pass.
+    p_ok, p_max, p_skipped = False, math.nan, None
+    if len(t) < 5:
+        p_skipped = f"needs at least 5 samples, the trace has {len(t)}"
+    elif not np.allclose(np.diff(t), t[1] - t[0], rtol=1e-8, atol=1e-12):
+        p_skipped = "needs uniformly spaced samples, the trace's spacing varies"
+    else:
+        dintp = _fd_derivative(intp, float(t[1] - t[0]))
+        target = n * ivh
+        inner = slice(2, len(t) - 2)
+        rel = np.abs(dintp[inner] - target[inner]) / np.maximum(np.abs(target[inner]), 1e-300)
+        p_max = float(np.max(rel))
+        p_ok = p_max <= p_balance_tol
 
     jk_scale = np.maximum(np.maximum(np.abs(jcol), np.abs(kcol)), 1.0)
     in_regime = jcol <= kcol + 1e-12 * jk_scale
@@ -441,6 +460,7 @@ def monotonicity_report(
         area_law_residual=area_resid,
         p_balance_ok=bool(p_ok),
         p_balance_max_rel=p_max,
+        p_balance_skipped=p_skipped,
         q2_ok=bool(q2_max_jump <= q2_tol),
         q2_max_jump=q2_max_jump,
         q2_samples_in_regime=pairs,

@@ -1,12 +1,17 @@
 """Induced geometry and functionals of star-shaped graphs.
 
 A star-shaped hypersurface Sigma in the background (P, dr^2 + lambda(r)^2 ghat)
-is the radial graph {(u(x), x) : x in N}.  The fiber coordinate phi =
-int du / lambda is notation only: it enters through its derivatives
-phi_i = u_i / lambda(u) and phi_ij = u_ij / lambda - lambda' u_i u_j / lambda^2,
-which are formed from the derivatives of u, and is never evaluated itself.
-With v = sqrt(1 + |grad phi|^2), the induced metric, second fundamental form
-and mean curvature are
+is the radial graph {(u(x), x) : x in N}.  It is held as the field
+s = log lambda(u): lambda = e^s, and lambda' = V(lambda), lambda'' =
+lambda + (n-2) m lambda^(1-n) are closed forms of lambda, so no table search
+is made once a graph exists.  The fiber coordinate phi = int du / lambda is
+notation only: it enters through its derivatives, which follow from those of
+s with V = lambda' and c = lambda lambda'' / V^2,
+
+    phi_i = s_i / V,    phi_ij = (s_ij - c s_i s_j) / V,
+
+and is never evaluated itself.  With v = sqrt(1 + |grad phi|^2), the induced
+metric, second fundamental form and mean curvature are
 
     g_ij = lambda^2 (ghat_ij + phi_i phi_j),
     h_ij = (lambda / v) (lambda' (ghat_ij + phi_i phi_j) - phi_ij),
@@ -15,12 +20,13 @@ and mean curvature are
 with gtil^ij = ghat^ij - phi^i phi^j / v^2.  Only H is formed; g_ij and h_ij
 are not returned.  The support function is p = <grad V, nu> = lambda''(u) / v,
 using <d_r, nu> = 1/v, and the star-shapedness witness is chi = v / lambda.
-lambda(u) is looked up in the warp table once per evaluation; lambda'(u)
-and lambda''(u) are its closed forms.  ``compute_geometry`` forms only what
-a flow step and its checks read (lambda, lambda', lambda'', |grad phi|^2, v
-and H); p, chi and the area element are formed when read, and the
-aggregate functional record below on its first read.  A flow reads the
-record only at its record times, so its midpoint stages never form it.
+``compute_geometry`` forms only what a flow step and its checks read
+(lambda, lambda', lambda'', |grad phi|^2, v and H); p, chi and the area
+element are formed when read, and the aggregate functional record below on
+its first read.  A flow reads the record only at its record times, so its
+midpoint stages never form it.  The graph height u is formed only where it
+is read, through the inverse table.  docs/derivations.md derives the
+formulas in s.
 
 Aggregate functionals (all integrals over Sigma with its area measure
 lambda^(n-1) v d mu_ghat):
@@ -41,6 +47,7 @@ algebra using 2m = rho0^n + kappa rho0^(n-2)) and are non-negative for
 mean-convex star-shaped graphs.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,32 +71,70 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class GraphSurface:
-    """Radial graph height u > 0 over the base grid, inside the warp table."""
+    """Star-shaped radial graph over the base grid, held as s = log lambda(u).
 
-    u: ScalarField
-    warp: object
+    ``GraphSurface(u, warp)`` takes the graph height u as a ScalarField and
+    looks lambda(u) up in the warp table once.  ``from_log_lambda`` takes s
+    itself and makes no table search; that is how a flow builds its states.
+    ``s`` is a ScalarField and ``lam`` = e^s the warp-factor array, which
+    must lie in (rho0, lambda_max].  ``u`` is kept when it was given, and is
+    otherwise formed on its first read through the inverse table.
+    """
 
-    def __post_init__(self):
-        params = self.warp.params
-        grid = self.u.grid
-        if grid.n != params.n or grid.kappa != params.kappa:
-            raise ConfigurationError(
-                f"surface: grid (n={grid.n}, kappa={grid.kappa}) does not match "
-                f"background (n={params.n}, kappa={params.kappa})"
-            )
-        vals = self.u.values
+    def __init__(self, u, warp):
+        _check_grid(u.grid, warp)
+        vals = u.values
         if (vals <= 0.0).any():
             raise DomainError("graph height must be strictly positive (outside the horizon)")
-        if (vals > self.warp.r_grid[-1]).any():
+        if (vals > warp.r_grid[-1]).any():
             raise DomainError(
-                f"graph height exceeds the tabulated range r <= {self.warp.r_grid[-1]:.6g}"
+                f"graph height exceeds the tabulated range r <= {warp.r_grid[-1]:.6g}"
             )
+        lam = warp.lam(vals)
+        self._set(ScalarField(np.log(lam), u.grid), lam, warp)
+        self.u = u
+
+    @classmethod
+    def from_log_lambda(cls, s, warp, lam=None):
+        """The graph with log lambda(u) = ``s``; ``lam`` = e^s may be passed
+        when it is known exactly (a slice)."""
+        _check_grid(s.grid, warp)
+        if lam is None:
+            with np.errstate(over="ignore"):  # an overflow to inf fails the range check
+                lam = np.exp(s.values)
+        surface = cls.__new__(cls)
+        surface._set(s, lam, warp)
+        return surface
+
+    def _set(self, s, lam, warp):
+        # NaN fails both comparisons, so it is rejected with the out-of-range values.
+        if not ((lam > warp.rho0) & (lam <= warp.lam_nodes[-1])).all():
+            raise DomainError(
+                f"warp factor {float(np.min(lam)):.6g}..{float(np.max(lam)):.6g} outside "
+                f"tabulated range ({warp.rho0:.12g}, {warp.lam_nodes[-1]:.12g}]"
+            )
+        self.s = s
+        self.lam = lam
+        self.warp = warp
+
+    @cached_property
+    def u(self):
+        """Graph height u = r(lambda), through the inverse table."""
+        return ScalarField(self.warp.r_from_rho(self.lam), self.grid)
 
     @property
     def grid(self):
-        return self.u.grid
+        return self.s.grid
+
+
+def _check_grid(grid, warp):
+    params = warp.params
+    if grid.n != params.n or grid.kappa != params.kappa:
+        raise ConfigurationError(
+            f"surface: grid (n={grid.n}, kappa={grid.kappa}) does not match "
+            f"background (n={params.n}, kappa={params.kappa})"
+        )
 
 
 @dataclass(frozen=True)
@@ -140,8 +185,9 @@ class SurfaceGeometry:
 
     @property
     def speed(self):
-        """Graph-height speed v / H of the inverse mean curvature flow."""
-        return self.v / self.H
+        """Speed ds/dt = v lambda' / (lambda H) of s = log lambda(u) under the
+        inverse mean curvature flow du/dt = v / H."""
+        return self.v * self.dlam / (self.lam * self.H)
 
     @property
     def p(self):
@@ -195,23 +241,26 @@ class SurfaceGeometry:
 def compute_geometry(surface):
     """Per-node geometry of a graph: what a flow step and its checks read.
 
-    Raises MeanConvexityError when H <= 0 at any node.  The functional record
-    is not formed here; ``SurfaceGeometry.functionals`` forms it on first read.
+    The fiber derivatives are those of s = log lambda(u); lambda = e^s is
+    held by the surface, so no table search is made (see the module
+    docstring).  Raises MeanConvexityError when H <= 0 at any node.  The
+    functional record is not formed here; ``SurfaceGeometry.functionals``
+    forms it on first read.
     """
-    warp = surface.warp
-    n = warp.params.n
-    u = surface.u.values
+    n = surface.warp.params.n
+    lam = surface.lam
+    dlam, ddlam = surface.warp.derivatives_at(lam)
 
-    lam = warp.lam(u)
-    dlam, ddlam = warp.derivatives_at(lam)
-
-    d = differentiate(surface.u)
-    grad_phi_sq = d.grad_sq / lam**2
-    v = np.sqrt(1.0 + grad_phi_sq)
-    lap_phi = d.lap / lam - dlam * d.grad_sq / lam**2
-    quad_phi = d.quad_form / lam**3 - dlam * d.grad_sq**2 / lam**4
-    gtil_phi = lap_phi - quad_phi / v**2
-    H = ((n - 1) * dlam - gtil_phi) / (lam * v)
+    d = differentiate(surface.s)
+    dlam_sq = dlam * dlam
+    c = lam * ddlam / dlam_sq
+    grad_phi_sq = d.grad_sq / dlam_sq
+    v_sq = 1.0 + grad_phi_sq
+    v = np.sqrt(v_sq)
+    lap_phi = (d.lap - c * d.grad_sq) / dlam
+    quad_phi = (d.quad_form - c * d.grad_sq * d.grad_sq) / (dlam_sq * dlam)
+    # gtil^ij phi_ij = lap_phi - quad_phi / v^2
+    H = ((n - 1) * dlam - lap_phi + quad_phi / v_sq) / (lam * v)
 
     if (H <= 0.0).any():
         bad = np.argwhere(H <= 0.0)
@@ -305,11 +354,19 @@ def deficit_scale(geom):
 
 
 def slice_surface(grid, warp, lam_value=None, r_value=None):
-    """Exact slice u = const, specified either by lambda(u) or by u itself."""
+    """Exact slice u = const, specified either by lambda(u) or by u itself.
+
+    A slice given by lambda(u) holds that lambda exactly: no inversion and
+    no table search."""
     if (lam_value is None) == (r_value is None):
         raise ConfigurationError("slice_surface: give exactly one of lam_value / r_value")
-    r = warp.r_from_rho(float(lam_value)) if lam_value is not None else float(r_value)
-    return GraphSurface(ScalarField.constant(grid, r), warp)
+    if r_value is not None:
+        return GraphSurface(ScalarField.constant(grid, r_value), warp)
+    lam = float(lam_value)
+    if not lam > 0.0:
+        raise DomainError(f"slice_surface: lam_value must be positive, got {lam_value!r}")
+    s = ScalarField.constant(grid, math.log(lam))
+    return GraphSurface.from_log_lambda(s, warp, lam=np.full(grid.shape, lam))
 
 
 def random_star_shaped(grid, warp, seed, amplitude, base_r):

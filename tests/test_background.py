@@ -124,7 +124,7 @@ class TestWarpTable:
     def test_invariants(self, params_flat, warp_flat):
         w = warp_flat
         assert w.lam(0.0) == pytest.approx(kf.find_horizon(params_flat).rho0, rel=1e-14)
-        assert abs(w.dlam(0.0)) < 1e-6
+        assert abs(w.derivatives_at(w.lam(0.0))[0]) < 1e-6
         assert np.all(np.diff(w.lam_nodes) > 0)
         assert w.identity_residual() < 1e-10
         assert w.convexity_margin() >= -1e-12
@@ -134,7 +134,8 @@ class TestWarpTable:
         r = np.linspace(0.0, warp_flat.r_max, 777)
         lam = warp_flat.lam(r)
         expect = lam + params_flat.m / lam**2
-        assert np.max(np.abs(warp_flat.ddlam(r) - expect) / np.abs(expect)) < 1e-12
+        ddlam = warp_flat.derivatives_at(lam)[1]
+        assert np.max(np.abs(ddlam - expect) / np.abs(expect)) < 1e-12
 
     def test_exponential_growth_constant(self, warp_flat):
         _, variation = warp_flat.asymptotic_constant()
@@ -144,12 +145,37 @@ class TestWarpTable:
         w = kf.hyperbolic_reference_table(3, r_max=12.0)
         r = np.linspace(0.05, 11.5, 40)
         assert np.max(np.abs(w.lam(r) - np.sinh(r)) / np.sinh(r)) < 1e-10
-        assert np.max(np.abs(w.dlam(r) - np.cosh(r)) / np.cosh(r)) < 1e-10
+        dlam = w.derivatives_at(w.lam(r))[0]
+        assert np.max(np.abs(dlam - np.cosh(r)) / np.cosh(r)) < 1e-10
 
     def test_inverse_lookup(self, warp_flat):
         for rho in (1.0001, 1.7, 2.0, 50.0, 1e6):
             r = warp_flat.r_from_rho(rho)
             assert float(warp_flat.lam(r)) == pytest.approx(rho, rel=1e-11)
+
+    def test_inverse_lookup_vectorized(self, warp_flat, warp_hyp_sym):
+        # One Newton solve per point: an array gives what each scalar gives,
+        # a scalar gives a float, and lambda(r) returns rho to rounding.
+        for w in (warp_flat, warp_hyp_sym):
+            rho = np.concatenate([
+                w.lam_nodes[[0, 1, 2, -2, -1]],
+                w.rho0 * (1.0 + np.geomspace(1e-14, 1.0, 30)),
+                np.geomspace(2.0 * w.rho0, w.lam_nodes[-1], 60),
+            ])
+            r = w.r_from_rho(rho)
+            assert r.shape == rho.shape
+            assert r[0] == 0.0
+            assert np.all(np.diff(r[5:35]) > 0) and np.all(np.diff(r[35:]) > 0)
+            assert np.max(np.abs(w.lam(r) - rho) / rho) < 1e-14
+            scalar = w.r_from_rho(float(rho[40]))
+            assert type(scalar) is float and scalar == r[40]
+            grid_rho = rho[35:].reshape(6, 10)
+            assert np.array_equal(w.r_from_rho(grid_rho), r[35:].reshape(6, 10))
+
+    @pytest.mark.parametrize("rho", [0.5, math.nan, 1e30, [2.0, 0.5], [2.0, math.inf]])
+    def test_inverse_lookup_out_of_range(self, warp_flat, rho):
+        with pytest.raises(DomainError, match="outside tabulated range"):
+            warp_flat.r_from_rho(rho)
 
     def test_resolution_error(self, params_flat):
         with pytest.raises(ResolutionError):
@@ -284,7 +310,7 @@ class TestCurvature:
         # per unit bar-g the coefficients must agree.
         for r in (0.5, 2.0, 7.0):
             lam = float(warp_flat.lam(r))
-            ddlam = float(warp_flat.ddlam(r))
+            ddlam = float(warp_flat.derivatives_at(lam)[1])
             dev = kf.curvature_deviation(params_flat, warp_flat, r)
             assert -ddlam / lam == pytest.approx(dev.sec_radial, rel=1e-12)
 

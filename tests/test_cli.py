@@ -149,12 +149,24 @@ class TestParsing:
         (None, "checks", ["inequality_ensemble"], "scenario.checks"),
         (None, "checks", [["x"]], "scenario.checks"),
         (None, "checks", [{}], "scenario.checks"),
+        # Warp factors and mass radii must lie beyond the horizon rho0 = 1.
+        ("surface", "slice_lambda", 1.0, "scenario.surface.slice_lambda"),
+        ("surface", "base_lambda", 0.5, "scenario.surface.base_lambda"),
+        ("inequalities", "base_lambda", -2.0, "scenario.inequalities.base_lambda"),
+        ("slice_check", "lambdas", [2.0, 0.999], "scenario.slice_check.lambdas[1]"),
+        ("mass", "rho_schedule", [0.5, 100, 200], "scenario.mass.rho_schedule[0]"),
+        # A radius schedule must be strictly increasing with at least 3 points.
+        ("mass", "rho_schedule", [50, 50, 200], "scenario.mass.rho_schedule"),
+        ("mass", "rho_schedule", [100, 50, 200], "scenario.mass.rho_schedule"),
+        ("mass", "rho_schedule", [50, 100], "scenario.mass.rho_schedule"),
     ])
     def test_bad_value_names_key(self, tmp_path, section, key, value, where):
         cfg = json.loads(json.dumps(SMALL_FLOW))
         cfg["mass"] = dict(MINIMAL_MASS["mass"])
         cfg["slice_check"] = {"lambdas": [2.0]}
         cfg["surface"] = {"base_lambda": 2.0, "amplitude": 0.05}
+        if key == "slice_lambda":
+            cfg["surface"] = {}
         (cfg if section is None else cfg.setdefault(section, {}))[key] = value
         with pytest.raises(ConfigurationError) as err:
             cli.parse_scenario(write_config(tmp_path, cfg))
@@ -355,6 +367,48 @@ class TestMain:
             assert f"{check!r} needs a" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, section, key, value, where", [
+        ("flow", "surface", "slice_lambda", 0.5, "scenario.surface.slice_lambda"),
+        ("flow", "surface", "base_lambda", 1.0, "scenario.surface.base_lambda"),
+        ("check-inequalities", "inequalities", "base_lambda", 0.9,
+         "scenario.inequalities.base_lambda"),
+        ("slice-check", "slice_check", "lambdas", [1.5, 0.5], "scenario.slice_check.lambdas[1]"),
+        ("mass", "mass", "rho_schedule", [0.0, 100.0, 200.0], "scenario.mass.rho_schedule[0]"),
+        ("mass", "mass", "rho_schedule", [200.0, 100.0, 50.0], "scenario.mass.rho_schedule"),
+    ])
+    def test_main_inside_horizon_is_error(self, tmp_path, capsys, command, section, key, value,
+                                          where):
+        # The horizon radius comes from the scenario's space at parse time, so
+        # these fail before any output exists, not in the warp table or the
+        # mass library at run time.
+        cfg = json.loads(json.dumps(SMALL_FLOW))
+        cfg["mass"] = dict(MINIMAL_MASS["mass"])
+        cfg["surface"] = {}
+        cfg.setdefault(section, {})[key] = value
+        code = cli.main([command, "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        assert f"{where}: must be" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flow, reason", [
+        ({"t_end": 0.5}, "at least 5 samples"),
+        ({"t_end": 1.1, "record_interval": 0.25}, "uniformly spaced"),
+    ])
+    def test_main_p_balance_not_evaluated_fails(self, tmp_path, flow, reason):
+        # Too few or unevenly spaced samples leave the p balance unevaluated;
+        # an enabled p_balance check then fails the run.
+        cfg = dict(SMALL_FLOW, flow=flow, checks=["p_balance", "area_law"])
+        code = cli.main(["flow", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        report = json.loads((tmp_path / "o" / "t-flow" / "report.json").read_text())
+        assert report["p_balance"]["ok"] is False
+        assert report["p_balance"]["evaluated"] is False
+        assert reason in report["p_balance"]["reason"]
+        assert report["p_balance"]["max_rel_error"] is None
+        assert report["checks"] == {"p_balance": False, "area_law": True}
+
     def test_main_requires_config(self):
         assert cli.main(["mass", "--quiet"]) == 1
 
@@ -383,8 +437,9 @@ class TestAllCommand:
     def test_all_isolates_a_failing_scenario(self, tmp_path, monkeypatch, capsys):
         bad = json.loads(json.dumps(SMALL_FLOW))
         bad["name"] = "t-bad"
-        # Below the horizon rho0 = 1: it parses, and only the warp table rejects it.
-        bad["surface"] = {"slice_lambda": 0.5}
+        # Beyond the table's last node lambda(r_max) ~ 3.5e10: it parses, and
+        # only the warp table, built at run time, rejects it.
+        bad["surface"] = {"slice_lambda": 1e15}
         broken = tmp_path / "c-broken.json"
         broken.write_text("{not json")
         paths = [write_config(tmp_path, bad, "a-bad.json"),

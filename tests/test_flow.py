@@ -17,22 +17,37 @@ class TestFlowStep:
         assert out is slice_flat
         assert out_geom is geom
 
-    def test_slice_step_third_order(self, torus64, warp_flat):
-        # Exact slice solution: lambda(u(t)) = lambda(u(0)) e^(t/(n-1));
-        # one midpoint step matches it to O(dt^3).
+    def test_slice_step_exact(self, torus64, warp_flat):
+        # On a slice ds/dt = 1/(n-1) is constant, so one midpoint step in
+        # s = log lambda(u) lands on lambda(0) e^(dt/(n-1)) up to rounding.
         surf = kf.slice_surface(torus64, warp_flat, lam_value=2.0)
+        geom = kf.compute_geometry(surf)
+        for dt in (0.02, 0.01, 0.3):
+            out, _ = kf.flow_step(surf, geom, dt)
+            exact = 2.0 * math.exp(dt / 2.0)
+            assert np.max(np.abs(out.lam - exact)) <= 4 * np.spacing(exact)
+
+    def test_local_error_third_order(self, params_flat, warp_flat):
+        # Off a slice the midpoint step has an O(dt^3) local error.  The
+        # reference is 64 midpoint steps of dt/64, whose own error is
+        # ~1/4096 of one step's; halving dt must cut the error by ~8.
+        grid = kf.make_grid("torus2d", 32, math.sqrt(params_flat.theta))
+        x, y = np.meshgrid(grid.coords[0], grid.coords[1], indexing="ij")
+        w = 2.0 * math.pi / math.sqrt(params_flat.theta)
+        u = warp_flat.r_from_rho(2.0) * (1.0 + 0.05 * np.cos(w * x) + 0.03 * np.sin(w * y))
+        surf = kf.GraphSurface(kf.ScalarField(u, grid), warp_flat)
         geom = kf.compute_geometry(surf)
 
         def step_error(dt):
             out, _ = kf.flow_step(surf, geom, dt)
-            lam_num = float(warp_flat.lam(out.u.values[0, 0]))
-            lam_exact = 2.0 * math.exp(dt / 2.0)
-            return abs(lam_num - lam_exact)
+            ref, ref_geom = surf, geom
+            for _ in range(64):
+                ref, ref_geom = kf.flow_step(ref, ref_geom, dt / 64)
+            return np.max(np.abs(out.s.values - ref.s.values))
 
         e1, e2 = step_error(0.02), step_error(0.01)
-        assert e1 < 5e-7
-        ratio = e1 / e2
-        assert 6.0 < ratio < 10.0  # third-order local error halves to ~1/8
+        assert e1 < 5e-8
+        assert 6.0 < e1 / e2 < 10.0  # third-order local error halves to ~1/8
 
     def test_slice_stays_flat(self, slice_flat, warp_flat):
         geom = kf.compute_geometry(slice_flat)
