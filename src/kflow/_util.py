@@ -87,12 +87,8 @@ def fit_log_slope(x, y, eps=0.0):
 
 
 def fit_exp_rate(t, y):
-    """Slope of log(y) against t: the fitted exponential decay rate."""
+    """Slope of log(y) against t, for positive y: the fitted exponential decay rate."""
     t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    mask = y > 0.0
-    if np.count_nonzero(mask) < 3:
-        return None
-    tt = t[mask] - t[mask].mean()
-    ly = np.log(y[mask])
+    tt = t - t.mean()
+    ly = np.log(np.asarray(y, dtype=float))
     return float(np.dot(tt, ly - ly.mean()) / np.dot(tt, tt))

@@ -5,6 +5,13 @@ Three modes cover the fibers that appear over a Kottler background:
 * ``torus2d`` -- flat square torus of side L (kappa = 0, ambient n = 3).
   Uniform periodic nodes; 4th-order centered stencils; trapezoidal
   quadrature (spectrally accurate for smooth periodic integrands).
+  The stencils read their neighbours from a wrap-padded copy of the field,
+  flattened so that every operand is a contiguous run: along axis 0 the
+  (m+4, m) copy, neighbours m entries apart; along axis 1 the (m, m+4)
+  copy, neighbours one entry apart, with the m valid columns copied out of
+  the result.  Each stencil is formed in place with the operand order of
+  its formula, so the derivatives are bitwise equal to the same formula
+  evaluated with np.roll neighbours.
 * ``sphere_axisym`` -- round unit sphere S^(n-1) (kappa = +1), restricted
   to axisymmetric fields f(theta).  Collocation in mu = cos(theta) on
   Gauss-Jacobi nodes with weight (1 - mu^2)^((n-3)/2), so quadrature and
@@ -172,7 +179,12 @@ def make_grid(mode, resolution, theta_or_L=None, *, n=3, kappa=None):
             coords=(th, mu),
             quad_weights=w,
             dx_min=float(np.min(np.abs(np.diff(th)))),
-            aux={"mu": mu, "D": _jacobi_diff_matrix(mu)},
+            aux={
+                "mu": mu,
+                "D": _jacobi_diff_matrix(mu),
+                "one_minus_mu_sq": 1.0 - mu**2,
+                "minus_sqrt_one_minus_mu_sq": -np.sqrt(1.0 - mu**2),
+            },
         )
 
     # symmetric
@@ -201,26 +213,68 @@ def integrate(field):
     return float(np.sum(field.grid.quad_weights * field.values))
 
 
-def _periodic_neighbours(f, axis):
-    """f[i-2], f[i-1], f[i+1], f[i+2] along ``axis``, as slices of one wrap-padded copy."""
-    m = f.shape[axis]
-    padded = np.take(f, np.arange(-2, m + 2) % m, axis=axis)
-    window = [slice(None)] * f.ndim
-    neighbours = []
-    for k in (-2, -1, 1, 2):
-        window[axis] = slice(2 + k, 2 + k + m)
-        neighbours.append(padded[tuple(window)])
-    return neighbours
+def _wrap_pad(f, axis):
+    """A new C-contiguous copy of ``f`` with two wrapped entries added at each
+    end of ``axis``."""
+    if axis == 0:
+        return np.concatenate((f[-2:], f, f[:2]))
+    return np.concatenate((f[:, -2:], f, f[:, :2]), axis=1)
 
 
-def _d1_periodic(neighbours, dx):
-    l2, l1, r1, r2 = neighbours
-    return (l2 - 8.0 * l1 + 8.0 * r1 - r2) / (12.0 * dx)
+def _neighbours(padded, step, count):
+    """f[i-2], f[i-1], f[i], f[i+1], f[i+2] as contiguous runs of ``count``
+    entries of the flattened ``padded`` array, neighbours ``step`` apart."""
+    flat = padded.reshape(-1)
+    return [flat[k * step:k * step + count] for k in range(5)]
 
 
-def _d2_periodic(f, neighbours, dx):
-    l2, l1, r1, r2 = neighbours
-    return (-l2 + 16.0 * l1 - 30.0 * f + 16.0 * r1 - r2) / (12.0 * dx * dx)
+def _d1_periodic(neighbours, dx, out, tmp):
+    """(l2 - 8 l1 + 8 r1 - r2) / (12 dx), formed in ``out`` in that operand order."""
+    l2, l1, _, r1, r2 = neighbours
+    np.multiply(l1, 8.0, out=out)
+    np.subtract(l2, out, out=out)
+    out += np.multiply(r1, 8.0, out=tmp)
+    out -= r2
+    out /= 12.0 * dx
+    return out
+
+
+def _d2_periodic(neighbours, dx, out, tmp):
+    """(-l2 + 16 l1 - 30 f + 16 r1 - r2) / (12 dx^2), formed in ``out`` in
+    that operand order; -l2 + 16 l1 is formed as 16 l1 - l2, the same sum."""
+    l2, l1, f, r1, r2 = neighbours
+    np.multiply(l1, 16.0, out=out)
+    out -= l2
+    out -= np.multiply(f, 30.0, out=tmp)
+    out += np.multiply(r1, 16.0, out=tmp)
+    out -= r2
+    out /= 12.0 * dx * dx
+    return out
+
+
+def _torus_derivatives(f, dx):
+    """fx, fy, fxx, fxy, fyy of a periodic m x m field by 4th-order stencils,
+    as new C-contiguous arrays.  Along axis 1 the stencils also run across
+    the ends of the padded rows; those entries are dropped when the m valid
+    columns are copied out (module docstring)."""
+    m = f.shape[0]
+    size = m * m
+    tmp = np.empty(size + 4 * m)
+    along_x = _neighbours(_wrap_pad(f, 0), m, size)
+    fx = _d1_periodic(along_x, dx, np.empty(size), tmp[:size]).reshape(m, m)
+    fxx = _d2_periodic(along_x, dx, np.empty(size), tmp[:size]).reshape(m, m)
+
+    count = size + 4 * m - 4
+    rows = np.empty((m, m + 4))
+    run, tmp = rows.reshape(-1)[:count], tmp[:count]
+    along_y = _neighbours(_wrap_pad(f, 1), 1, count)
+    _d1_periodic(along_y, dx, run, tmp)
+    fy = rows[:, :m].copy()
+    _d2_periodic(along_y, dx, run, tmp)
+    fyy = rows[:, :m].copy()
+    _d1_periodic(_neighbours(_wrap_pad(fx, 1), 1, count), dx, run, tmp)
+    fxy = rows[:, :m].copy()
+    return fx, fy, fxx, fxy, fyy
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,41 +298,45 @@ def differentiate(field):
     grid = field.grid
     f = field.values
     if grid.mode == "torus2d":
-        dx = grid.aux["dx"]
-        along_x = _periodic_neighbours(f, 0)
-        along_y = _periodic_neighbours(f, 1)
-        fx = _d1_periodic(along_x, dx)
-        fy = _d1_periodic(along_y, dx)
-        fxx = _d2_periodic(f, along_x, dx)
-        fyy = _d2_periodic(f, along_y, dx)
-        fxy = _d1_periodic(_periodic_neighbours(fx, 1), dx)
+        fx, fy, fxx, fxy, fyy = _torus_derivatives(f, grid.aux["dx"])
+        # fx^2 fxx + 2 fx fy fxy + fy^2 fyy and fx^2 + fy^2, left to right.
+        fx_sq = fx * fx
+        fy_sq = fy * fy
+        quad_form = fx_sq * fxx
+        term = np.multiply(fx, 2.0)
+        term *= fy
+        term *= fxy
+        quad_form += term
+        quad_form += np.multiply(fy_sq, fyy, out=term)
         return Derivatives(
             mode=grid.mode,
             grad=(fx, fy),
             hess=(fxx, fxy, fyy),
             lap=fxx + fyy,
-            grad_sq=fx**2 + fy**2,
-            quad_form=fx**2 * fxx + 2.0 * fx * fy * fxy + fy**2 * fyy,
+            grad_sq=np.add(fx_sq, fy_sq, out=fx_sq),
+            quad_form=quad_form,
         )
     if grid.mode == "sphere_axisym":
-        mu = grid.aux["mu"]
-        d = grid.aux["D"]
+        aux = grid.aux
+        d = aux["D"]
         # Differencing against the mean keeps constants exactly annihilated
         # (D @ const is only zero to rounding, and D @ (D @ const) amplifies).
         shifted = f - f.sum() / f.size
         fmu = d @ shifted
         fmumu = d @ fmu
-        one_m = 1.0 - mu**2
-        f_th = -np.sqrt(one_m) * fmu
-        f_thth = one_m * fmumu - mu * fmu  # radial (theta-theta) Hessian entry
-        f_tan = -mu * fmu  # each of the n-2 transverse entries: cot(theta) f_theta
+        one_m = aux["one_minus_mu_sq"]
+        f_tan = -aux["mu"] * fmu  # each of the n-2 transverse entries: cot(theta) f_theta
+        # The radial (theta-theta) Hessian entry (1 - mu^2) f_mumu - mu f_mu:
+        # a - b is a + (-b) in IEEE arithmetic, so adding f_tan gives its bits.
+        f_thth = one_m * fmumu + f_tan
+        grad_sq = one_m * (fmu * fmu)
         return Derivatives(
             mode=grid.mode,
-            grad=(f_th,),
+            grad=(aux["minus_sqrt_one_minus_mu_sq"] * fmu,),
             hess=(f_thth, f_tan),
             lap=f_thth + (grid.n - 2) * f_tan,
-            grad_sq=one_m * fmu**2,
-            quad_form=one_m * fmu**2 * f_thth,
+            grad_sq=grad_sq,
+            quad_form=grad_sq * f_thth,
         )
     zeros = np.zeros_like(f)
     return Derivatives(

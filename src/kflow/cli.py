@@ -279,11 +279,14 @@ def scenario_from_dict(raw):
         elif raw.get(section) is None:
             problems.append(f"scenario.checks: {check!r} needs a {section} section")
     try:
-        rho0 = find_horizon(SpaceParams(**_settings("space", raw["space"]))).rho0
+        params = SpaceParams(**_settings("space", raw["space"]))
+        rho0 = find_horizon(params).rho0
     except KFlowError as exc:
         problems.append(f"scenario.space: {exc}")
     else:
         problems.extend(_inside_horizon(raw, rho0))
+        if raw.get("mass") is not None:
+            problems.extend(_inside_inner_radius(raw["mass"], params, rho0))
     if raw.get("flow") is not None:
         try:
             FlowConfig(**_settings("flow", raw["flow"]))
@@ -318,6 +321,26 @@ def _inside_horizon(raw, rho0):
         problems.extend(f"{at}: must be > the horizon radius rho0 = {rho0:.12g}, got {x!r}"
                         for at, x in located if x is not None and x <= rho0)
     return problems
+
+
+def _mass_graph(params, cfg):
+    """The radial graph a mass section describes."""
+    if cfg["kind"] == "kottler_pair":
+        return kottler_pair_graph(params, cfg["m_graph"])
+    return mass_profile_graph(params, cfg["m_horizon"], cfg["m_total"], rate=cfg["rate"])
+
+
+def _inside_inner_radius(mass, params, rho0):
+    """A problem for each rho_schedule radius beyond rho0 but at or inside the
+    graph's inner radius; the graph is built to find that radius."""
+    cfg = _settings("mass", mass)
+    try:
+        rho_inner = _mass_graph(params, cfg).rho_inner
+    except KFlowError as exc:
+        return [f"scenario.mass: {exc}"]
+    return [f"scenario.mass.rho_schedule[{i}]: must be > the graph's inner radius "
+            f"rho_inner = {rho_inner:.12g}, got {x!r}"
+            for i, x in enumerate(cfg["rho_schedule"]) if rho0 < x <= rho_inner]
 
 
 def _grid(scn, params, resolution=None):
@@ -424,10 +447,7 @@ def _run_flow_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
 
 def _run_mass_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
     cfg = _settings("mass", scn.mass)
-    if cfg["kind"] == "kottler_pair":
-        graph = kottler_pair_graph(params, cfg["m_graph"])
-    else:
-        graph = mass_profile_graph(params, cfg["m_horizon"], cfg["m_total"], rate=cfg["rate"])
+    graph = _mass_graph(params, cfg)
     schedule = cfg["rho_schedule"]
     est = mass_limit(graph, schedule)
     sigma_area = graph.rho_inner ** (params.n - 1) * params.theta

@@ -276,6 +276,10 @@ def run_flow(surface0, config):
 # ---------------------------------------------------------------------------
 
 
+# sup |grad phi| at or below this is rounding noise (a slice reads ~1e-16).
+GRAD_FLOOR = 1e-10
+
+
 def _fd_derivative(values, dt):
     """First derivative of a uniformly sampled series, 4th order inside."""
     v = np.asarray(values, dtype=float)
@@ -311,6 +315,7 @@ class MonotonicityReport:
     j_minus_k_final: float
     h_final_gap: float
     grad_decay_rate: float
+    grad_decay_skipped: str
 
     @property
     def passed(self):
@@ -361,6 +366,10 @@ class MonotonicityReport:
             "j_minus_k": {"max": self.j_minus_k_max, "final": self.j_minus_k_final},
             "h_final_gap": self.h_final_gap,
             "grad_decay_rate": None if math.isnan(self.grad_decay_rate) else self.grad_decay_rate,
+            "grad_decay": {
+                "evaluated": self.grad_decay_skipped is None,
+                "reason": self.grad_decay_skipped,
+            },
         }
         return d
 
@@ -377,7 +386,10 @@ def monotonicity_report(
 
     The p balance is evaluated only on >= 5 uniformly spaced samples;
     otherwise ``p_balance_ok`` is False, ``p_balance_max_rel`` is NaN and
-    ``p_balance_skipped`` gives the reason.
+    ``p_balance_skipped`` gives the reason.  The decay rate of sup |grad phi|
+    is fitted only to late samples (t >= 0.6 t_end) above the rounding floor
+    GRAD_FLOOR, and needs 3 of them; otherwise ``grad_decay_rate`` is NaN and
+    ``grad_decay_skipped`` gives the reason.
     """
     if not trace.samples:
         raise DomainError("monotonicity_report: empty trace")
@@ -443,9 +455,16 @@ def monotonicity_report(
     bound = (n - 1) * params.kappa * params.theta ** (1.0 / (n - 1))
     h_gap = max(abs(trace.samples[-1].h_max - (n - 1)), abs(trace.samples[-1].h_min - (n - 1)))
 
+    # On a slice sup |grad phi| is rounding noise, and a rate fitted to it
+    # means nothing, so only samples above the floor count.
     grad = trace.column("grad_sup")
-    late = t >= 0.6 * t[-1]
-    rate = fit_exp_rate(t[late], grad[late])
+    fitted = (t >= 0.6 * t[-1]) & (grad > GRAD_FLOOR)
+    rate, grad_skipped = math.nan, None
+    if np.count_nonzero(fitted) < 3:
+        grad_skipped = (f"needs at least 3 late samples with grad_sup > {GRAD_FLOOR:g}, "
+                        f"the trace has {np.count_nonzero(fitted)}")
+    else:
+        rate = fit_exp_rate(t[fitted], grad[fitted])
 
     return MonotonicityReport(
         q1_ok=bool(q1_max_jump <= q1_tol),
@@ -471,5 +490,6 @@ def monotonicity_report(
         j_minus_k_max=float(np.max(jcol - kcol)),
         j_minus_k_final=float(jcol[-1] - kcol[-1]),
         h_final_gap=float(h_gap),
-        grad_decay_rate=rate if rate is not None else float("nan"),
+        grad_decay_rate=rate,
+        grad_decay_skipped=grad_skipped,
     )

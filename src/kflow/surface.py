@@ -252,15 +252,31 @@ def compute_geometry(surface):
     dlam, ddlam = surface.warp.derivatives_at(lam)
 
     d = differentiate(surface.s)
+    grad_sq = d.grad_sq
     dlam_sq = dlam * dlam
-    c = lam * ddlam / dlam_sq
-    grad_phi_sq = d.grad_sq / dlam_sq
+    grad_phi_sq = grad_sq / dlam_sq
     v_sq = 1.0 + grad_phi_sq
     v = np.sqrt(v_sq)
-    lap_phi = (d.lap - c * d.grad_sq) / dlam
-    quad_phi = (d.quad_form - c * d.grad_sq * d.grad_sq) / (dlam_sq * dlam)
-    # gtil^ij phi_ij = lap_phi - quad_phi / v^2
-    H = ((n - 1) * dlam - lap_phi + quad_phi / v_sq) / (lam * v)
+    # Each quantity below is formed in place, left to right in the operand
+    # order of its formula, so its bits equal those of the formula as written.
+    # c |grad s|^2, with c = lambda lambda'' / V^2, formed once.
+    c_grad_sq = lam * ddlam
+    c_grad_sq /= dlam_sq
+    c_grad_sq *= grad_sq
+    # Lap phi = (Lap s - c |grad s|^2) / V
+    lap_phi = d.lap - c_grad_sq
+    lap_phi /= dlam
+    # phi_i phi_ij phi_j / v^2 = ((quad_form - c |grad s|^4) / V^3) / v^2
+    quad_over_v_sq = np.multiply(c_grad_sq, grad_sq, out=c_grad_sq)
+    np.subtract(d.quad_form, quad_over_v_sq, out=quad_over_v_sq)
+    quad_over_v_sq /= np.multiply(dlam_sq, dlam, out=dlam_sq)
+    quad_over_v_sq /= v_sq
+    # H = ((n-1) V - Lap phi + phi_i phi_ij phi_j / v^2) / (lambda v), where
+    # gtil^ij phi_ij = Lap phi - phi_i phi_ij phi_j / v^2.
+    H = (n - 1) * dlam
+    H -= lap_phi
+    H += quad_over_v_sq
+    H /= np.multiply(lam, v, out=lap_phi)
 
     if (H <= 0.0).any():
         bad = np.argwhere(H <= 0.0)

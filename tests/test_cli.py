@@ -391,6 +391,39 @@ class TestMain:
         assert f"{where}: must be" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("mass, where", [
+        ({"m_graph": 1.0, "rho_schedule": [1.1, 100.0, 200.0]},
+         "scenario.mass.rho_schedule[0]: must be"),
+        ({"kind": "mass_profile", "m_horizon": 0.75, "m_total": 1.0,
+          "rho_schedule": [1.1, 100.0, 200.0]}, "scenario.mass.rho_schedule[0]: must be"),
+        ({"kind": "mass_profile", "m_horizon": 0.4, "m_total": 1.0}, "scenario.mass: need base m"),
+    ])
+    def test_main_inside_inner_radius_is_error(self, tmp_path, capsys, mass, where):
+        # The graph's inner radius rho_inner lies beyond rho0 (1.26 for
+        # m_graph = 1 and 1.14 for m_horizon = 0.75, over m = 0.5 where
+        # rho0 = 1).  The graph is built at parse time, so a schedule radius
+        # in between, or a graph that cannot be built, fails before any
+        # output exists.
+        cfg = dict(MINIMAL_MASS, mass=dict(MINIMAL_MASS["mass"], **mass), checks=[])
+        code = cli.main(["mass", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_main_grad_decay_not_evaluated_fails(self, tmp_path):
+        # On a slice sup |grad phi| is rounding noise, so no decay rate is
+        # fitted; an enabled grad_decay check then fails the run.
+        cfg = dict(SMALL_FLOW, checks=["grad_decay", "area_law"])
+        code = cli.main(["flow", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        report = json.loads((tmp_path / "o" / "t-flow" / "report.json").read_text())
+        assert report["grad_decay_rate"] is None
+        assert report["grad_decay"]["evaluated"] is False
+        assert "late samples" in report["grad_decay"]["reason"]
+        assert report["checks"] == {"grad_decay": False, "area_law": True}
+
     @pytest.mark.parametrize("flow, reason", [
         ({"t_end": 0.5}, "at least 5 samples"),
         ({"t_end": 1.1, "record_interval": 0.25}, "uniformly spaced"),

@@ -8,6 +8,7 @@ import pytest
 
 import kflow as kf
 from kflow.errors import DomainError, FlowBreakdownError, MeanConvexityError
+from kflow.flow import GRAD_FLOOR
 
 
 class TestFlowStep:
@@ -120,6 +121,7 @@ class TestRunFlow:
         rep = kf.monotonicity_report(trace)
         assert rep.h_final_gap <= 1e-3
         assert rep.grad_decay_rate == pytest.approx(-0.5, abs=0.1)
+        assert rep.grad_decay_skipped is None
         assert rep.passed
 
     def test_determinism(self, torus64, warp_flat):
@@ -219,6 +221,38 @@ class TestMonotonicityReport:
         trace = kf.run_flow(surf, kf.FlowConfig(t_end=3.0))
         rep = kf.monotonicity_report(trace)
         assert rep.p_balance_max_rel <= 1e-2
+
+    def test_grad_decay_skipped_on_slice_run(self, torus64, warp_flat):
+        # On a torus slice sup |grad phi| is rounding noise; no rate is fitted
+        # to it, and the report says why.
+        surf = kf.slice_surface(torus64, warp_flat, lam_value=2.0)
+        trace = kf.run_flow(surf, kf.FlowConfig(t_end=2.0))
+        assert np.max(trace.column("grad_sup")) <= GRAD_FLOOR
+        rep = kf.monotonicity_report(trace)
+        assert math.isnan(rep.grad_decay_rate)
+        assert "needs at least 3 late samples" in rep.grad_decay_skipped
+        assert "has 0" in rep.grad_decay_skipped
+        out = rep.as_dict()
+        assert out["grad_decay_rate"] is None
+        assert out["grad_decay"] == {"evaluated": False, "reason": rep.grad_decay_skipped}
+
+    @pytest.mark.parametrize("above", [2, 3, 5])
+    def test_grad_decay_fits_only_samples_above_floor(self, torus64, warp_flat, above):
+        # The last ``above`` samples get sup |grad phi| = e^(-t/2); the other
+        # late samples stay at rounding level and must not enter the fit.
+        surf = kf.slice_surface(torus64, warp_flat, lam_value=2.0)
+        trace = kf.run_flow(surf, kf.FlowConfig(t_end=2.0))
+        k0 = len(trace.samples) - above
+        trace.samples[k0:] = [replace(s, grad_sup=math.exp(-s.t / 2.0))
+                              for s in trace.samples[k0:]]
+        rep = kf.monotonicity_report(trace)
+        if above < 3:
+            assert math.isnan(rep.grad_decay_rate)
+            assert f"has {above}" in rep.grad_decay_skipped
+        else:
+            assert rep.grad_decay_skipped is None
+            assert rep.grad_decay_rate == pytest.approx(-0.5, rel=1e-12)
+            assert rep.as_dict()["grad_decay"] == {"evaluated": True, "reason": None}
 
     def test_trace_csv_roundtrip(self, torus64, warp_flat, tmp_path):
         surf = kf.slice_surface(torus64, warp_flat, lam_value=2.0)

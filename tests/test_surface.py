@@ -138,6 +138,53 @@ class TestNoTableSearch:
         assert np.max(np.abs(H - ref) / np.abs(ref)) <= bound, surf.grid.mode
 
 
+@pytest.fixture(scope="module")
+def kernel_surfaces(torus64, warp_flat, sphere64, warp_sphere, sym_grid, warp_hyp_sym):
+    """Perturbed graphs on the torus 64^2 and the n=3 and n=4 spheres, and a
+    slice on the symmetric node."""
+    params4 = kf.SpaceParams(4, 1, 1.0, 2.0 * math.pi**2)
+    warp4 = kf.build_warp_table(params4)
+    sphere4 = kf.make_grid("sphere_axisym", 64, n=4)
+    cases = ((torus64, warp_flat, 2.0), (sphere64, warp_sphere, 3.0), (sphere4, warp4, 3.0))
+    return [
+        kf.random_star_shaped(grid, warp, seed=11, amplitude=0.05, base_r=warp.r_from_rho(lam))
+        for grid, warp, lam in cases
+    ] + [kf.slice_surface(sym_grid, warp_hyp_sym, lam_value=2.0)]
+
+
+def _reference_geometry(surface):
+    """lambda', lambda'', |grad phi|^2, v, H and ds/dt with the expressions and
+    operand order of the out-of-place kernel."""
+    n = surface.warp.params.n
+    lam = surface.lam
+    dlam, ddlam = surface.warp.derivatives_at(lam)
+    d = differentiate(surface.s)
+    dlam_sq = dlam * dlam
+    c = lam * ddlam / dlam_sq
+    grad_phi_sq = d.grad_sq / dlam_sq
+    v_sq = 1.0 + grad_phi_sq
+    v = np.sqrt(v_sq)
+    lap_phi = (d.lap - c * d.grad_sq) / dlam
+    quad_phi = (d.quad_form - c * d.grad_sq * d.grad_sq) / (dlam_sq * dlam)
+    H = ((n - 1) * dlam - lap_phi + quad_phi / v_sq) / (lam * v)
+    return {"dlam": dlam, "ddlam": ddlam, "grad_phi_sq": grad_phi_sq, "v": v, "H": H,
+            "speed": v * dlam / (lam * H)}
+
+
+class TestInPlaceKernel:
+    """compute_geometry forms H in place; every field stays bitwise equal to
+    the out-of-place expressions (differentiate is pinned in test_basegrid)."""
+
+    @pytest.mark.parametrize("index", range(4),
+                             ids=["torus2d", "sphere_n3", "sphere_n4", "symmetric"])
+    def test_fields_match_reference(self, kernel_surfaces, index):
+        surf = kernel_surfaces[index]
+        geom = kf.compute_geometry(surf)
+        assert geom.lam is surf.lam
+        for name, want in _reference_geometry(surf).items():
+            assert np.array_equal(getattr(geom, name), want), name
+
+
 def _eager_record(geom):
     """The functional record formed eagerly, with the expressions and operand
     order compute_geometry used when it built the record on every call."""
