@@ -4,7 +4,6 @@ quasi-local mass over Kottler backgrounds."""
 from .background import (
     CurvatureDeviation,
     HorizonData,
-    RadialProfilePair,
     SpaceParams,
     WarpTable,
     build_warp_table,
@@ -12,7 +11,6 @@ from .background import (
     curvature_deviation,
     find_horizon,
     hyperbolic_reference_table,
-    kottler_graph_profile,
     mass_from_horizon_area,
     potential,
 )

@@ -42,12 +42,14 @@ def hermite_eval(x, xs, ys, ds, what="table"):
     """Cubic Hermite interpolation with exact nodal slopes.
 
     ``xs`` strictly increasing nodes, ``ys`` values, ``ds`` derivatives.
-    Vectorized in ``x``; raises DomainError outside the tabulated range.
+    Vectorized in ``x``; raises DomainError outside the tabulated range or
+    on a NaN.
     """
     x = np.asarray(x, dtype=float)
     lo, hi = xs[0], xs[-1]
     pad = 1e-12 * max(1.0, abs(hi))
-    if (x < lo - pad).any() or (x > hi + pad).any():
+    # NaN fails both comparisons, so it is rejected with the out-of-range values.
+    if not ((x >= lo - pad) & (x <= hi + pad)).all():
         raise DomainError(
             f"{what}: evaluation at {float(np.min(x)):.6g}..{float(np.max(x)):.6g} "
             f"outside tabulated range [{lo:.6g}, {hi:.6g}]"
@@ -68,27 +70,18 @@ def hermite_eval(x, xs, ys, ds, what="table"):
     return h00 * ys[idx] + h * h10 * ds[idx] + h01 * ys[nxt] + h * h11 * ds[nxt]
 
 
-def fit_log_slope(x, y, eps=0.0):
-    """Least-squares slope of log(y) against log(x) (or against x if eps<0).
+def fit_log_slope(x, y):
+    """Least-squares slope of log(y) against x over the points where y > 0.
 
-    Used for decay-exponent fits.  ``y`` must be positive; values below
-    ``eps`` are dropped.  Returns the slope, or None when fewer than three
-    usable points remain.
+    Returns None when fewer than three such points remain.  A decay exponent
+    is the slope against log(rho), an exponential rate the slope against t.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    mask = y > max(eps, 0.0)
+    mask = y > 0.0
     if np.count_nonzero(mask) < 3:
         return None
-    lx = np.log(x[mask])
+    lx = x[mask]
     ly = np.log(y[mask])
     lx = lx - lx.mean()
     return float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))
-
-
-def fit_exp_rate(t, y):
-    """Slope of log(y) against t, for positive y: the fitted exponential decay rate."""
-    t = np.asarray(t, dtype=float)
-    tt = t - t.mean()
-    ly = np.log(np.asarray(y, dtype=float))
-    return float(np.dot(tt, ly - ly.mean()) / np.dot(tt, tt))

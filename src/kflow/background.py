@@ -27,27 +27,20 @@ Constant-curvature deviation: the curvature of (P, g) differs from the
 hyperbolic model by O(m lambda^-n) terms, with the fiber-plane sectional
 curvature 2 m lambda^-n - 1 and the radial-plane one -(1 + (n-2) m lambda^-n).
 
-A Kottler space of mass m_graph >= m_base embeds as a radial graph
-{t = f(rho)} in the Riemannian cylinder over the mass-m_base space, with
-
-    (V_base f')^2 = 1 / V_graph^2 - 1 / V_base^2,
-
-which blows up like (rho - rho_start)^(-1/2) at the horizon of the heavier
-space and decays like rho^(-(n+4)/2) at infinity.
+Radial graphs over this background are built in ``kflow.mass``.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ._util import fit_log_slope, hermite_eval, panel_integrals
+from ._util import hermite_eval, panel_integrals
 from .errors import (
     DomainError,
     InvalidDimensionError,
     NoHorizonError,
-    NonRepresentableGraphError,
     NumericsError,
     ResolutionError,
 )
@@ -56,7 +49,6 @@ __all__ = [
     "SpaceParams",
     "HorizonData",
     "WarpTable",
-    "RadialProfilePair",
     "CurvatureDeviation",
     "critical_mass",
     "find_horizon",
@@ -66,7 +58,6 @@ __all__ = [
     "hyperbolic_reference_table",
     "mass_from_horizon_area",
     "curvature_deviation",
-    "kottler_graph_profile",
 ]
 
 
@@ -206,16 +197,16 @@ def potential(params, rho):
     """Static potential V(rho) for rho >= rho0 (zero exactly at the horizon)."""
     rho0 = find_horizon(params).rho0
     rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr < rho0 * (1.0 - 1e-12)):
-        raise DomainError(f"rho={rho!r} below the horizon radius {rho0:.12g}")
+    if not ((rho_arr >= rho0 * (1.0 - 1e-12)) & (rho_arr < math.inf)).all():
+        raise DomainError(f"rho={rho!r} below the horizon radius {rho0:.12g} or not finite")
     val = np.sqrt(np.maximum(v_squared(params, rho_arr), 0.0))
     return float(val) if np.isscalar(rho) else val
 
 
 def mass_from_horizon_area(area, *, n, kappa, theta):
     """Mass of the Kottler space whose horizon has the given fiber area."""
-    if area <= 0.0:
-        raise DomainError(f"horizon area must be positive, got {area!r}")
+    if not 0.0 < area < math.inf:
+        raise DomainError(f"horizon area must be positive and finite, got {area!r}")
     x = (area / theta) ** (1.0 / (n - 1))
     return 0.5 * (x**n + kappa * x ** (n - 2))
 
@@ -241,8 +232,6 @@ class WarpTable:
     forms of that lambda (``derivatives_at``), so one table search yields
     all three.
     """
-
-    interpolation_order = 3
 
     def __init__(self, params, r_grid, lam_nodes):
         n, m = params.n, params.m
@@ -273,8 +262,6 @@ class WarpTable:
         """(lambda', lambda'') at warp values ``lam`` from the closed forms
         V(lambda) and lambda + (n-2) m lambda^(1-n); no table search."""
         n, kappa, m = self.params.n, self.params.kappa, self.params.m
-        if m == 0.0:  # avoid 0 * inf at lambda = 0 in the massless limit
-            return np.sqrt(np.maximum(lam * lam + kappa, 0.0)), lam
         # q = m lambda^(1-n): V^2 = lambda (lambda - 2 q) + kappa, lambda'' = lambda + (n-2) q.
         q = m / lam ** (n - 1)
         return np.sqrt(np.maximum(lam * (lam - 2.0 * q) + kappa, 0.0)), lam + (n - 2) * q
@@ -463,7 +450,7 @@ class CurvatureDeviation:
 
 
 def curvature_deviation(params, warp, r):
-    if r < 0.0 or r > warp.r_max:
+    if not 0.0 <= r <= warp.r_max:  # NaN fails too
         raise DomainError(f"r={r!r} outside [0, {warp.r_max:g}]")
     n, m = params.n, params.m
     lam = float(warp.lam(r))
@@ -474,78 +461,3 @@ def curvature_deviation(params, warp, r):
         sec_tangential=2.0 * scale - 1.0,
         sec_radial=-(1.0 + (n - 2) * scale),
     )
-
-
-# ---------------------------------------------------------------------------
-# Radial graph profile between two Kottler spaces
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RadialProfilePair:
-    """Radial graph realizing the mass-m_graph space over the mass-m_base one.
-
-    ``f_prime`` is df/d rho on (rho_start, oo); ``psi`` is the radial metric
-    perturbation (V_base f')^2 = 1/V_graph^2 - 1/V_base^2 evaluated in a
-    cancellation-free form; ``f_prime2`` is the closed-form d2f/d rho^2.
-    """
-
-    m_base: float
-    m_graph: float
-    rho_start: float
-    f_prime: object
-    f_prime2: object
-    psi: object
-
-
-def kottler_graph_profile(m_base, m_graph, params):
-    """Profile f'(rho) with (V_base f')^2 = 1/V_graph^2 - 1/V_base^2."""
-    if m_graph < m_base:
-        raise NonRepresentableGraphError(
-            f"m_graph={m_graph} < m_base={m_base}: the radicand is negative"
-        )
-    pb = replace(params, m=m_base)
-    pg = replace(params, m=m_graph)
-    rho_start = find_horizon(pg).rho0
-    n = params.n
-    dm = m_graph - m_base
-
-    def psi(rho):
-        rho = np.asarray(rho, dtype=float)
-        return 2.0 * dm * rho ** (2 - n) / (v_squared(pg, rho) * v_squared(pb, rho))
-
-    def f_prime(rho):
-        rho = np.asarray(rho, dtype=float)
-        return np.sqrt(np.maximum(psi(rho), 0.0) / np.maximum(v_squared(pb, rho), 1e-300))
-
-    def f_prime2(rho):
-        rho = np.asarray(rho, dtype=float)
-        if dm == 0.0:
-            return np.zeros_like(rho)
-        vb2 = v_squared(pb, rho)
-        vg2 = v_squared(pg, rho)
-        dvb2 = _v_squared_prime(pb, rho)
-        dvg2 = _v_squared_prime(pg, rho)
-        dlog_psi = (2 - n) / rho - dvg2 / vg2 - dvb2 / vb2
-        return f_prime(rho) * (0.5 * dlog_psi - 0.5 * dvb2 / vb2)
-
-    return RadialProfilePair(
-        m_base=float(m_base),
-        m_graph=float(m_graph),
-        rho_start=rho_start,
-        f_prime=f_prime,
-        f_prime2=f_prime2,
-        psi=psi,
-    )
-
-
-def profile_decay_order(profile_psi, n, rho_lo=50.0, rho_hi=800.0):
-    """Fitted tau with psi = O(rho^(-tau-2)), from a log-log slope."""
-    rho = np.geomspace(rho_lo, rho_hi, 7)
-    vals = np.abs(np.asarray(profile_psi(rho), dtype=float))
-    if np.all(vals < 1e-280):
-        return math.inf
-    slope = fit_log_slope(rho, vals)
-    if slope is None:
-        return math.inf
-    return -slope - 2.0

@@ -183,7 +183,6 @@ def make_grid(mode, resolution, theta_or_L=None, *, n=3, kappa=None):
                 "mu": mu,
                 "D": _jacobi_diff_matrix(mu),
                 "one_minus_mu_sq": 1.0 - mu**2,
-                "minus_sqrt_one_minus_mu_sq": -np.sqrt(1.0 - mu**2),
             },
         )
 
@@ -279,16 +278,11 @@ def _torus_derivatives(f, dx):
 
 @dataclass(frozen=True, eq=False)
 class Derivatives:
-    """Covariant derivative data of a scalar field on (N, ghat).
-
-    ``grad`` holds the orthonormal-frame gradient components, ``hess`` the
-    mode-specific Hessian components, ``lap`` the Laplace-Beltrami operator,
-    ``grad_sq`` = |grad f|^2 and ``quad_form`` = (grad f)^i (grad f)^j Hess_ij.
+    """Covariant derivative data of a scalar field on (N, ghat): ``lap`` the
+    Laplace-Beltrami operator, ``grad_sq`` = |grad f|^2 and ``quad_form`` =
+    (grad f)^i (grad f)^j Hess_ij, each a new array of the grid's shape.
     """
 
-    mode: str
-    grad: tuple
-    hess: tuple
     lap: np.ndarray
     grad_sq: np.ndarray
     quad_form: np.ndarray
@@ -309,10 +303,7 @@ def differentiate(field):
         quad_form += term
         quad_form += np.multiply(fy_sq, fyy, out=term)
         return Derivatives(
-            mode=grid.mode,
-            grad=(fx, fy),
-            hess=(fxx, fxy, fyy),
-            lap=fxx + fyy,
+            lap=np.add(fxx, fyy, out=fxx),
             grad_sq=np.add(fx_sq, fy_sq, out=fx_sq),
             quad_form=quad_form,
         )
@@ -331,22 +322,11 @@ def differentiate(field):
         f_thth = one_m * fmumu + f_tan
         grad_sq = one_m * (fmu * fmu)
         return Derivatives(
-            mode=grid.mode,
-            grad=(aux["minus_sqrt_one_minus_mu_sq"] * fmu,),
-            hess=(f_thth, f_tan),
             lap=f_thth + (grid.n - 2) * f_tan,
             grad_sq=grad_sq,
             quad_form=grad_sq * f_thth,
         )
-    zeros = np.zeros_like(f)
-    return Derivatives(
-        mode=grid.mode,
-        grad=(zeros,),
-        hess=(zeros, zeros),
-        lap=zeros,
-        grad_sq=zeros.copy(),
-        quad_form=zeros.copy(),
-    )
+    return Derivatives(lap=np.zeros_like(f), grad_sq=np.zeros_like(f), quad_form=np.zeros_like(f))
 
 
 def _beckner_terms(field, n, grad_coeff):

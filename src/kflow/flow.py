@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import fit_exp_rate
+from ._util import fit_log_slope
 from .basegrid import ScalarField
 from .errors import DomainError, FlowBreakdownError, MeanConvexityError
 from .surface import GraphSurface, compute_geometry
@@ -278,6 +278,12 @@ def run_flow(surface0, config):
 
 # sup |grad phi| at or below this is rounding noise (a slice reads ~1e-16).
 GRAD_FLOOR = 1e-10
+# Monitor tolerances: relative slice-barrier margin, area-law residual,
+# relative p-balance defect, and the terminal Q1 bound's slack.
+BARRIER_TOL = 1e-6
+AREA_TOL = 1e-5
+P_BALANCE_TOL = 1e-2
+FINAL_BOUND_TOL = 1e-6
 
 
 def _fd_derivative(values, dt):
@@ -374,14 +380,7 @@ class MonotonicityReport:
         return d
 
 
-def monotonicity_report(
-    trace,
-    *,
-    barrier_tol=1e-6,
-    area_tol=1e-5,
-    p_balance_tol=1e-2,
-    final_bound_tol=1e-6,
-):
+def monotonicity_report(trace):
     """Evaluate the flow monitors on a recorded trace.
 
     The p balance is evaluated only on >= 5 uniformly spaced samples;
@@ -436,7 +435,7 @@ def monotonicity_report(
         inner = slice(2, len(t) - 2)
         rel = np.abs(dintp[inner] - target[inner]) / np.maximum(np.abs(target[inner]), 1e-300)
         p_max = float(np.max(rel))
-        p_ok = p_max <= p_balance_tol
+        p_ok = p_max <= P_BALANCE_TOL
 
     jk_scale = np.maximum(np.maximum(np.abs(jcol), np.abs(kcol)), 1.0)
     in_regime = jcol <= kcol + 1e-12 * jk_scale
@@ -464,18 +463,18 @@ def monotonicity_report(
         grad_skipped = (f"needs at least 3 late samples with grad_sup > {GRAD_FLOOR:g}, "
                         f"the trace has {np.count_nonzero(fitted)}")
     else:
-        rate = fit_exp_rate(t[fitted], grad[fitted])
+        rate = fit_log_slope(t[fitted], grad[fitted])
 
     return MonotonicityReport(
         q1_ok=bool(q1_max_jump <= q1_tol),
         q1_max_jump=q1_max_jump,
         q1_tolerance=float(q1_tol),
         q1_worst_interval=q1_interval,
-        barrier_lower_ok=bool(low_margin >= -barrier_tol),
+        barrier_lower_ok=bool(low_margin >= -BARRIER_TOL),
         barrier_lower_margin=low_margin,
-        barrier_upper_ok=bool(up_margin >= -barrier_tol),
+        barrier_upper_ok=bool(up_margin >= -BARRIER_TOL),
         barrier_upper_margin=up_margin,
-        area_law_ok=bool(area_resid <= area_tol),
+        area_law_ok=bool(area_resid <= AREA_TOL),
         area_law_residual=area_resid,
         p_balance_ok=bool(p_ok),
         p_balance_max_rel=p_max,
@@ -484,7 +483,7 @@ def monotonicity_report(
         q2_max_jump=q2_max_jump,
         q2_samples_in_regime=pairs,
         q2_worst_interval=q2_interval,
-        final_bound_ok=bool(q1[-1] >= bound - final_bound_tol),
+        final_bound_ok=bool(q1[-1] >= bound - FINAL_BOUND_TOL),
         q1_final=float(q1[-1]),
         q1_final_bound=float(bound),
         j_minus_k_max=float(np.max(jcol - kcol)),

@@ -1,10 +1,27 @@
-"""Boundary-integral mass of radial graphical manifolds over a Kottler base.
+"""Radial graphical manifolds over a Kottler base: profiles, mass, identity.
 
 A radial graph {t = f(rho)} in the Riemannian cylinder (R x P, V^2 dt^2 + g)
 induces on P \\ (interior) the metric g + psi d rho (x) d rho with
-psi = (V f')^2.  For such perturbations the static-potential boundary
-integrand at the coordinate sphere N_rho reduces to closed 1-D forms
-(docs/derivations.md):
+psi = (V f')^2.  This module is the one place that builds such graphs.
+Each family gives psi and either f' itself or d log(psi V^2) / d rho; in
+the second case
+
+    f'  = sqrt(psi / V^2),
+    f'' = f' (d log psi / d rho - (V^2)' / V^2) / 2.
+
+The decay order tau, with psi = O(rho^(-tau-2)), is fitted once per graph
+from a log-log slope over 50 <= rho <= 800, and must exceed n/2.
+
+A Kottler space of mass m_graph >= m_base embeds as a radial graph over the
+mass-m_base space (``kottler_pair_graph``), with
+
+    (V_base f')^2 = 1 / V_graph^2 - 1 / V_base^2,
+
+which blows up like (rho - rho_start)^(-1/2) at the horizon of the heavier
+space and decays like rho^(-(n+4)/2) at infinity.
+
+For radial perturbations the static-potential boundary integrand at the
+coordinate sphere N_rho reduces to closed 1-D forms (docs/derivations.md):
 
     V (div e - d tr e)(nu)  =  (n-1) V^4 psi / rho,
     (tr e) dV(nu)           =   V^3 V' psi,
@@ -50,15 +67,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._util import fit_log_slope, integrate_panels
-from .background import (
-    SpaceParams,
-    _v_squared_prime,
-    find_horizon,
-    kottler_graph_profile,
-    profile_decay_order,
-    v_squared,
-)
-from .errors import DecayViolationError, DomainError
+from .background import SpaceParams, _v_squared_prime, find_horizon, v_squared
+from .errors import DecayViolationError, DomainError, NonRepresentableGraphError
 
 __all__ = [
     "RadialGraph",
@@ -100,32 +110,80 @@ class RadialGraph:
     oracle: dict = None
 
 
-def _validated(graph):
-    n = graph.base.n
-    if graph.decay_tau <= n / 2.0:
+def _decay_order(psi):
+    """Fitted tau with psi = O(rho^(-tau-2)), from a log-log slope on [50, 800];
+    NaN when psi is not finite there."""
+    rho = np.geomspace(50.0, 800.0, 7)
+    vals = np.abs(np.asarray(psi(rho), dtype=float))
+    if not np.isfinite(vals).all():
+        return math.nan
+    if np.all(vals < 1e-280):
+        return math.inf
+    slope = fit_log_slope(np.log(rho), vals)
+    return math.inf if slope is None else -slope - 2.0
+
+
+def _radial_graph(params, psi, rho_inner, horizon_graph, bulk_cut, *,
+                  f_prime=None, f_prime2=None, dlog_psi_v2=None, oracle=None):
+    """The radial graph with perturbation ``psi`` over ``params``.
+
+    Either ``f_prime`` (with an optional ``f_prime2``) is given, or
+    ``dlog_psi_v2`` = d log(psi V^2) / d rho, from which f' and f'' are
+    formed (module docstring).  Raises DecayViolationError unless the fitted
+    decay order exceeds n/2.
+    """
+    if f_prime is None:
+        def f_prime(rho):
+            rho = np.asarray(rho, dtype=float)
+            return np.sqrt(np.maximum(psi(rho), 0.0) / np.maximum(v_squared(params, rho), 1e-300))
+
+        def f_prime2(rho):
+            rho = np.asarray(rho, dtype=float)
+            vb2 = v_squared(params, rho)
+            dvb2 = _v_squared_prime(params, rho)
+            dlog_psi = dlog_psi_v2(rho) - dvb2 / vb2
+            return f_prime(rho) * (0.5 * dlog_psi - 0.5 * dvb2 / vb2)
+
+    tau = _decay_order(psi)
+    if not tau > params.n / 2.0:  # a NaN fit fails too
         raise DecayViolationError(
-            f"decay order tau={graph.decay_tau:.4g} is not > n/2 = {n / 2.0:.4g}; "
+            f"decay order tau={tau:.4g} is not > n/2 = {params.n / 2.0:.4g}; "
             "the mass limit need not exist"
         )
-    return graph
+    return RadialGraph(
+        base=params,
+        f_prime=f_prime,
+        f_prime2=f_prime2,
+        psi=psi,
+        rho_inner=float(rho_inner),
+        decay_tau=tau,
+        horizon_graph=horizon_graph,
+        bulk_cut=bulk_cut,
+        oracle=oracle,
+    )
 
 
 def kottler_pair_graph(params, m_graph):
-    """The mass-``m_graph`` Kottler space as a radial graph over ``params``."""
-    profile = kottler_graph_profile(params.m, m_graph, params)
-    tau = profile_decay_order(profile.psi, params.n)
-    return _validated(
-        RadialGraph(
-            base=params,
-            f_prime=profile.f_prime,
-            f_prime2=profile.f_prime2,
-            psi=profile.psi,
-            rho_inner=profile.rho_start,
-            decay_tau=tau,
-            horizon_graph=m_graph > params.m,
-            bulk_cut=profile.rho_start + 20.0,
+    """The mass-``m_graph`` Kottler space as a radial graph over ``params``,
+    with (V f')^2 = 1/V_graph^2 - 1/V^2 (module docstring)."""
+    if m_graph < params.m:
+        raise NonRepresentableGraphError(
+            f"m_graph={m_graph} < m_base={params.m}: the radicand is negative"
         )
-    )
+    pg = replace(params, m=m_graph)
+    n = params.n
+    dm = m_graph - params.m
+
+    def psi(rho):
+        rho = np.asarray(rho, dtype=float)
+        return 2.0 * dm * rho ** (2 - n) / (v_squared(pg, rho) * v_squared(params, rho))
+
+    def dlog_psi_v2(rho):
+        return (2 - n) / rho - _v_squared_prime(pg, rho) / v_squared(pg, rho)
+
+    rho_start = find_horizon(pg).rho0
+    return _radial_graph(params, psi, rho_start, m_graph > params.m, rho_start + 20.0,
+                         dlog_psi_v2=dlog_psi_v2)
 
 
 def mass_profile_graph(params, m_horizon, m_total, rate=1.0):
@@ -140,9 +198,9 @@ def mass_profile_graph(params, m_horizon, m_total, rate=1.0):
     space.  Then S2 = (n-1) mtilde' rho^(1-n) >= 0, the inner boundary is a
     horizon graph, and the total mass is exactly ``m_total``.
     """
-    if not params.m < m_horizon <= m_total:
+    if not params.m < m_horizon <= m_total < math.inf:
         raise DomainError(
-            f"need base m < m_horizon <= m_total, got {params.m}, {m_horizon}, {m_total}"
+            f"need base m < m_horizon <= m_total < oo, got {params.m}, {m_horizon}, {m_total}"
         )
     if not (math.isfinite(rate) and rate > 0.0):  # the bulk cut-off divides by it
         raise DomainError(f"rate must be positive and finite, got {rate!r}")
@@ -170,35 +228,19 @@ def mass_profile_graph(params, m_horizon, m_total, rate=1.0):
         rho = np.asarray(rho, dtype=float)
         return 2.0 * (mtilde(rho) - params.m) * rho ** (2 - n) / (ufun(rho) * v_squared(params, rho))
 
-    def f_prime(rho):
-        rho = np.asarray(rho, dtype=float)
-        return np.sqrt(np.maximum(psi(rho), 0.0) / np.maximum(v_squared(params, rho), 1e-300))
-
-    def f_prime2(rho):
-        rho = np.asarray(rho, dtype=float)
-        vb2 = v_squared(params, rho)
-        dvb2 = _v_squared_prime(params, rho)
+    def dlog_psi_v2(rho):
         dm = mtilde(rho) - params.m
-        dlog_psi = mtilde_prime(rho) / dm + (2 - n) / rho - ufun_prime(rho) / ufun(rho) - dvb2 / vb2
-        return f_prime(rho) * (0.5 * dlog_psi - 0.5 * dvb2 / vb2)
+        return mtilde_prime(rho) / dm + (2 - n) / rho - ufun_prime(rho) / ufun(rho)
 
-    return _validated(
-        RadialGraph(
-            base=params,
-            f_prime=f_prime,
-            f_prime2=f_prime2,
-            psi=psi,
-            rho_inner=rho_i,
-            decay_tau=profile_decay_order(psi, n),
-            horizon_graph=True,
-            bulk_cut=rho_i + max(45.0 / rate, 10.0),
-            oracle={
-                "mtilde": mtilde,
-                "mtilde_prime": mtilde_prime,
-                "m_total": float(m_total),
-                "m_horizon": float(m_horizon),
-            },
-        )
+    return _radial_graph(
+        params, psi, rho_i, True, rho_i + max(45.0 / rate, 10.0),
+        dlog_psi_v2=dlog_psi_v2,
+        oracle={
+            "mtilde": mtilde,
+            "mtilde_prime": mtilde_prime,
+            "m_total": float(m_total),
+            "m_horizon": float(m_horizon),
+        },
     )
 
 
@@ -209,7 +251,13 @@ def graph_from_f_prime(params, f_prime, rho_inner, decay_tau=None, f_prime2=None
     at or below n/2 is rejected outright, and the fitted value must clear
     n/2 regardless of what was stated.
     """
-    if decay_tau is not None and decay_tau <= params.n / 2.0:
+    rho0 = find_horizon(params).rho0
+    if not rho0 <= rho_inner < math.inf:  # inside the horizon V^2 < 0
+        raise DomainError(
+            f"rho_inner={rho_inner!r} must be finite and at or beyond "
+            f"the horizon radius {rho0:.12g}"
+        )
+    if decay_tau is not None and not decay_tau > params.n / 2.0:
         raise DecayViolationError(
             f"stated decay order tau={decay_tau} is not > n/2 = {params.n / 2.0}"
         )
@@ -219,18 +267,8 @@ def graph_from_f_prime(params, f_prime, rho_inner, decay_tau=None, f_prime2=None
         fp = np.asarray(f_prime(rho), dtype=float)
         return v_squared(params, rho) * fp**2
 
-    return _validated(
-        RadialGraph(
-            base=params,
-            f_prime=f_prime,
-            f_prime2=f_prime2,
-            psi=psi,
-            rho_inner=float(rho_inner),
-            decay_tau=profile_decay_order(psi, params.n),
-            horizon_graph=False,
-            bulk_cut=max(4.0 * rho_inner, 200.0),
-        )
-    )
+    return _radial_graph(params, psi, rho_inner, False, max(4.0 * rho_inner, 200.0),
+                         f_prime=f_prime, f_prime2=f_prime2)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +285,10 @@ def mass_integrand(graph, rho):
     params = graph.base
     rho = float(rho)
     rho0 = find_horizon(params).rho0
-    if rho <= max(graph.rho_inner, rho0):
+    if not max(graph.rho_inner, rho0) < rho < math.inf:
         raise DomainError(
-            f"rho={rho:.6g} not beyond max(rho_inner={graph.rho_inner:.6g}, rho0={rho0:.6g})"
+            f"rho={rho:.6g} not finite and beyond "
+            f"max(rho_inner={graph.rho_inner:.6g}, rho0={rho0:.6g})"
         )
     n = params.n
     psi = float(graph.psi(rho))
@@ -287,8 +326,9 @@ def mass_limit(graph, rho_schedule=DEFAULT_RHO_SCHEDULE):
     rho^-1.5 (checked only when the errors are above rounding).
     """
     sched = [float(r) for r in rho_schedule]
-    if len(sched) < 3 or any(b <= a for a, b in zip(sched, sched[1:])):
-        raise DomainError("rho_schedule must be increasing with at least 3 points")
+    increasing = all(a < b for a, b in zip(sched, sched[1:]))
+    if len(sched) < 3 or not increasing or not math.isfinite(sched[-1]):
+        raise DomainError("rho_schedule must be finite and increasing with at least 3 points")
     samples = [(r, mass_integrand(graph, r)) for r in sched]
     vals = np.array([s[1] for s in samples])
     rhos = np.array(sched)
@@ -316,7 +356,7 @@ def mass_limit(graph, rho_schedule=DEFAULT_RHO_SCHEDULE):
     errs = np.abs(vals - mass)
     tiny = 1e-11 * scale
     if np.all(errs[:-1] > tiny):
-        slope = fit_log_slope(rhos, np.maximum(errs, 1e-300))
+        slope = fit_log_slope(np.log(rhos), np.maximum(errs, 1e-300))
         if slope is not None and slope > -1.5:
             raise DecayViolationError(
                 f"fitted mass-error slope {slope:.3g} is shallower than rho^-1.5; "
@@ -354,14 +394,16 @@ def radial_shape_operator(graph, rho):
 
     Vectorized in ``rho``: an array of radii gives a record of arrays of the
     same shape, and a scalar radius gives a record of Python floats.  Every
-    radius must lie beyond ``rho_inner``.
+    radius must be finite and beyond ``rho_inner``.
     """
     params = graph.base
     scalar = np.ndim(rho) == 0
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= graph.rho_inner):
+    # NaN fails both comparisons, so it is rejected with the out-of-range values.
+    inside = (rho > graph.rho_inner) & (rho < math.inf)
+    if not inside.all():
         raise DomainError(
-            f"rho={float(np.min(rho)):.6g} not beyond rho_inner={graph.rho_inner:.6g}"
+            f"rho={float(rho[~inside][0]):.6g} not in (rho_inner={graph.rho_inner:.6g}, oo)"
         )
     n = params.n
     v2 = v_squared(params, rho)
@@ -467,8 +509,8 @@ def mass_identity_check(graph, rho_schedule=DEFAULT_RHO_SCHEDULE):
 
 def penrose_deficit(mass, sigma_area, params):
     """mass - (1/2)[(A/theta)^(n/(n-1)) + kappa (A/theta)^((n-2)/(n-1))]."""
-    if sigma_area <= 0.0:
-        raise DomainError(f"sigma_area must be positive, got {sigma_area!r}")
+    if not 0.0 < sigma_area < math.inf:
+        raise DomainError(f"sigma_area must be positive and finite, got {sigma_area!r}")
     n, kappa, theta = params.n, params.kappa, params.theta
     x = (sigma_area / theta) ** (1.0 / (n - 1))
     return mass - 0.5 * (x**n + kappa * x ** (n - 2))

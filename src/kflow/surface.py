@@ -148,18 +148,6 @@ class FunctionalRecord:
     Q1: float
     Q2: float
 
-    def as_dict(self):
-        return {
-            "area": self.area,
-            "intVH": self.intVH,
-            "intP": self.intP,
-            "intVoverH": self.intVoverH,
-            "J": self.J,
-            "K": self.K,
-            "Q1": self.Q1,
-            "Q2": self.Q2,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class SurfaceGeometry:
@@ -391,8 +379,8 @@ def random_star_shaped(grid, warp, seed, amplitude, base_r):
     The perturbation is a seed-deterministic low-frequency field; on mean
     convexity failure the amplitude is halved, up to 8 retries.
     """
-    if amplitude < 0.0:
-        raise DomainError(f"amplitude must be non-negative, got {amplitude!r}")
+    if not 0.0 <= amplitude < math.inf:
+        raise DomainError(f"amplitude must be non-negative and finite, got {amplitude!r}")
     pert = low_frequency_field(grid, seed, 1.0)
     amp = float(amplitude)
     for _ in range(9):

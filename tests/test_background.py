@@ -1,4 +1,4 @@
-"""Background geometry: horizon, warp table, curvature decay, graph profiles."""
+"""Background geometry: horizon, warp table, curvature decay."""
 
 import math
 
@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 import kflow as kf
 from kflow import _util
-from kflow.background import _v_squared_prime, profile_decay_order, v_squared
+from kflow.background import _v_squared_prime, v_squared
 from kflow.errors import (
     DomainError,
     InvalidDimensionError,
     NoHorizonError,
-    NonRepresentableGraphError,
     ResolutionError,
 )
 
@@ -103,6 +102,11 @@ class TestHorizon:
         got = kf.mass_from_horizon_area(area, n=n, kappa=kappa, theta=theta)
         assert got == pytest.approx(expect, abs=1e-14)
 
+    @pytest.mark.parametrize("area", [0.0, math.nan, math.inf])
+    def test_mass_from_horizon_area_domain(self, area):
+        with pytest.raises(DomainError):
+            kf.mass_from_horizon_area(area, n=3, kappa=0, theta=1.0)
+
 
 class TestPotential:
     def test_values(self, params_flat):
@@ -113,6 +117,9 @@ class TestPotential:
     def test_domain_error(self, params_flat):
         with pytest.raises(DomainError):
             kf.potential(params_flat, 0.5)
+        for rho in (math.nan, math.inf, np.array([2.0, math.nan])):
+            with pytest.raises(DomainError):
+                kf.potential(params_flat, rho)
 
     def test_hyperbolic_limit(self):
         p = kf.SpaceParams(3, 1, 1e-12, 4 * math.pi)
@@ -197,6 +204,13 @@ class TestWarpTable:
             warp_flat.lam(warp_flat.r_grid[-1] + 1.0)
         with pytest.raises(DomainError):
             warp_flat.lam(-0.5)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, warp_flat, r):
+        with pytest.raises(DomainError):
+            warp_flat.lam(r)
+        with pytest.raises(DomainError):
+            warp_flat.lam(np.array([1.0, r, 2.0]))
 
     def test_csv_dump(self, warp_flat, tmp_path):
         path = tmp_path / "warp.csv"
@@ -295,6 +309,32 @@ class TestHermiteEval:
                 assert str(got.value) == str(want.value)
 
 
+class TestFitLogSlope:
+    """fit_log_slope is the least-squares slope of log y against x, as np.polyfit
+    gives it, in both its uses: against log rho (decay exponents) and against
+    t (exponential rates)."""
+
+    def test_against_log_x(self):
+        rho = np.geomspace(50.0, 800.0, 7)
+        y = 3.0 * rho**-4.5 * (1.0 + 0.1 * np.sin(rho))
+        want = np.polyfit(np.log(rho), np.log(y), 1)[0]
+        assert _util.fit_log_slope(np.log(rho), y) == pytest.approx(want, rel=1e-12)
+
+    def test_against_x(self):
+        t = np.linspace(6.0, 10.0, 17)
+        y = 2.0 * np.exp(-0.5 * t) * (1.0 + 0.05 * np.cos(3.0 * t))
+        want = np.polyfit(t, np.log(y), 1)[0]
+        assert _util.fit_log_slope(t, y) == pytest.approx(want, rel=1e-12)
+
+    def test_non_positive_points_dropped(self):
+        x = np.arange(6.0)
+        y = np.array([1.0, 0.0, np.exp(-2.0), -1.0, np.exp(-4.0), np.exp(-5.0)])
+        keep = y > 0.0
+        want = np.polyfit(x[keep], np.log(y[keep]), 1)[0]
+        assert _util.fit_log_slope(x, y) == pytest.approx(want, rel=1e-12)
+        assert _util.fit_log_slope(x, np.where(x < 4.0, 0.0, y)) is None
+
+
 class TestCurvature:
     def test_constant_curvature_case(self):
         p = kf.SpaceParams(3, -1, 0.0, 1.0)
@@ -326,50 +366,7 @@ class TestCurvature:
         assert dev.riem_dev > 0.0
         assert dev.ric_dev > 0.0
 
-
-class TestGraphProfile:
-    def test_equal_masses_trivial(self, params_flat):
-        pair = kf.kottler_graph_profile(0.5, 0.5, params_flat)
-        rho = np.array([1.5, 2.0, 10.0])
-        assert np.all(pair.f_prime(rho) == 0.0)
-
-    def test_radicand_invariant(self, params_flat):
-        from dataclasses import replace
-
-        pair = kf.kottler_graph_profile(0.5, 1.0, params_flat)
-        pb = replace(params_flat, m=0.5)
-        pg = replace(params_flat, m=1.0)
-        rho = np.linspace(pair.rho_start + 1e-3, 40.0, 200)
-        lhs = v_squared(pb, rho) * pair.f_prime(rho) ** 2
-        rhs = 1.0 / v_squared(pg, rho) - 1.0 / v_squared(pb, rho)
-        assert np.max(np.abs(lhs - rhs) / rhs) < 1e-9
-
-    def test_far_field_decay(self, params_flat):
-        # f' = O(rho^(-(n+4)/2)): log-slope fit between 1e2 and 1e3
-        pair = kf.kottler_graph_profile(0.5, 1.0, params_flat)
-        rho = np.geomspace(1e2, 1e3, 9)
-        slope = np.polyfit(np.log(rho), np.log(pair.f_prime(rho)), 1)[0]
-        assert slope == pytest.approx(-(3 + 4) / 2.0, abs=0.05)
-
-    def test_inverse_sqrt_blowup_at_start(self, params_flat):
-        pair = kf.kottler_graph_profile(0.5, 1.0, params_flat)
-        vals = [
-            float(pair.f_prime(pair.rho_start + d)) * math.sqrt(d) for d in (1e-4, 1e-6, 1e-8)
-        ]
-        assert vals[0] == pytest.approx(vals[1], rel=2e-2)
-        assert vals[1] == pytest.approx(vals[2], rel=2e-3)
-
-    def test_second_derivative_consistency(self, params_flat):
-        pair = kf.kottler_graph_profile(0.5, 1.0, params_flat)
-        for rho in (1.5, 2.0, 5.0):
-            h = 1e-5 * rho
-            fd = (float(pair.f_prime(rho + h)) - float(pair.f_prime(rho - h))) / (2 * h)
-            assert float(pair.f_prime2(rho)) == pytest.approx(fd, rel=1e-7)
-
-    def test_wrong_order_rejected(self, params_flat):
-        with pytest.raises(NonRepresentableGraphError):
-            kf.kottler_graph_profile(1.0, 0.5, params_flat)
-
-    def test_decay_order_fit(self, params_flat):
-        pair = kf.kottler_graph_profile(0.5, 1.0, params_flat)
-        assert profile_decay_order(pair.psi, 3) == pytest.approx(3.0, abs=0.05)
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -1.0])
+    def test_domain(self, params_flat, warp_flat, r):
+        with pytest.raises(DomainError):
+            kf.curvature_deviation(params_flat, warp_flat, r)

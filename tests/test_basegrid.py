@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kflow.basegrid import (
     ScalarField,
+    _torus_derivatives,
     beckner_deficit,
     beckner_report,
     differentiate,
@@ -106,16 +107,15 @@ class TestDerivatives:
     def test_constants_annihilated(self, torus64, sphere64, sym_grid):
         for g in (torus64, sphere64, sym_grid):
             d = differentiate(ScalarField.constant(g, 4.2))
-            for arr in (*d.grad, *d.hess, d.lap, d.grad_sq, d.quad_form):
+            for arr in (d.lap, d.grad_sq, d.quad_form):
                 assert np.max(np.abs(arr)) <= 1e-12 * 4.2
 
     def test_torus_mixed_partial_symmetry(self, torus64):
         pert = low_frequency_field(torus64, seed=9, amplitude=1.0)
         f = ScalarField(pert, torus64)
         d = differentiate(f)
-        fx, fy = d.grad
-        # quad_form must match its definition from the returned pieces
-        fxx, fxy, fyy = d.hess
+        # quad_form must match its definition from the stencil derivatives
+        fx, fy, fxx, fxy, fyy = _torus_derivatives(f.values, torus64.aux["dx"])
         expect = fx**2 * fxx + 2 * fx * fy * fxy + fy**2 * fyy
         assert np.max(np.abs(d.quad_form - expect)) == 0.0
 
@@ -138,42 +138,39 @@ class TestDerivatives:
         fx, fy = d1(f, 0, dx), d1(f, 1, dx)
         fxx, fyy = d2(f, 0, dx), d2(f, 1, dx)
         fxy = d1(fx, 1, dx)
+        for got, want in zip(_torus_derivatives(f, dx), (fx, fy, fxx, fxy, fyy)):
+            assert got.tobytes() == want.tobytes()
         d = differentiate(ScalarField(f, torus64))
-        for got, want in zip(d.grad + d.hess, (fx, fy, fxx, fxy, fyy)):
-            assert np.array_equal(got, want)
         assert np.array_equal(d.lap, fxx + fyy)
         assert np.array_equal(d.grad_sq, fx**2 + fy**2)
         assert np.array_equal(d.quad_form, fx**2 * fxx + 2.0 * fx * fy * fxy + fy**2 * fyy)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_sphere_derivatives_match_reference(self, n):
-        # The sphere branch reads 1 - mu^2 and -sqrt(1 - mu^2) from the grid;
-        # every output must be bitwise equal to these expressions.
+        # The sphere branch reads 1 - mu^2 from the grid; every output must be
+        # bitwise equal to these expressions.
         grid = make_grid("sphere_axisym", 64, n=n)
         f = 1.0 + 0.3 * np.random.default_rng(n).normal(size=grid.shape)
         mu, dmat = grid.aux["mu"], grid.aux["D"]
         fmu = dmat @ (f - f.sum() / f.size)
         fmumu = dmat @ fmu
         one_m = 1.0 - mu**2
-        f_th = -np.sqrt(one_m) * fmu
         f_thth = one_m * fmumu - mu * fmu
         f_tan = -mu * fmu
         d = differentiate(ScalarField(f, grid))
-        for got, want in zip(d.grad + d.hess, (f_th, f_thth, f_tan)):
-            assert np.array_equal(got, want)
         assert np.array_equal(d.lap, f_thth + (n - 2) * f_tan)
         assert np.array_equal(d.grad_sq, one_m * fmu**2)
         assert np.array_equal(d.quad_form, one_m * fmu**2 * f_thth)
 
     def test_outputs_are_fresh_and_contiguous(self, torus64, sphere64, sym_grid):
-        # Every call returns new arrays: a second call leaves the first call's
-        # outputs and the input as they were.
+        # Every call returns new, unshared arrays: a second call leaves the
+        # first call's outputs and the input as they were.
         rng = np.random.default_rng(3)
         for grid in (torus64, sphere64, sym_grid):
             f = 1.0 + rng.normal(size=grid.shape)
             f_kept = f.copy()
             first = differentiate(ScalarField(f, grid))
-            arrays = (*first.grad, *first.hess, first.lap, first.grad_sq, first.quad_form)
+            arrays = (first.lap, first.grad_sq, first.quad_form)
             kept = [a.copy() for a in arrays]
             differentiate(ScalarField(1.0 + rng.normal(size=grid.shape), grid))
             assert np.array_equal(f, f_kept), grid.mode
@@ -181,9 +178,8 @@ class TestDerivatives:
                 assert a.flags.c_contiguous and a.shape == grid.shape, grid.mode
                 assert np.array_equal(a, b), grid.mode
                 assert not np.shares_memory(a, f), grid.mode
-            if grid.mode != "symmetric":  # there every derivative is one zero array
-                for i, a in enumerate(arrays):
-                    assert not any(np.shares_memory(a, b) for b in arrays[i + 1:]), grid.mode
+            for i, a in enumerate(arrays):
+                assert not any(np.shares_memory(a, b) for b in arrays[i + 1:]), grid.mode
 
     def test_symmetric_derivatives_vanish(self, sym_grid):
         d = differentiate(ScalarField.constant(sym_grid, 1.3))

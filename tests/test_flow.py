@@ -123,6 +123,11 @@ class TestRunFlow:
         assert rep.grad_decay_rate == pytest.approx(-0.5, abs=0.1)
         assert rep.grad_decay_skipped is None
         assert rep.passed
+        # the rate is the least-squares slope of log sup|grad phi| against t
+        t, grad = trace.times(), trace.column("grad_sup")
+        late = (t >= 0.6 * t[-1]) & (grad > GRAD_FLOOR)
+        slope = np.polyfit(t[late], np.log(grad[late]), 1)[0]
+        assert rep.grad_decay_rate == pytest.approx(slope, rel=1e-12)
 
     def test_determinism(self, torus64, warp_flat):
         surf = kf.random_star_shaped(torus64, warp_flat, seed=8, amplitude=0.05,

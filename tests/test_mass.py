@@ -9,7 +9,7 @@ import pytest
 import kflow as kf
 import kflow.mass
 from kflow.background import _v_squared_prime, v_squared
-from kflow.errors import DecayViolationError, DomainError
+from kflow.errors import DecayViolationError, DomainError, NonRepresentableGraphError
 
 THETA = 4.0 * math.pi
 
@@ -322,3 +322,201 @@ class TestPenrose:
     def test_area_validation(self, base_flat):
         with pytest.raises(DomainError):
             kf.penrose_deficit(1.0, -1.0, base_flat)
+
+
+class TestGraphProfile:
+    """The Kottler-over-Kottler profile (V f')^2 = 1/V_graph^2 - 1/V_base^2."""
+
+    def test_equal_masses_trivial(self, params_flat):
+        graph = kf.kottler_pair_graph(params_flat, 0.5)
+        rho = np.array([1.5, 2.0, 10.0])
+        assert np.all(graph.f_prime(rho) == 0.0)
+
+    def test_radicand_invariant(self, params_flat):
+        graph = kf.kottler_pair_graph(params_flat, 1.0)
+        pg = replace(params_flat, m=1.0)
+        rho = np.linspace(graph.rho_inner + 1e-3, 40.0, 200)
+        lhs = v_squared(params_flat, rho) * graph.f_prime(rho) ** 2
+        rhs = 1.0 / v_squared(pg, rho) - 1.0 / v_squared(params_flat, rho)
+        assert np.max(np.abs(lhs - rhs) / rhs) < 1e-9
+
+    def test_far_field_decay(self, params_flat):
+        # f' = O(rho^(-(n+4)/2)): log-slope fit between 1e2 and 1e3
+        graph = kf.kottler_pair_graph(params_flat, 1.0)
+        rho = np.geomspace(1e2, 1e3, 9)
+        slope = np.polyfit(np.log(rho), np.log(graph.f_prime(rho)), 1)[0]
+        assert slope == pytest.approx(-(3 + 4) / 2.0, abs=0.05)
+
+    def test_inverse_sqrt_blowup_at_start(self, params_flat):
+        graph = kf.kottler_pair_graph(params_flat, 1.0)
+        vals = [
+            float(graph.f_prime(graph.rho_inner + d)) * math.sqrt(d) for d in (1e-4, 1e-6, 1e-8)
+        ]
+        assert vals[0] == pytest.approx(vals[1], rel=2e-2)
+        assert vals[1] == pytest.approx(vals[2], rel=2e-3)
+
+    def test_second_derivative_consistency(self, params_flat):
+        graph = kf.kottler_pair_graph(params_flat, 1.0)
+        for rho in (1.5, 2.0, 5.0):
+            h = 1e-5 * rho
+            fd = (float(graph.f_prime(rho + h)) - float(graph.f_prime(rho - h))) / (2 * h)
+            assert float(graph.f_prime2(rho)) == pytest.approx(fd, rel=1e-7)
+
+    def test_wrong_order_rejected(self, params_flat):
+        with pytest.raises(NonRepresentableGraphError):
+            kf.kottler_pair_graph(replace(params_flat, m=1.0), 0.5)
+
+    def test_decay_order_fit(self, params_flat):
+        graph = kf.kottler_pair_graph(params_flat, 1.0)
+        assert graph.decay_tau == pytest.approx(3.0, abs=0.05)
+
+
+def _reference_pair(params, m_graph):
+    """psi, f', f'' of the Kottler pair, each written out in full with the
+    operand order of its formula."""
+    pb, pg = params, replace(params, m=m_graph)
+    n, dm = params.n, m_graph - params.m
+
+    def psi(rho):
+        rho = np.asarray(rho, dtype=float)
+        return 2.0 * dm * rho ** (2 - n) / (v_squared(pg, rho) * v_squared(pb, rho))
+
+    def f_prime(rho):
+        rho = np.asarray(rho, dtype=float)
+        return np.sqrt(np.maximum(psi(rho), 0.0) / np.maximum(v_squared(pb, rho), 1e-300))
+
+    def f_prime2(rho):
+        rho = np.asarray(rho, dtype=float)
+        vb2, vg2 = v_squared(pb, rho), v_squared(pg, rho)
+        dvb2, dvg2 = _v_squared_prime(pb, rho), _v_squared_prime(pg, rho)
+        dlog_psi = (2 - n) / rho - dvg2 / vg2 - dvb2 / vb2
+        return f_prime(rho) * (0.5 * dlog_psi - 0.5 * dvb2 / vb2)
+
+    return psi, f_prime, f_prime2
+
+
+def _reference_profile(params, rho_i, m_total, m_horizon, rate):
+    """psi, f', f'' of the dominant-energy family, written out in full."""
+    n, kappa, dm_tot = params.n, params.kappa, m_total - m_horizon
+
+    def mtilde(rho):
+        return m_total - dm_tot * np.exp(-rate * (rho - rho_i))
+
+    def mtilde_prime(rho):
+        return rate * dm_tot * np.exp(-rate * (rho - rho_i))
+
+    def ufun(rho):
+        return rho**2 + kappa - 2.0 * mtilde(rho) * rho ** (2 - n)
+
+    def ufun_prime(rho):
+        return (2.0 * rho + 2.0 * (n - 2) * mtilde(rho) * rho ** (1 - n)
+                - 2.0 * mtilde_prime(rho) * rho ** (2 - n))
+
+    def psi(rho):
+        rho = np.asarray(rho, dtype=float)
+        return 2.0 * (mtilde(rho) - params.m) * rho ** (2 - n) / (ufun(rho) * v_squared(params, rho))
+
+    def f_prime(rho):
+        rho = np.asarray(rho, dtype=float)
+        return np.sqrt(np.maximum(psi(rho), 0.0) / np.maximum(v_squared(params, rho), 1e-300))
+
+    def f_prime2(rho):
+        rho = np.asarray(rho, dtype=float)
+        vb2, dvb2 = v_squared(params, rho), _v_squared_prime(params, rho)
+        dm = mtilde(rho) - params.m
+        dlog_psi = mtilde_prime(rho) / dm + (2 - n) / rho - ufun_prime(rho) / ufun(rho) - dvb2 / vb2
+        return f_prime(rho) * (0.5 * dlog_psi - 0.5 * dvb2 / vb2)
+
+    return psi, f_prime, f_prime2
+
+
+BASES = [(3, 0, 0.5, THETA), (3, -1, 0.0, THETA), (4, 1, 0.5, 2.0 * math.pi**2),
+         (5, -1, -0.02, 1.0)]
+
+
+class TestProfilesPinned:
+    """psi, f' and f'' of both families are bitwise equal to the formulas
+    written out in full, on arrays and on scalars, and tau is the fit of
+    log |psi| against log rho."""
+
+    @staticmethod
+    def _assert_bitwise(graph, reference):
+        rho = graph.rho_inner + np.concatenate(
+            [np.geomspace(1e-7, 1.0, 11), np.geomspace(1.5, 3000.0, 23)])
+        for got, want in zip((graph.psi, graph.f_prime, graph.f_prime2), reference):
+            assert np.asarray(got(rho)).tobytes() == np.asarray(want(rho)).tobytes()
+            for r in rho[::4]:
+                assert np.asarray(got(float(r))).tobytes() == np.asarray(want(float(r))).tobytes()
+
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("dm", [0.1, 0.7])
+    def test_kottler_pair(self, base, dm):
+        params = kf.SpaceParams(*base)
+        graph = kf.kottler_pair_graph(params, params.m + dm)
+        self._assert_bitwise(graph, _reference_pair(params, params.m + dm))
+
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("rate", [0.7, 2.0])
+    def test_mass_profile(self, base, rate):
+        params = kf.SpaceParams(*base)
+        m_h, m_t = params.m + 0.2, params.m + 0.55
+        graph = kf.mass_profile_graph(params, m_h, m_t, rate=rate)
+        rho_i = kf.find_horizon(replace(params, m=m_h)).rho0
+        assert graph.rho_inner == rho_i
+        self._assert_bitwise(graph, _reference_profile(params, rho_i, m_t, m_h, rate))
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_decay_order_matches_polyfit(self, base):
+        params = kf.SpaceParams(*base)
+        rho = np.geomspace(50.0, 800.0, 7)
+        for graph in (kf.kottler_pair_graph(params, params.m + 0.4),
+                      kf.mass_profile_graph(params, params.m + 0.2, params.m + 0.55)):
+            slope = np.polyfit(np.log(rho), np.log(np.abs(graph.psi(rho))), 1)[0]
+            assert graph.decay_tau == pytest.approx(-slope - 2.0, rel=1e-12)
+            assert graph.decay_tau == pytest.approx(params.n, abs=0.05)
+
+
+class TestNonFinite:
+    """NaN and infinite radii or decay orders raise DomainError (or
+    DecayViolationError) instead of returning NaN."""
+
+    @pytest.mark.parametrize("sched", [[50.0, 100.0, math.inf], [50.0, math.nan, 200.0],
+                                       [math.nan, 100.0, 200.0], [50.0, 100.0, 200.0, math.nan]])
+    def test_mass_limit_schedule(self, pair_flat, sched):
+        with pytest.raises(DomainError):
+            kf.mass_limit(pair_flat, sched)
+        with pytest.raises(DomainError):
+            kf.mass_identity_check(pair_flat, sched)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_pointwise(self, pair_flat, family_flat, rho):
+        for graph in (pair_flat, family_flat):
+            with pytest.raises(DomainError):
+                kf.mass_integrand(graph, rho)
+            with pytest.raises(DomainError):
+                kf.radial_shape_operator(graph, rho)
+            with pytest.raises(DomainError):
+                kf.radial_shape_operator(graph, np.array([graph.rho_inner + 1.0, rho]))
+
+    def test_scalars(self, base_flat):
+        for area in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                kf.penrose_deficit(1.0, area, base_flat)
+        for m_total in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                kf.mass_profile_graph(base_flat, 0.75, m_total)
+
+    def test_graph_from_f_prime_inner_radius(self, base_flat):
+        # rho_inner = 0.5 lies inside the horizon (rho0 = 1), where V^2 < 0
+        for rho_inner in (math.nan, math.inf, 0.5):
+            with pytest.raises(DomainError):
+                kf.graph_from_f_prime(base_flat, lambda r: np.asarray(r, float) ** -3.5,
+                                      rho_inner=rho_inner)
+
+    def test_nan_decay_order(self, base_flat):
+        with pytest.raises(DecayViolationError):
+            kf.graph_from_f_prime(base_flat, lambda r: np.asarray(r, float) ** -3.5,
+                                  rho_inner=2.0, decay_tau=math.nan)
+        with pytest.raises(DecayViolationError):
+            kf.graph_from_f_prime(base_flat, lambda r: np.full(np.shape(r), math.nan),
+                                  rho_inner=2.0)

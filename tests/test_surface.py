@@ -184,6 +184,21 @@ class TestInPlaceKernel:
         for name, want in _reference_geometry(surf).items():
             assert np.array_equal(getattr(geom, name), want), name
 
+    def test_massless_ddlam_is_a_new_array(self):
+        # At m = 0, lambda'' = lambda; the kernel still returns its own array,
+        # so an in-place write to one cannot change the other.
+        params = kf.SpaceParams(3, -1, 0.0, 4.0 * math.pi)
+        warp = kf.build_warp_table(params, r_max=8.0, target_nodes=1500)
+        grid = kf.make_grid("symmetric", 1, params.theta, kappa=-1, n=3)
+        surf = kf.slice_surface(grid, warp, lam_value=2.0)
+        geom = kf.compute_geometry(surf)
+        assert geom.ddlam is not surf.lam and not np.shares_memory(geom.ddlam, surf.lam)
+        assert geom.ddlam.tobytes() == surf.lam.tobytes()
+        lam = np.linspace(1.5, 40.0, 9)
+        dlam, ddlam = warp.derivatives_at(lam)
+        assert ddlam is not lam and ddlam.tobytes() == lam.tobytes()
+        assert dlam.tobytes() == np.sqrt(np.maximum(lam * lam - 1.0, 0.0)).tobytes()
+
 
 def _eager_record(geom):
     """The functional record formed eagerly, with the expressions and operand
@@ -335,8 +350,9 @@ class TestRandomSurface:
             assert float(kf.compute_geometry(surf).H.min()) > 0.0
 
     def test_negative_amplitude_rejected(self, torus64, warp_flat):
-        with pytest.raises(DomainError):
-            kf.random_star_shaped(torus64, warp_flat, seed=0, amplitude=-0.1, base_r=1.0)
+        for amplitude in (-0.1, math.nan, math.inf):
+            with pytest.raises(DomainError, match="amplitude"):
+                kf.random_star_shaped(torus64, warp_flat, seed=0, amplitude=amplitude, base_r=1.0)
 
 
 class TestValidation:
