@@ -9,6 +9,12 @@ the second case
     f'  = sqrt(psi / V^2),
     f'' = f' (d log psi / d rho - (V^2)' / V^2) / 2.
 
+Each graph carries one pointwise evaluator that forms V^2, (V^2)', psi, f'
+and f'' of a whole array of radii together, once per call: V^2 is formed
+once and shared, and each family forms its own terms (V_graph^2; the
+exponential, mtilde and U) once for psi and its log-derivative.  The shape
+operator reads all five values from one such call.
+
 The decay order tau, with psi = O(rho^(-tau-2)), is fitted once per graph
 from a log-log slope over 50 <= rho <= 800, and must exceed n/2.
 
@@ -68,7 +74,7 @@ import numpy as np
 
 from ._util import fit_log_slope, integrate_panels
 from .background import SpaceParams, _v_squared_prime, find_horizon, v_squared
-from .errors import DecayViolationError, DomainError, NonRepresentableGraphError
+from .errors import DecayViolationError, DomainError, NonRepresentableGraphError, NumericsError
 
 __all__ = [
     "RadialGraph",
@@ -96,6 +102,8 @@ class RadialGraph:
     closed form; ``f_prime2`` may be None, in which case a high-order finite
     difference of f' is used where a second derivative is needed.
     ``f_prime``, ``f_prime2`` and ``psi`` must accept arrays of radii.
+    ``pointwise`` maps an array of radii to the tuple
+    (V^2, (V^2)', psi, f', f''), all formed in one pass that shares V^2.
     ``decay_tau`` is the fitted decay order (psi = O(rho^(-tau-2))).
     """
 
@@ -103,6 +111,7 @@ class RadialGraph:
     f_prime: object
     f_prime2: object
     psi: object
+    pointwise: object
     rho_inner: float
     decay_tau: float
     horizon_graph: bool
@@ -123,26 +132,57 @@ def _decay_order(psi):
     return math.inf if slope is None else -slope - 2.0
 
 
-def _radial_graph(params, psi, rho_inner, horizon_graph, bulk_cut, *,
-                  f_prime=None, f_prime2=None, dlog_psi_v2=None, oracle=None):
-    """The radial graph with perturbation ``psi`` over ``params``.
+def _f_prime2_fd(fp, rho_inner, rho):
+    """f'' by a fourth-order central difference of f', with steps kept
+    inside (rho_inner, oo)."""
+    h = np.maximum(1e-5 * np.maximum(1.0, rho), 1e-7)
+    h = np.where(rho > rho_inner, np.minimum(h, 0.25 * (rho - rho_inner)), h)
+    return (fp(rho - 2 * h) - 8 * fp(rho - h) + 8 * fp(rho + h) - fp(rho + 2 * h)) / (12.0 * h)
 
-    Either ``f_prime`` (with an optional ``f_prime2``) is given, or
-    ``dlog_psi_v2`` = d log(psi V^2) / d rho, from which f' and f'' are
-    formed (module docstring).  Raises DecayViolationError unless the fitted
-    decay order exceeds n/2.
+
+def _radial_graph(params, rho_inner, horizon_graph, bulk_cut, *, profile=None,
+                  dlog_psi_v2=None, f_prime=None, f_prime2=None, oracle=None):
+    """The radial graph over ``params`` with inner radius ``rho_inner``.
+
+    Either a family gives ``profile(rho, V^2)`` = (psi, terms) and
+    ``dlog_psi_v2(rho, terms)`` = d log(psi V^2) / d rho, from which f' and
+    f'' are formed (module docstring), or ``f_prime`` (with an optional
+    ``f_prime2``) is a user profile and psi = V^2 f'^2.  The graph's
+    ``pointwise`` forms V^2 and (V^2)' once per call and passes them on, so
+    psi, f' and f'' share them and the family's own terms.  Raises
+    DecayViolationError unless the fitted decay order exceeds n/2.
     """
     if f_prime is None:
+        def pointwise(rho):
+            v2 = v_squared(params, rho)
+            dv2 = _v_squared_prime(params, rho)
+            psi, terms = profile(rho, v2)
+            fp = np.sqrt(np.maximum(psi, 0.0) / np.maximum(v2, 1e-300))
+            dlog_psi = dlog_psi_v2(rho, terms) - dv2 / v2
+            return v2, dv2, psi, fp, fp * (0.5 * dlog_psi - 0.5 * dv2 / v2)
+
         def f_prime(rho):
-            rho = np.asarray(rho, dtype=float)
-            return np.sqrt(np.maximum(psi(rho), 0.0) / np.maximum(v_squared(params, rho), 1e-300))
+            return pointwise(np.asarray(rho, dtype=float))[3]
 
         def f_prime2(rho):
-            rho = np.asarray(rho, dtype=float)
-            vb2 = v_squared(params, rho)
-            dvb2 = _v_squared_prime(params, rho)
-            dlog_psi = dlog_psi_v2(rho) - dvb2 / vb2
-            return f_prime(rho) * (0.5 * dlog_psi - 0.5 * dvb2 / vb2)
+            return pointwise(np.asarray(rho, dtype=float))[4]
+    else:
+        def profile(rho, v2):  # psi and f'
+            fp = np.asarray(f_prime(rho), dtype=float)
+            return v2 * fp**2, fp
+
+        def pointwise(rho):
+            v2 = v_squared(params, rho)
+            psi, fp = profile(rho, v2)
+            if f_prime2 is None:
+                fpp = _f_prime2_fd(f_prime, rho_inner, rho)
+            else:
+                fpp = np.asarray(f_prime2(rho), dtype=float)
+            return v2, _v_squared_prime(params, rho), psi, fp, fpp
+
+    def psi(rho):
+        rho = np.asarray(rho, dtype=float)
+        return profile(rho, v_squared(params, rho))[0]
 
     tau = _decay_order(psi)
     if not tau > params.n / 2.0:  # a NaN fit fails too
@@ -155,6 +195,7 @@ def _radial_graph(params, psi, rho_inner, horizon_graph, bulk_cut, *,
         f_prime=f_prime,
         f_prime2=f_prime2,
         psi=psi,
+        pointwise=pointwise,
         rho_inner=float(rho_inner),
         decay_tau=tau,
         horizon_graph=horizon_graph,
@@ -174,16 +215,16 @@ def kottler_pair_graph(params, m_graph):
     n = params.n
     dm = m_graph - params.m
 
-    def psi(rho):
-        rho = np.asarray(rho, dtype=float)
-        return 2.0 * dm * rho ** (2 - n) / (v_squared(pg, rho) * v_squared(params, rho))
+    def profile(rho, vb2):  # psi, and V_graph^2 for its log-derivative
+        vg2 = v_squared(pg, rho)
+        return 2.0 * dm * rho ** (2 - n) / (vg2 * vb2), vg2
 
-    def dlog_psi_v2(rho):
-        return (2 - n) / rho - _v_squared_prime(pg, rho) / v_squared(pg, rho)
+    def dlog_psi_v2(rho, vg2):
+        return (2 - n) / rho - _v_squared_prime(pg, rho) / vg2
 
     rho_start = find_horizon(pg).rho0
-    return _radial_graph(params, psi, rho_start, m_graph > params.m, rho_start + 20.0,
-                         dlog_psi_v2=dlog_psi_v2)
+    return _radial_graph(params, rho_start, m_graph > params.m, rho_start + 20.0,
+                         profile=profile, dlog_psi_v2=dlog_psi_v2)
 
 
 def mass_profile_graph(params, m_horizon, m_total, rate=1.0):
@@ -208,36 +249,29 @@ def mass_profile_graph(params, m_horizon, m_total, rate=1.0):
     rho_i = find_horizon(replace(params, m=m_horizon)).rho0
     dm_tot = m_total - m_horizon
 
-    def mtilde(rho):
-        return m_total - dm_tot * np.exp(-rate * (rho - rho_i))
+    def mtilde_and_prime(rho):
+        decay = np.exp(-rate * (rho - rho_i))
+        return m_total - dm_tot * decay, rate * dm_tot * decay
 
-    def mtilde_prime(rho):
-        return rate * dm_tot * np.exp(-rate * (rho - rho_i))
+    def profile(rho, vb2):  # psi, and the terms its log-derivative reuses
+        mt, mt_prime = mtilde_and_prime(rho)
+        rho_2n = rho ** (2 - n)
+        u = rho**2 + kappa - 2.0 * mt * rho_2n
+        dm = mt - params.m
+        return 2.0 * dm * rho_2n / (u * vb2), (mt, mt_prime, rho_2n, u, dm)
 
-    def ufun(rho):
-        return rho**2 + kappa - 2.0 * mtilde(rho) * rho ** (2 - n)
-
-    def ufun_prime(rho):
-        return (
-            2.0 * rho
-            + 2.0 * (n - 2) * mtilde(rho) * rho ** (1 - n)
-            - 2.0 * mtilde_prime(rho) * rho ** (2 - n)
-        )
-
-    def psi(rho):
-        rho = np.asarray(rho, dtype=float)
-        return 2.0 * (mtilde(rho) - params.m) * rho ** (2 - n) / (ufun(rho) * v_squared(params, rho))
-
-    def dlog_psi_v2(rho):
-        dm = mtilde(rho) - params.m
-        return mtilde_prime(rho) / dm + (2 - n) / rho - ufun_prime(rho) / ufun(rho)
+    def dlog_psi_v2(rho, terms):
+        mt, mt_prime, rho_2n, u, dm = terms
+        u_prime = 2.0 * rho + 2.0 * (n - 2) * mt * rho ** (1 - n) - 2.0 * mt_prime * rho_2n
+        return mt_prime / dm + (2 - n) / rho - u_prime / u
 
     return _radial_graph(
-        params, psi, rho_i, True, rho_i + max(45.0 / rate, 10.0),
+        params, rho_i, True, rho_i + max(45.0 / rate, 10.0),
+        profile=profile,
         dlog_psi_v2=dlog_psi_v2,
         oracle={
-            "mtilde": mtilde,
-            "mtilde_prime": mtilde_prime,
+            "mtilde": lambda rho: mtilde_and_prime(rho)[0],
+            "mtilde_prime": lambda rho: mtilde_and_prime(rho)[1],
             "m_total": float(m_total),
             "m_horizon": float(m_horizon),
         },
@@ -261,13 +295,7 @@ def graph_from_f_prime(params, f_prime, rho_inner, decay_tau=None, f_prime2=None
         raise DecayViolationError(
             f"stated decay order tau={decay_tau} is not > n/2 = {params.n / 2.0}"
         )
-
-    def psi(rho):
-        rho = np.asarray(rho, dtype=float)
-        fp = np.asarray(f_prime(rho), dtype=float)
-        return v_squared(params, rho) * fp**2
-
-    return _radial_graph(params, psi, rho_inner, False, max(4.0 * rho_inner, 200.0),
+    return _radial_graph(params, rho_inner, False, max(4.0 * rho_inner, 200.0),
                          f_prime=f_prime, f_prime2=f_prime2)
 
 
@@ -380,21 +408,13 @@ class ShapeRecord:
     s2: float
 
 
-def _f_second(graph, rho):
-    if graph.f_prime2 is not None:
-        return np.asarray(graph.f_prime2(rho), dtype=float)
-    h = np.maximum(1e-5 * np.maximum(1.0, rho), 1e-7)
-    h = np.where(rho > graph.rho_inner, np.minimum(h, 0.25 * (rho - graph.rho_inner)), h)
-    fp = graph.f_prime
-    return (fp(rho - 2 * h) - 8 * fp(rho - h) + 8 * fp(rho + h) - fp(rho + 2 * h)) / (12.0 * h)
-
-
 def radial_shape_operator(graph, rho):
     """Principal curvatures (radial, tangential) and S2 of the radial graph.
 
     Vectorized in ``rho``: an array of radii gives a record of arrays of the
     same shape, and a scalar radius gives a record of Python floats.  Every
-    radius must be finite and beyond ``rho_inner``.
+    radius must be finite and beyond ``rho_inner``.  V^2, (V^2)', psi, f'
+    and f'' come from one ``graph.pointwise`` call.
     """
     params = graph.base
     scalar = np.ndim(rho) == 0
@@ -406,14 +426,12 @@ def radial_shape_operator(graph, rho):
             f"rho={float(rho[~inside][0]):.6g} not in (rho_inner={graph.rho_inner:.6g}, oo)"
         )
     n = params.n
-    v2 = v_squared(params, rho)
+    v2, dv2, psi, fp, fpp = graph.pointwise(rho)
     v = np.sqrt(v2)
-    dv = _v_squared_prime(params, rho) / (2.0 * v)
-    fp = np.asarray(graph.f_prime(rho), dtype=float)
-    big_g = 1.0 + v2 * graph.psi(rho)
+    dv = dv2 / (2.0 * v)
+    big_g = 1.0 + v2 * psi
     sqrt_g = np.sqrt(big_g)
     k_tan = v2 * v * fp / (rho * sqrt_g)
-    fpp = _f_second(graph, rho)
     k_rad = (v / sqrt_g) * ((v2 * fpp + 2.0 * v * dv * fp) / big_g + v * dv * fp)
     s2 = (n - 1) * k_rad * k_tan + 0.5 * (n - 1) * (n - 2) * k_tan**2
     if scalar:
@@ -461,9 +479,12 @@ def _bulk_energy_integral(graph):
         )
         total += inc
         if abs(inc) < 1e-10 * max(1.0, abs(total)):
-            break
+            return two_cn_theta * total
         lo, hi = hi, hi * 2.0
-    return two_cn_theta * total
+    raise NumericsError(
+        f"bulk energy integral did not converge in 8 doublings past bulk_cut="
+        f"{graph.bulk_cut:.6g}: last increment {inc:.6g}, running total {total:.12g}"
+    )
 
 
 @dataclass(frozen=True)

@@ -260,6 +260,16 @@ class TestRunScenario:
             b = (tmp_path / "b" / "t-flow" / name).read_bytes()
             assert a == b, name
 
+    @pytest.mark.parametrize("name", ["kottler-mass", "energy-profile-mass"])
+    def test_mass_determinism_byte_identical(self, tmp_path, name):
+        path = next(p for p in cli.shipped_scenarios() if pathlib.Path(p).stem == name)
+        scn = cli.parse_scenario(path)
+        for out in ("a", "b"):
+            assert cli.run_scenario(scn, str(tmp_path / out), quiet=True) == 0
+        a = (tmp_path / "a" / name / "mass.json").read_bytes()
+        b = (tmp_path / "b" / name / "mass.json").read_bytes()
+        assert a == b
+
 
 class TestMain:
     def test_main_flow(self, tmp_path):

@@ -9,7 +9,8 @@ import pytest
 import kflow as kf
 import kflow.mass
 from kflow.background import _v_squared_prime, v_squared
-from kflow.errors import DecayViolationError, DomainError, NonRepresentableGraphError
+from kflow.errors import (DecayViolationError, DomainError, NonRepresentableGraphError,
+                          NumericsError)
 
 THETA = 4.0 * math.pi
 
@@ -283,6 +284,15 @@ class TestMassIdentity:
         base_m = family_flat.base.m
         assert report.lhs_mass >= base_m + report.boundary_term - 1e-6
 
+    def test_unconverged_bulk_integral_raises(self, family_flat, monkeypatch):
+        # every increment is 0.5, so the 1e-10 increment test is never met
+        monkeypatch.setattr(kflow.mass, "integrate_panels", lambda *args, **kwargs: 0.5)
+        with pytest.raises(NumericsError) as info:
+            kflow.mass._bulk_energy_integral(family_flat)
+        msg = str(info.value)
+        assert "last increment 0.5" in msg and "running total 4.5" in msg
+        assert f"bulk_cut={family_flat.bulk_cut:.6g}" in msg
+
     def test_requires_horizon_graph(self, base_flat):
         zero = kf.graph_from_f_prime(
             base_flat, lambda r: np.zeros_like(np.asarray(r, dtype=float)), rho_inner=2.0
@@ -474,6 +484,82 @@ class TestProfilesPinned:
             slope = np.polyfit(np.log(rho), np.log(np.abs(graph.psi(rho))), 1)[0]
             assert graph.decay_tau == pytest.approx(-slope - 2.0, rel=1e-12)
             assert graph.decay_tau == pytest.approx(params.n, abs=0.05)
+
+
+def _reference_shape(graph, rho):
+    """kappa_rad, kappa_tan and S2 with V^2, (V^2)', f', psi and f'' each
+    evaluated on its own, f'' by finite differences when the graph has none."""
+    params, n = graph.base, graph.base.n
+    rho = np.asarray(rho, dtype=float)
+    v2 = v_squared(params, rho)
+    v = np.sqrt(v2)
+    dv = _v_squared_prime(params, rho) / (2.0 * v)
+    fp = np.asarray(graph.f_prime(rho), dtype=float)
+    big_g = 1.0 + v2 * graph.psi(rho)
+    sqrt_g = np.sqrt(big_g)
+    k_tan = v2 * v * fp / (rho * sqrt_g)
+    if graph.f_prime2 is not None:
+        fpp = np.asarray(graph.f_prime2(rho), dtype=float)
+    else:
+        h = np.maximum(1e-5 * np.maximum(1.0, rho), 1e-7)
+        h = np.where(rho > graph.rho_inner, np.minimum(h, 0.25 * (rho - graph.rho_inner)), h)
+        f = graph.f_prime
+        fpp = (f(rho - 2 * h) - 8 * f(rho - h) + 8 * f(rho + h) - f(rho + 2 * h)) / (12.0 * h)
+    k_rad = (v / sqrt_g) * ((v2 * fpp + 2.0 * v * dv * fp) / big_g + v * dv * fp)
+    s2 = (n - 1) * k_rad * k_tan + 0.5 * (n - 1) * (n - 2) * k_tan**2
+    return k_rad, k_tan, s2
+
+
+def _four_graphs(params):
+    """A Kottler pair, a dominant-energy profile, a user f' with f'' and a
+    user f' whose f'' is a finite difference."""
+    rho_inner = kf.find_horizon(params).rho0 + 0.5
+    user = {"params": params, "rho_inner": rho_inner,
+            "f_prime": lambda r: 0.3 * np.asarray(r, float) ** -3.5}
+    graphs = [kf.kottler_pair_graph(params, params.m + 0.4),
+              kf.mass_profile_graph(params, params.m + 0.2, params.m + 0.55, rate=1.3),
+              kf.graph_from_f_prime(**user, f_prime2=lambda r: -1.05 * np.asarray(r, float) ** -4.5),
+              kf.graph_from_f_prime(**user)]
+    assert graphs[3].f_prime2 is None
+    return graphs
+
+
+class TestShapeOperatorPinned:
+    """radial_shape_operator is bitwise equal to its formulas with every
+    input evaluated on its own, and it forms V^2 once per radius."""
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_bitwise(self, base):
+        for graph in _four_graphs(kf.SpaceParams(*base)):
+            rho = graph.rho_inner + np.concatenate(
+                [np.geomspace(1e-7, 1.0, 11), np.geomspace(1.5, 3000.0, 23)])
+            rec = kf.radial_shape_operator(graph, rho)
+            for got, want in zip((rec.kappa_rad, rec.kappa_tan, rec.s2),
+                                 _reference_shape(graph, rho)):
+                assert got.tobytes() == want.tobytes()
+            for r in rho[::3]:
+                rec = kf.radial_shape_operator(graph, float(r))
+                for got, want in zip((rec.kappa_rad, rec.kappa_tan, rec.s2),
+                                     _reference_shape(graph, float(r))):
+                    assert np.float64(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_v_squared_calls_per_scalar_call(self, base, monkeypatch):
+        # base space only for a profile graph; base and graph space for a pair
+        pair, profile = _four_graphs(kf.SpaceParams(*base))[:2]
+        calls = []
+        real = kflow.mass.v_squared
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kflow.mass, "v_squared", counting)
+        for graph, limit in ((pair, 2), (profile, 1)):
+            for rho in (graph.rho_inner + 0.5, graph.rho_inner + 40.0):
+                calls.clear()
+                kf.radial_shape_operator(graph, rho)
+                assert 1 <= len(calls) <= limit
 
 
 class TestNonFinite:
