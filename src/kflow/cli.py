@@ -3,8 +3,8 @@
 Subcommands: ``flow``, ``mass``, ``check-inequalities``, ``slice-check``,
 ``beckner``, ``all``.  A scenario is a single JSON file (unknown keys are
 rejected); artifacts (CSV trace, JSON reports, SVG plots) are written under
-``--out``.  Exit codes: 0 all enabled checks pass, 2 a monitor/check failed,
-1 runtime or configuration error.
+``--out``.  Exit codes: 0 all enabled checks pass, 2 a monitor/check failed
+or was not evaluated, 1 runtime or configuration error.
 """
 
 import argparse
@@ -21,6 +21,7 @@ import numpy as np
 from . import plots
 from .background import SpaceParams, build_warp_table, find_horizon
 from .basegrid import MODES, ScalarField, beckner_report, low_frequency_field, make_grid
+from .checks import CHECKS, judge
 from .errors import ConfigurationError, FlowBreakdownError, KFlowError
 from .flow import FlowConfig, monotonicity_report, run_flow
 from .mass import (
@@ -42,27 +43,6 @@ from .surface import (
     slice_surface,
     weighted_volume_deficit,
 )
-
-# Each check and the scenario section whose run evaluates it.
-KNOWN_CHECKS = {
-    "q1_monotone": "flow",
-    "q1_constant": "flow",
-    "area_law": "flow",
-    "barrier": "flow",
-    "p_balance": "flow",
-    "q2_monotone": "flow",
-    "final_bound": "flow",
-    "h_limit": "flow",
-    "grad_decay": "flow",
-    "mass_value": "mass",
-    "mass_identity": "mass",
-    "penrose": "mass",
-    "penrose_equality": "mass",
-    "s2_nonneg": "mass",
-    "slice_equality": "slice_check",
-    "inequality_ensemble": "inequalities",
-    "beckner_nonneg": "beckner",
-}
 
 # Key types besides int, str and list: a finite real number, and a nonempty
 # list of them.  The type of a section is the table of its keys.
@@ -273,11 +253,11 @@ def scenario_from_dict(raw):
         )
     for check in raw.get("checks", []):
         # A check may be any JSON value, and a list is not a valid dict key.
-        section = KNOWN_CHECKS.get(check) if isinstance(check, str) else None
-        if section is None:
+        row = CHECKS.get(check) if isinstance(check, str) else None
+        if row is None:
             problems.append(f"scenario.checks: unknown check {check!r}")
-        elif raw.get(section) is None:
-            problems.append(f"scenario.checks: {check!r} needs a {section} section")
+        elif raw.get(row.section) is None:
+            problems.append(f"scenario.checks: {check!r} needs a {row.section} section")
     try:
         params = SpaceParams(**_settings("space", raw["space"]))
         rho0 = find_horizon(params).rho0
@@ -382,35 +362,18 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _flow_checks(scn, report, trace):
-    """Evaluate the enabled flow checks against the monitor report."""
-    results = {}
-    n = trace.params.n
-    for check in scn.checks:
-        if check == "q1_monotone":
-            results[check] = report.q1_ok
-        elif check == "q1_constant":
-            q1 = trace.column("Q1")
-            results[check] = bool(np.max(np.abs(q1 - q1[0])) <= 1e-9)
-        elif check == "area_law":
-            results[check] = report.area_law_ok
-        elif check == "barrier":
-            results[check] = report.barrier_lower_ok and report.barrier_upper_ok
-        elif check == "p_balance":
-            results[check] = report.p_balance_ok
-        elif check == "q2_monotone":
-            results[check] = report.q2_ok
-        elif check == "final_bound":
-            results[check] = report.final_bound_ok
-        elif check == "h_limit":
-            results[check] = report.h_final_gap <= 1e-3
-        elif check == "grad_decay":
-            rate = report.grad_decay_rate
-            target = -1.0 / (n - 1)
-            results[check] = bool(
-                not math.isnan(rate) and abs(rate - target) <= 0.2 * abs(target)
-            )
-    return results
+def _finish(scn, out_dir, artifact, section, payload, detail, quiet):
+    """Judge the section's checks on the run's figures, write them as the
+    artifact and return the exit code: 0 when every enabled check was
+    evaluated and is ok, else 2."""
+    payload["checks"], payload["passed"] = judge(section, payload, scn.checks)
+    _write_json(os.path.join(out_dir, artifact), payload)
+    if not quiet:
+        failed = [f"{name}: {v['reason'] or 'out of tolerance'}"
+                  for name, v in payload["checks"].items() if v["enabled"] and not v["ok"]]
+        print(f"[{scn.name}] {section}: {'FAIL' if failed else 'pass'} ({detail})"
+              + "".join(f"\n  {line}" for line in failed))
+    return 0 if payload["passed"] else 2
 
 
 def _run_flow_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
@@ -432,17 +395,10 @@ def _run_flow_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
     trace.to_csv(os.path.join(out_dir, "trace.csv"))
     _write_json(os.path.join(out_dir, "trace.json"), trace.as_dict())
     report = monotonicity_report(trace)
-    checks = _flow_checks(scn, report, trace)
-    payload = report.as_dict()
-    payload["checks"] = checks
-    payload["passed_enabled_checks"] = all(checks.values()) if checks else True
-    _write_json(os.path.join(out_dir, "report.json"), payload)
     plots.emit_plots(trace, os.path.join(out_dir, "plots"))
-    ok = payload["passed_enabled_checks"]
-    if not quiet:
-        print(f"[{scn.name}] flow: {'pass' if ok else 'FAIL'} "
-              f"(area residual {report.area_law_residual:.3g}, q1 jump {report.q1_max_jump:.3g})")
-    return 0 if ok else 2
+    return _finish(scn, out_dir, "report.json", "flow", report.as_dict(),
+                   f"area residual {report.area_law_residual:.3g}, "
+                   f"q1 jump {report.q1_max_jump:.3g}", quiet)
 
 
 def _run_mass_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
@@ -450,73 +406,50 @@ def _run_mass_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
     graph = _mass_graph(params, cfg)
     schedule = cfg["rho_schedule"]
     est = mass_limit(graph, schedule)
+    # The identity holds for graphs whose inner boundary is a horizon.
+    identity = mass_identity_check(graph, schedule) if graph.horizon_graph else None
     sigma_area = graph.rho_inner ** (params.n - 1) * params.theta
-    deficit = penrose_deficit(est.mass, sigma_area, params)
-    payload = est.as_dict()
-    payload["penrose_deficit"] = deficit
-    payload["sigma_area"] = sigma_area
-    checks = {}
-    if "mass_identity" in scn.checks or "s2_nonneg" in scn.checks:
-        report = mass_identity_check(graph, schedule)
-        payload["identity"] = report.as_dict()
-        payload["identity_residual"] = report.residual
-        if "mass_identity" in scn.checks:
-            checks["mass_identity"] = report.residual <= 1e-5 * max(1.0, abs(report.lhs_mass))
-    if "mass_value" in scn.checks:
-        expect = cfg["expect_mass"]
-        checks["mass_value"] = abs(est.mass - expect) <= cfg["tol"] * max(1.0, abs(expect))
-    if "penrose" in scn.checks:
-        checks["penrose"] = deficit >= -1e-6
-    if "penrose_equality" in scn.checks:
-        checks["penrose_equality"] = abs(deficit) <= 1e-6
-    if "s2_nonneg" in scn.checks:
-        rho_probe = np.linspace(graph.rho_inner + 1e-4, graph.rho_inner + 20.0, 60)
-        s2_min = float(np.min(radial_shape_operator(graph, rho_probe).s2))
-        checks["s2_nonneg"] = s2_min >= -1e-9
-        payload["s2_min_probe"] = s2_min
-    payload["checks"] = checks
-    payload["passed_enabled_checks"] = all(checks.values()) if checks else True
-    _write_json(os.path.join(out_dir, "mass.json"), payload)
-    ok = payload["passed_enabled_checks"]
-    if not quiet:
-        print(f"[{scn.name}] mass: {'pass' if ok else 'FAIL'} "
-              f"(mass {est.mass:.8g}, penrose deficit {deficit:.3g})")
-    return 0 if ok else 2
+    rho_probe = np.linspace(graph.rho_inner + 1e-4, graph.rho_inner + 20.0, 60)
+    payload = {
+        **est.as_dict(),
+        "expect_mass": cfg.get("expect_mass"),
+        "tol": cfg["tol"],
+        "identity": identity.as_dict() if identity else None,
+        "identity_residual": identity.residual if identity else None,
+        "not_evaluated": {} if identity else {
+            "identity_residual": "needs a graph whose inner boundary is a horizon"},
+        "penrose_deficit": penrose_deficit(est.mass, sigma_area, params),
+        "sigma_area": sigma_area,
+        "s2_min_probe": float(np.min(radial_shape_operator(graph, rho_probe).s2)),
+    }
+    return _finish(scn, out_dir, "mass.json", "mass", payload,
+                   f"mass {est.mass:.8g}, penrose deficit {payload['penrose_deficit']:.3g}",
+                   quiet)
 
 
 def _run_slice_check(scn, out_dir, params, grid, warp, seed, quiet):
     cfg = _settings("slice_check", scn.slice_check)
-    tol_rel = cfg["tol_rel"]
     rows = []
-    ok = True
     for lam in cfg["lambdas"]:
         geom = compute_geometry(slice_surface(grid, warp, lam_value=lam))
-        scale = deficit_scale(geom)
-        vals = {
+        rows.append({
             "lambda": lam,
             "minkowski": minkowski_deficit(geom),
             "weighted_volume": weighted_volume_deficit(geom),
             "heintze_karcher": heintze_karcher_deficit(geom),
             "divergence": divergence_identity_residual(geom),
-            "scale": scale,
-        }
-        rows.append(vals)
-        for key in ("minkowski", "weighted_volume", "heintze_karcher", "divergence"):
-            if abs(vals[key]) > tol_rel * scale:
-                ok = False
-    payload = {"slices": rows, "tol_rel": tol_rel, "passed": ok}
-    _write_json(os.path.join(out_dir, "slice_check.json"), payload)
-    if not quiet:
-        print(f"[{scn.name}] slice-check: {'pass' if ok else 'FAIL'}")
-    if "slice_equality" in scn.checks and not ok:
-        return 2
-    return 0
+            "scale": deficit_scale(geom),
+        })
+    worst = max(abs(row[key]) / row["scale"] for row in rows
+                for key in ("minkowski", "weighted_volume", "heintze_karcher", "divergence"))
+    payload = {"slices": rows, "worst_relative": worst, "tol_rel": cfg["tol_rel"]}
+    return _finish(scn, out_dir, "slice_check.json", "slice_check", payload,
+                   f"worst {worst:.3g}", quiet)
 
 
 def _run_inequalities(scn, out_dir, params, grid, warp, seed, quiet):
     cfg = _settings("inequalities", scn.inequalities)
     base_r = warp.r_from_rho(cfg["base_lambda"])
-    tol_rel = cfg["tol_rel"]
     worst = 0.0
     rows = []
     for k in range(cfg["count"]):
@@ -531,19 +464,13 @@ def _run_inequalities(scn, out_dir, params, grid, warp, seed, quiet):
         }
         rows.append({"seed": seed + k, **deficits, "scale": scale})
         worst = min(worst, min(d / scale for d in deficits.values()))
-    ok = worst >= -tol_rel
-    payload = {"ensemble": rows, "worst_relative": worst, "tol_rel": tol_rel, "passed": ok}
-    _write_json(os.path.join(out_dir, "inequalities.json"), payload)
-    if not quiet:
-        print(f"[{scn.name}] check-inequalities: {'pass' if ok else 'FAIL'} (worst {worst:.3g})")
-    if "inequality_ensemble" in scn.checks and not ok:
-        return 2
-    return 0
+    payload = {"ensemble": rows, "worst_relative": worst, "tol_rel": cfg["tol_rel"]}
+    return _finish(scn, out_dir, "inequalities.json", "inequalities", payload,
+                   f"worst {worst:.3g}", quiet)
 
 
 def _run_beckner(scn, out_dir, params, grid, warp, seed, quiet):
     cfg = _settings("beckner", scn.beckner)
-    asserted = grid.mode in ("sphere_axisym", "symmetric")
     worst = 0.0
     deficits = []
     for k in range(cfg["count"]):
@@ -552,24 +479,15 @@ def _run_beckner(scn, out_dir, params, grid, warp, seed, quiet):
         deficits.append(rep["sharp"])
         scale = max(rep["scale"], 1e-300)
         worst = min(worst, rep["sharp"] / scale)
-    ok = (worst >= -cfg["tol_rel"]) if asserted else True
     payload = {
         "mode": grid.mode,
-        "asserted": asserted,
         "count": cfg["count"],
         "worst_relative": worst,
         "deficits": deficits,
         "tol_rel": cfg["tol_rel"],
-        "passed": ok,
     }
-    _write_json(os.path.join(out_dir, "beckner.json"), payload)
-    if not quiet:
-        tag = "pass" if ok else "FAIL"
-        note = "" if asserted else " (diagnostic only)"
-        print(f"[{scn.name}] beckner: {tag}{note} (worst {worst:.3g})")
-    if "beckner_nonneg" in scn.checks and not ok:
-        return 2
-    return 0
+    return _finish(scn, out_dir, "beckner.json", "beckner", payload, f"worst {worst:.3g}",
+                   quiet)
 
 
 # Pipeline sections in run order: command -> (Scenario attribute, runner,

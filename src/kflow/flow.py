@@ -23,13 +23,14 @@ rejected and retried at dt/2.
 A run records, at fixed intervals, the aggregate functional record plus
 extrema (H, |grad phi|, u, lambda(u)) and step diagnostics; the u extrema
 are r(lambda) of the lambda extrema, through the inverse table.  The monitor
-report checks: no increase of the normalized mean-curvature-excess
-functional Q1 between samples; the slice barriers
-lambda(u_min(t)) >= e^(t/(n-1)) lambda(u_min(0)) (and the reverse bound for
-the max); the exponential area law; the balance d/dt int p = n int V/H;
-monotone decrease of Q2 restricted to samples with J <= K; and the terminal
-lower bound Q1(t_end) >= (n-1) kappa theta^(1/(n-1)).  J - K is always
-reported as a signed diagnostic, never asserted.
+report forms the figures that the check table (``kflow.checks``) judges: the
+largest rise of the normalized mean-curvature-excess functional Q1 between
+samples; the slice barriers lambda(u_min(t)) >= e^(t/(n-1)) lambda(u_min(0))
+(and the reverse bound for the max); the exponential area law; the balance
+d/dt int p = n int V/H; the largest rise of Q2 over record pairs with
+J <= K, which is not evaluated when no record pair lies in J <= K; and the
+terminal lower bound Q1(t_end) >= (n-1) kappa theta^(1/(n-1)).  J - K is
+always reported as a signed diagnostic, never asserted.
 """
 
 import math
@@ -278,12 +279,6 @@ def run_flow(surface0, config):
 
 # sup |grad phi| at or below this is rounding noise (a slice reads ~1e-16).
 GRAD_FLOOR = 1e-10
-# Monitor tolerances: relative slice-barrier margin, area-law residual,
-# relative p-balance defect, and the terminal Q1 bound's slack.
-BARRIER_TOL = 1e-6
-AREA_TOL = 1e-5
-P_BALANCE_TOL = 1e-2
-FINAL_BOUND_TOL = 1e-6
 
 
 def _fd_derivative(values, dt):
@@ -297,98 +292,46 @@ def _fd_derivative(values, dt):
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    q1_ok: bool
+    """Figures of the flow monitors; ``kflow.checks`` judges them.  A figure
+    that could not be formed is NaN, and ``not_evaluated`` gives the reason."""
+
+    n: int
+    q1_initial: float
     q1_max_jump: float
-    q1_tolerance: float
     q1_worst_interval: tuple
-    barrier_lower_ok: bool
+    q1_drift: float
     barrier_lower_margin: float
-    barrier_upper_ok: bool
     barrier_upper_margin: float
-    area_law_ok: bool
     area_law_residual: float
-    p_balance_ok: bool
     p_balance_max_rel: float
-    p_balance_skipped: str
-    q2_ok: bool
+    q2_initial: float
     q2_max_jump: float
     q2_samples_in_regime: int
     q2_worst_interval: tuple
-    final_bound_ok: bool
     q1_final: float
     q1_final_bound: float
     j_minus_k_max: float
     j_minus_k_final: float
     h_final_gap: float
     grad_decay_rate: float
-    grad_decay_skipped: str
-
-    @property
-    def passed(self):
-        return (
-            self.q1_ok
-            and self.barrier_lower_ok
-            and self.barrier_upper_ok
-            and self.area_law_ok
-            and self.p_balance_ok
-            and self.q2_ok
-            and self.final_bound_ok
-        )
+    not_evaluated: dict
 
     def as_dict(self):
-        d = {
-            "passed": self.passed,
-            "q1": {
-                "ok": self.q1_ok,
-                "max_jump": self.q1_max_jump,
-                "tolerance": self.q1_tolerance,
-                "worst_interval": list(self.q1_worst_interval),
-            },
-            "barrier": {
-                "lower_ok": self.barrier_lower_ok,
-                "lower_margin": self.barrier_lower_margin,
-                "upper_ok": self.barrier_upper_ok,
-                "upper_margin": self.barrier_upper_margin,
-            },
-            "area_law": {"ok": self.area_law_ok, "residual": self.area_law_residual},
-            "p_balance": {
-                "ok": self.p_balance_ok,
-                "evaluated": self.p_balance_skipped is None,
-                "reason": self.p_balance_skipped,
-                "max_rel_error": None if math.isnan(self.p_balance_max_rel)
-                else self.p_balance_max_rel,
-            },
-            "q2": {
-                "ok": self.q2_ok,
-                "max_jump": self.q2_max_jump,
-                "samples_in_regime": self.q2_samples_in_regime,
-                "worst_interval": list(self.q2_worst_interval),
-            },
-            "final_bound": {
-                "ok": self.final_bound_ok,
-                "q1_final": self.q1_final,
-                "bound": self.q1_final_bound,
-            },
-            "j_minus_k": {"max": self.j_minus_k_max, "final": self.j_minus_k_final},
-            "h_final_gap": self.h_final_gap,
-            "grad_decay_rate": None if math.isnan(self.grad_decay_rate) else self.grad_decay_rate,
-            "grad_decay": {
-                "evaluated": self.grad_decay_skipped is None,
-                "reason": self.grad_decay_skipped,
-            },
+        """The figures as JSON values: NaN as None, intervals as lists."""
+        return {
+            key: None if isinstance(value, float) and math.isnan(value)
+            else list(value) if isinstance(value, tuple) else value
+            for key, value in vars(self).items()
         }
-        return d
 
 
 def monotonicity_report(trace):
-    """Evaluate the flow monitors on a recorded trace.
+    """Form the flow monitors' figures on a recorded trace.
 
-    The p balance is evaluated only on >= 5 uniformly spaced samples;
-    otherwise ``p_balance_ok`` is False, ``p_balance_max_rel`` is NaN and
-    ``p_balance_skipped`` gives the reason.  The decay rate of sup |grad phi|
-    is fitted only to late samples (t >= 0.6 t_end) above the rounding floor
-    GRAD_FLOOR, and needs 3 of them; otherwise ``grad_decay_rate`` is NaN and
-    ``grad_decay_skipped`` gives the reason.
+    The p balance is formed only on >= 5 uniformly spaced samples.  The decay
+    rate of sup |grad phi| is fitted only to late samples (t >= 0.6 t_end)
+    above the rounding floor GRAD_FLOOR, and needs 3 of them.  Q2's largest
+    rise is taken over the record pairs in the regime J <= K only.
     """
     if not trace.samples:
         raise DomainError("monotonicity_report: empty trace")
@@ -404,8 +347,8 @@ def monotonicity_report(trace):
     ivh = np.array([s.functionals.intVoverH for s in trace.samples])
     lam_lo = np.array([s.lam_umin for s in trace.samples])
     lam_hi = np.array([s.lam_umax for s in trace.samples])
+    not_evaluated = {}
 
-    q1_tol = 1e-7 * abs(q1[0]) + 1e-9
     jumps = np.diff(q1)
     if len(jumps):
         worst = int(np.argmax(jumps))
@@ -422,24 +365,22 @@ def monotonicity_report(trace):
 
     area_resid = float(np.max(np.abs(np.log(area / area[0]) - t)))
 
-    # The balance needs a 4th-order difference, so >= 5 uniform samples; a
-    # balance that was not evaluated does not pass.
-    p_ok, p_max, p_skipped = False, math.nan, None
+    # The balance needs a 4th-order difference, so >= 5 uniform samples.
+    p_max = math.nan
     if len(t) < 5:
-        p_skipped = f"needs at least 5 samples, the trace has {len(t)}"
+        not_evaluated["p_balance_max_rel"] = f"needs at least 5 samples, the trace has {len(t)}"
     elif not np.allclose(np.diff(t), t[1] - t[0], rtol=1e-8, atol=1e-12):
-        p_skipped = "needs uniformly spaced samples, the trace's spacing varies"
+        not_evaluated["p_balance_max_rel"] = ("needs uniformly spaced samples, "
+                                              "the trace's spacing varies")
     else:
         dintp = _fd_derivative(intp, float(t[1] - t[0]))
         target = n * ivh
         inner = slice(2, len(t) - 2)
         rel = np.abs(dintp[inner] - target[inner]) / np.maximum(np.abs(target[inner]), 1e-300)
         p_max = float(np.max(rel))
-        p_ok = p_max <= P_BALANCE_TOL
 
     jk_scale = np.maximum(np.maximum(np.abs(jcol), np.abs(kcol)), 1.0)
     in_regime = jcol <= kcol + 1e-12 * jk_scale
-    q2_tol = 1e-7 * abs(q2[0]) + 1e-9
     q2_max_jump = 0.0
     q2_interval = (float(t[0]), float(t[0]))
     pairs = 0
@@ -458,37 +399,33 @@ def monotonicity_report(trace):
     # means nothing, so only samples above the floor count.
     grad = trace.column("grad_sup")
     fitted = (t >= 0.6 * t[-1]) & (grad > GRAD_FLOOR)
-    rate, grad_skipped = math.nan, None
+    rate = math.nan
     if np.count_nonzero(fitted) < 3:
-        grad_skipped = (f"needs at least 3 late samples with grad_sup > {GRAD_FLOOR:g}, "
-                        f"the trace has {np.count_nonzero(fitted)}")
+        not_evaluated["grad_decay_rate"] = (
+            f"needs at least 3 late samples with grad_sup > {GRAD_FLOOR:g}, "
+            f"the trace has {np.count_nonzero(fitted)}")
     else:
         rate = fit_log_slope(t[fitted], grad[fitted])
 
     return MonotonicityReport(
-        q1_ok=bool(q1_max_jump <= q1_tol),
+        n=n,
+        q1_initial=float(q1[0]),
         q1_max_jump=q1_max_jump,
-        q1_tolerance=float(q1_tol),
         q1_worst_interval=q1_interval,
-        barrier_lower_ok=bool(low_margin >= -BARRIER_TOL),
+        q1_drift=float(np.max(np.abs(q1 - q1[0]))),
         barrier_lower_margin=low_margin,
-        barrier_upper_ok=bool(up_margin >= -BARRIER_TOL),
         barrier_upper_margin=up_margin,
-        area_law_ok=bool(area_resid <= AREA_TOL),
         area_law_residual=area_resid,
-        p_balance_ok=bool(p_ok),
         p_balance_max_rel=p_max,
-        p_balance_skipped=p_skipped,
-        q2_ok=bool(q2_max_jump <= q2_tol),
+        q2_initial=float(q2[0]),
         q2_max_jump=q2_max_jump,
         q2_samples_in_regime=pairs,
         q2_worst_interval=q2_interval,
-        final_bound_ok=bool(q1[-1] >= bound - FINAL_BOUND_TOL),
         q1_final=float(q1[-1]),
         q1_final_bound=float(bound),
         j_minus_k_max=float(np.max(jcol - kcol)),
         j_minus_k_final=float(jcol[-1] - kcol[-1]),
         h_final_gap=float(h_gap),
         grad_decay_rate=rate,
-        grad_decay_skipped=grad_skipped,
+        not_evaluated=not_evaluated,
     )

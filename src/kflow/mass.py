@@ -446,8 +446,10 @@ def _bulk_energy_integral(graph):
     (rho - rho_inner)^(-1/2); the substitution rho = rho_inner + zeta^2 keeps
     the integrand smooth (S2 stays bounded there and <dt, xi> -> 0).
 
-    The integrand is vectorized: each ``integrate_panels`` call evaluates
-    S2, V^2, psi, <dt, xi> and the volume factor once, on its whole
+    The weight <dt, xi> = V / sqrt(1 + V^2 psi) times the volume factor
+    rho^(n-1) sqrt(1/V^2 + psi) is exactly rho^(n-1) (docs/derivations.md),
+    so the integrand is S2 rho^(n-1).  It is vectorized: each
+    ``integrate_panels`` call evaluates S2 once, on its whole
     (n_panels, order) node array.
     """
     params = graph.base
@@ -456,12 +458,7 @@ def _bulk_energy_integral(graph):
     two_cn_theta = 2.0 * params.mass_constant * params.theta  # = 1/(n-1)
 
     def integrand(rho):
-        s2 = radial_shape_operator(graph, rho).s2
-        v2 = v_squared(params, rho)
-        psi = graph.psi(rho)
-        dt_xi = np.sqrt(v2) / np.sqrt(1.0 + v2 * psi)
-        vol = rho ** (n - 1) * np.sqrt(1.0 / v2 + psi)
-        return s2 * dt_xi * vol
+        return radial_shape_operator(graph, rho).s2 * rho ** (n - 1)
 
     near = integrate_panels(
         lambda z: integrand(rho_i + z * z) * 2.0 * z, 0.0, 1.0, n_panels=16, order=12

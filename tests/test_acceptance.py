@@ -12,6 +12,7 @@ import pytest
 
 import kflow as kf
 from kflow.basegrid import ScalarField, beckner_report, low_frequency_field
+from kflow.checks import judge
 
 TORUS_THETA = (2.0 * math.pi) ** 2
 FLOW_SEEDS = (7, 100, 101, 102, 103, 104, 105, 106, 107, 108, 109)
@@ -40,7 +41,9 @@ def flow_runs(flat_setup):
         surf = kf.random_star_shaped(grid, warp, seed=seed, amplitude=0.05, base_r=base_r)
         t_run = time.perf_counter()
         trace = kf.run_flow(surf, kf.FlowConfig(t_end=10.0, dt_max=0.005))
-        runs[seed] = (trace, kf.monotonicity_report(trace), time.perf_counter() - t_run)
+        report = kf.monotonicity_report(trace)
+        checks, _ = judge("flow", report.as_dict())
+        runs[seed] = (trace, report, checks, time.perf_counter() - t_run)
     total = time.perf_counter() - t0
     return {"runs": runs, "total_time": total}
 
@@ -122,7 +125,7 @@ def test_criterion_03_slice_equality_suite():
 
 
 def test_criterion_04_flow_area_law(flow_runs):
-    trace, report, run_time = flow_runs["runs"][7]
+    trace, report, _, run_time = flow_runs["runs"][7]
     assert run_time <= 300.0
     assert report.area_law_residual <= 1e-5
     _report(4, run_time, f"area-law residual {report.area_law_residual:.2e} (tol 1e-5)")
@@ -132,10 +135,11 @@ def test_criterion_05_q1_monotonicity(flow_runs):
     total = flow_runs["total_time"]
     assert total <= 1800.0
     worst_jump_rel, worst_final = -math.inf, math.inf
-    for seed, (trace, report, _) in flow_runs["runs"].items():
-        assert report.q1_ok, f"seed {seed}: jump {report.q1_max_jump} > {report.q1_tolerance}"
-        assert report.final_bound_ok, f"seed {seed}: final Q1 {report.q1_final}"
-        worst_jump_rel = max(worst_jump_rel, report.q1_max_jump / report.q1_tolerance)
+    for seed, (trace, report, checks, _) in flow_runs["runs"].items():
+        q1 = checks["q1_monotone"]
+        assert q1["evaluated"] and q1["ok"], f"seed {seed}: {q1}"
+        assert checks["final_bound"]["ok"], f"seed {seed}: final Q1 {report.q1_final}"
+        worst_jump_rel = max(worst_jump_rel, q1["value"] / q1["tolerance"])
         worst_final = min(worst_final, report.q1_final - report.q1_final_bound)
     _report(
         5,
@@ -148,7 +152,7 @@ def test_criterion_05_q1_monotonicity(flow_runs):
 def test_criterion_06_h_convergence_and_gradient_decay(flow_runs):
     t0 = time.perf_counter()
     worst_gap, worst_rate = 0.0, 0.0
-    for seed, (trace, report, _) in flow_runs["runs"].items():
+    for seed, (trace, report, _, _) in flow_runs["runs"].items():
         assert report.h_final_gap <= 1e-3, f"seed {seed}: H gap {report.h_final_gap}"
         rate = report.grad_decay_rate
         assert not math.isnan(rate), f"seed {seed}: no gradient decay fit"
@@ -165,8 +169,8 @@ def test_criterion_06_h_convergence_and_gradient_decay(flow_runs):
 def test_criterion_07_slice_barrier(flow_runs):
     t0 = time.perf_counter()
     worst = 0.0
-    for seed, (trace, report, _) in flow_runs["runs"].items():
-        assert report.barrier_lower_ok and report.barrier_upper_ok, f"seed {seed}"
+    for seed, (trace, report, checks, _) in flow_runs["runs"].items():
+        assert checks["barrier"]["ok"], f"seed {seed}"
         worst = min(worst, report.barrier_lower_margin, report.barrier_upper_margin)
     _report(7, time.perf_counter() - t0, f"node-wise bracketing, worst margin {worst:.2e}")
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import kflow as kf
 from kflow import cli, plots
+from kflow.checks import CHECKS
 from kflow.errors import ConfigurationError, DomainError, KFlowError
 
 MINIMAL_MASS = {
@@ -33,6 +34,34 @@ SMALL_FLOW = {
     "checks": ["q1_monotone", "q1_constant", "area_law", "barrier"],
 }
 
+
+# The artifact each command writes its checks to.
+ARTIFACTS = {"flow": "report.json", "mass": "mass.json", "slice-check": "slice_check.json",
+             "check-inequalities": "inequalities.json", "beckner": "beckner.json"}
+
+# Runs that leave one enabled check unevaluated: (command, changes to
+# SMALL_FLOW, check, part of the reason).
+UNEVALUATED = [
+    pytest.param("flow", {"flow": {"t_end": 0.5}, "checks": ["p_balance", "area_law"]},
+                 "p_balance", "at least 5 samples", id="p_balance-few-samples"),
+    pytest.param("flow", {"flow": {"t_end": 1.1, "record_interval": 0.25},
+                          "checks": ["p_balance", "area_law"]},
+                 "p_balance", "uniformly spaced", id="p_balance-uneven-samples"),
+    # On a slice sup |grad phi| is rounding noise, so no decay rate is fitted.
+    pytest.param("flow", {"checks": ["grad_decay", "area_law"]},
+                 "grad_decay", "late samples", id="grad_decay-slice"),
+    # Started at lambda = 2, J - K stays positive: no record pair has J <= K.
+    pytest.param("flow", {"surface": {"base_lambda": 2.0, "amplitude": 0.05, "seed": 7},
+                          "checks": ["q2_monotone", "area_law"]},
+                 "q2_monotone", "J <= K", id="q2_monotone-outside-regime"),
+    pytest.param("beckner", {"grid": {"mode": "torus2d", "resolution": 16},
+                             "beckner": {"count": 3}, "checks": ["beckner_nonneg"]},
+                 "beckner_nonneg", "sphere_axisym and symmetric", id="beckner_nonneg-torus"),
+    # Over its own base mass a Kottler graph has no horizon-type inner boundary.
+    pytest.param("mass", {"mass": {"m_graph": 0.5, "expect_mass": 0.5},
+                          "checks": ["mass_identity", "mass_value"]},
+                 "mass_identity", "horizon", id="mass_identity-no-horizon"),
+]
 
 SHIPPED = [json.loads(pathlib.Path(path).read_text()) for path in cli.shipped_scenarios()]
 ENERGY_PROFILE = next(cfg for cfg in SHIPPED if cfg["name"] == "energy-profile-mass")
@@ -199,7 +228,9 @@ class TestRunScenario:
         code = cli.run_scenario(scn, str(tmp_path / "out"), quiet=True)
         assert code == 0
         payload = json.loads((tmp_path / "out" / "t-mass" / "mass.json").read_text())
-        assert payload["checks"]["mass_value"] is True
+        assert payload["checks"]["mass_value"]["ok"] is True
+        assert payload["checks"]["mass_value"]["evaluated"] is True
+        assert payload["passed"] is True
         assert abs(payload["mass"] - 1.0) < 1e-6
 
     def test_flow_scenario_pass_and_artifacts(self, tmp_path):
@@ -212,7 +243,9 @@ class TestRunScenario:
         for name in ("q1.svg", "area_residual.svg", "hmax.svg"):
             assert (base / "plots" / name).exists()
         report = json.loads((base / "report.json").read_text())
-        assert report["passed_enabled_checks"] is True
+        assert report["passed"] is True
+        enabled = {name for name, v in report["checks"].items() if v["enabled"]}
+        assert enabled == set(SMALL_FLOW["checks"])
         # Q1 column constant for the slice scenario
         rows = np.loadtxt(base / "trace.csv", delimiter=",", skiprows=1)
         q1 = rows[:, 6]
@@ -421,36 +454,29 @@ class TestMain:
         assert where in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_main_grad_decay_not_evaluated_fails(self, tmp_path):
-        # On a slice sup |grad phi| is rounding noise, so no decay rate is
-        # fitted; an enabled grad_decay check then fails the run.
-        cfg = dict(SMALL_FLOW, checks=["grad_decay", "area_law"])
-        code = cli.main(["flow", "--config", write_config(tmp_path, cfg),
+    @pytest.mark.parametrize("command, changes, check, reason", UNEVALUATED)
+    def test_main_unevaluated_check_fails(self, tmp_path, command, changes, check, reason):
+        # An enabled check that its run leaves unevaluated fails the run with
+        # the row's reason, or the run's reason for a figure it could not form.
+        cfg = dict(SMALL_FLOW, **changes)
+        code = cli.main([command, "--config", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 2
-        report = json.loads((tmp_path / "o" / "t-flow" / "report.json").read_text())
-        assert report["grad_decay_rate"] is None
-        assert report["grad_decay"]["evaluated"] is False
-        assert "late samples" in report["grad_decay"]["reason"]
-        assert report["checks"] == {"grad_decay": False, "area_law": True}
-
-    @pytest.mark.parametrize("flow, reason", [
-        ({"t_end": 0.5}, "at least 5 samples"),
-        ({"t_end": 1.1, "record_interval": 0.25}, "uniformly spaced"),
-    ])
-    def test_main_p_balance_not_evaluated_fails(self, tmp_path, flow, reason):
-        # Too few or unevenly spaced samples leave the p balance unevaluated;
-        # an enabled p_balance check then fails the run.
-        cfg = dict(SMALL_FLOW, flow=flow, checks=["p_balance", "area_law"])
-        code = cli.main(["flow", "--config", write_config(tmp_path, cfg),
-                         "--out", str(tmp_path / "o"), "--quiet"])
-        assert code == 2
-        report = json.loads((tmp_path / "o" / "t-flow" / "report.json").read_text())
-        assert report["p_balance"]["ok"] is False
-        assert report["p_balance"]["evaluated"] is False
-        assert reason in report["p_balance"]["reason"]
-        assert report["p_balance"]["max_rel_error"] is None
-        assert report["checks"] == {"p_balance": False, "area_law": True}
+        artifact = json.loads((tmp_path / "o" / cfg["name"] / ARTIFACTS[command]).read_text())
+        verdict = artifact["checks"][check]
+        assert verdict == {"enabled": True, "ok": False, "evaluated": False,
+                           "reason": verdict["reason"], "value": None, "tolerance": None}
+        assert reason in verdict["reason"]
+        row = CHECKS[check]
+        if row.needs is not None and not row.needs[0](artifact):
+            assert verdict["reason"] == row.needs[1]
+        else:
+            assert artifact[row.figure] is None
+            assert verdict["reason"] == artifact["not_evaluated"][row.figure]
+        assert artifact["passed"] is False
+        others = {name: v["ok"] for name, v in artifact["checks"].items()
+                  if v["enabled"] and name != check}
+        assert all(others.values()), others
 
     def test_main_requires_config(self):
         assert cli.main(["mass", "--quiet"]) == 1
@@ -470,12 +496,34 @@ class TestMain:
             cli.parse_scenario(path)
 
 
+@pytest.fixture(scope="module")
+def shipped_run(tmp_path_factory):
+    """``kflow all`` over the shipped scenarios: the exit code and the output root."""
+    out = tmp_path_factory.mktemp("all")
+    return cli.main(["all", "--out", str(out), "--quiet"]), out
+
+
 class TestAllCommand:
-    def test_all_runs_shipped_suite(self, tmp_path):
-        code = cli.main(["all", "--out", str(tmp_path / "all"), "--quiet"])
+    def test_all_runs_shipped_suite(self, shipped_run):
+        code, out = shipped_run
         assert code == 0
-        names = {p.name for p in (tmp_path / "all").iterdir()}
+        names = {p.name for p in out.iterdir()}
         assert {"kottler-mass", "perturbed-flow", "slice-equality"} <= names
+
+    def test_all_enabled_checks_evaluated(self, shipped_run):
+        # No shipped scenario passes a check that was not evaluated.
+        _, out = shipped_run
+        for cfg in SHIPPED:
+            paths = [out / cfg["name"] / name for name in ARTIFACTS.values()]
+            artifacts = [json.loads(path.read_text()) for path in paths if path.exists()]
+            verdicts = {name: v for a in artifacts for name, v in a["checks"].items()
+                        if v["enabled"]}
+            assert sorted(verdicts) == sorted(cfg["checks"]), cfg["name"]
+            for name, v in verdicts.items():
+                assert v["evaluated"] is True and v["ok"] is True, (cfg["name"], name, v)
+            assert all(a["passed"] for a in artifacts), cfg["name"]
+        pairs = json.loads((out / "perturbed-flow" / "report.json").read_text())
+        assert pairs["q2_samples_in_regime"] >= 7
 
     def test_all_isolates_a_failing_scenario(self, tmp_path, monkeypatch, capsys):
         bad = json.loads(json.dumps(SMALL_FLOW))

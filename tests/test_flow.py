@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 
 import kflow as kf
+from kflow.checks import judge
 from kflow.errors import DomainError, FlowBreakdownError, MeanConvexityError
 from kflow.flow import GRAD_FLOOR
+
+# The monitors the report used to pass as a whole.
+MONITORS = ("q1_monotone", "barrier", "area_law", "p_balance", "q2_monotone", "final_bound")
+
+
+def verdicts(rep, enabled=MONITORS):
+    return judge("flow", rep.as_dict(), enabled)
 
 
 class TestFlowStep:
@@ -92,13 +100,15 @@ class TestRunFlow:
         surf = kf.slice_surface(sym_grid, warp_hyp_sym, lam_value=2.0)
         trace = kf.run_flow(surf, kf.FlowConfig(t_end=4.0))
         rep = kf.monotonicity_report(trace)
-        assert rep.passed
+        checks, passed = verdicts(rep)
+        assert passed
+        assert checks["q2_monotone"]["evaluated"]
         assert rep.area_law_residual < 1e-5
         # kappa=-1: Q1 stays at the slice value (n-1) kappa theta^(1/2)
         q1 = trace.column("Q1")
         target = -2.0 * math.sqrt(sym_grid.theta)
         assert np.max(np.abs(q1 - target)) < 1e-8
-        assert rep.final_bound_ok
+        assert checks["final_bound"]["ok"]
 
     def test_monitors_and_sampling(self, torus64, warp_flat):
         surf = kf.random_star_shaped(torus64, warp_flat, seed=6, amplitude=0.05,
@@ -108,9 +118,10 @@ class TestRunFlow:
         assert t[0] == 0.0 and t[-1] == pytest.approx(3.0, abs=1e-10)
         assert np.all(np.diff(t) > 0)
         assert np.allclose(np.diff(t), 0.25, atol=1e-9)
-        rep = kf.monotonicity_report(trace)
-        assert rep.q1_ok and rep.barrier_lower_ok and rep.barrier_upper_ok
-        assert rep.p_balance_ok
+        checks, passed = verdicts(kf.monotonicity_report(trace),
+                                  ("q1_monotone", "barrier", "p_balance"))
+        assert passed
+        assert all(checks[name]["evaluated"] for name in ("q1_monotone", "barrier", "p_balance"))
 
     def test_long_run_h_limit_and_gradient_decay(self, torus64, warp_flat):
         # by t = 12 the mean curvature extremes sit within 1e-3 of n-1 = 2
@@ -121,8 +132,15 @@ class TestRunFlow:
         rep = kf.monotonicity_report(trace)
         assert rep.h_final_gap <= 1e-3
         assert rep.grad_decay_rate == pytest.approx(-0.5, abs=0.1)
-        assert rep.grad_decay_skipped is None
-        assert rep.passed
+        assert rep.not_evaluated == {}
+        # Started at lambda = 2, J - K stays positive, so Q2 is not evaluated
+        # and every other monitor passes.
+        checks, passed = verdicts(rep, [*MONITORS, "h_limit", "grad_decay"])
+        assert not passed
+        assert [name for name, v in checks.items() if v["enabled"] and not v["ok"]] == [
+            "q2_monotone"]
+        assert rep.q2_samples_in_regime == 0
+        assert not checks["q2_monotone"]["evaluated"]
         # the rate is the least-squares slope of log sup|grad phi| against t
         t, grad = trace.times(), trace.column("grad_sup")
         late = (t >= 0.6 * t[-1]) & (grad > GRAD_FLOOR)
@@ -210,7 +228,7 @@ class TestMonotonicityReport:
         )
         trace.samples[k] = bumped
         rep = kf.monotonicity_report(trace)
-        assert not rep.q1_ok
+        assert not verdicts(rep)[0]["q1_monotone"]["ok"]
         assert rep.q1_worst_interval == (
             pytest.approx(trace.samples[k - 1].t),
             pytest.approx(trace.samples[k].t),
@@ -235,11 +253,14 @@ class TestMonotonicityReport:
         assert np.max(trace.column("grad_sup")) <= GRAD_FLOOR
         rep = kf.monotonicity_report(trace)
         assert math.isnan(rep.grad_decay_rate)
-        assert "needs at least 3 late samples" in rep.grad_decay_skipped
-        assert "has 0" in rep.grad_decay_skipped
+        reason = rep.not_evaluated["grad_decay_rate"]
+        assert "needs at least 3 late samples" in reason
+        assert "has 0" in reason
         out = rep.as_dict()
         assert out["grad_decay_rate"] is None
-        assert out["grad_decay"] == {"evaluated": False, "reason": rep.grad_decay_skipped}
+        assert verdicts(rep, ["grad_decay"])[0]["grad_decay"] == {
+            "enabled": True, "ok": False, "evaluated": False, "reason": reason,
+            "value": None, "tolerance": None}
 
     @pytest.mark.parametrize("above", [2, 3, 5])
     def test_grad_decay_fits_only_samples_above_floor(self, torus64, warp_flat, above):
@@ -251,13 +272,15 @@ class TestMonotonicityReport:
         trace.samples[k0:] = [replace(s, grad_sup=math.exp(-s.t / 2.0))
                               for s in trace.samples[k0:]]
         rep = kf.monotonicity_report(trace)
+        verdict = verdicts(rep)[0]["grad_decay"]
         if above < 3:
             assert math.isnan(rep.grad_decay_rate)
-            assert f"has {above}" in rep.grad_decay_skipped
+            assert f"has {above}" in rep.not_evaluated["grad_decay_rate"]
+            assert verdict["evaluated"] is False
         else:
-            assert rep.grad_decay_skipped is None
+            assert "grad_decay_rate" not in rep.not_evaluated
             assert rep.grad_decay_rate == pytest.approx(-0.5, rel=1e-12)
-            assert rep.as_dict()["grad_decay"] == {"evaluated": True, "reason": None}
+            assert verdict["evaluated"] is True and verdict["reason"] is None
 
     def test_trace_csv_roundtrip(self, torus64, warp_flat, tmp_path):
         surf = kf.slice_surface(torus64, warp_flat, lam_value=2.0)
