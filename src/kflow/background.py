@@ -254,6 +254,8 @@ class WarpTable:
             self.dd_lam_nodes = self.lam_nodes + (n - 2) * m * self.lam_nodes ** (1 - n)
         self.rho0 = float(self.lam_nodes[0])
         self.r_max = float(self.r_grid[-1])
+        # s = log lambda above this lies beyond the table, and e^s is finite below it.
+        self.log_lam_cap = math.log(self.lam_nodes[-1]) + 1.0
 
     def lam(self, r):
         return hermite_eval(r, self.r_grid, self.lam_nodes, self.d_lam_nodes, "lambda")

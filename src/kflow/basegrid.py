@@ -103,6 +103,15 @@ class ScalarField:
     def constant(cls, grid, value):
         return cls(np.full(grid.shape, float(value)), grid)
 
+    @classmethod
+    def unchecked(cls, values, grid):
+        """A field from a float array of the grid's shape whose values the
+        caller has already validated: no conversion, shape or finiteness scan."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "values", values)
+        object.__setattr__(field, "grid", grid)
+        return field
+
 
 def _jacobi_diff_matrix(x):
     """Spectral differentiation matrix on arbitrary nodes (barycentric form)."""
@@ -181,6 +190,7 @@ def make_grid(mode, resolution, theta_or_L=None, *, n=3, kappa=None):
             dx_min=float(np.min(np.abs(np.diff(th)))),
             aux={
                 "mu": mu,
+                "minus_mu": -mu,
                 "D": _jacobi_diff_matrix(mu),
                 "one_minus_mu_sq": 1.0 - mu**2,
             },
@@ -316,7 +326,7 @@ def differentiate(field):
         fmu = d @ shifted
         fmumu = d @ fmu
         one_m = aux["one_minus_mu_sq"]
-        f_tan = -aux["mu"] * fmu  # each of the n-2 transverse entries: cot(theta) f_theta
+        f_tan = aux["minus_mu"] * fmu  # each of the n-2 transverse entries: cot(theta) f_theta
         # The radial (theta-theta) Hessian entry (1 - mu^2) f_mumu - mu f_mu:
         # a - b is a + (-b) in IEEE arithmetic, so adding f_tan gives its bits.
         f_thth = one_m * fmumu + f_tan

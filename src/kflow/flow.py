@@ -20,6 +20,21 @@ would otherwise let trajectory error eat the area-law budget.  Steps whose
 candidate update loses mean convexity, finiteness or the tabulated range are
 rejected and retried at dt/2.
 
+Each step takes dt = min(dt_max, stable_dt, t_next - t), with t_next the
+next record time.  Since v >= 1 holds exactly in floating point,
+cfl_safety dx^2 (min lambda min H)^2 / 2 bounds stable_dt from below, and
+both extrema are already formed (by the surface's range check and by
+compute_geometry).  While that bound exceeds dt_max (1 + 1e-9), stable_dt
+cannot bind and is not formed; otherwise it is formed exactly as before, so
+the step sequence is the same either way.  The trace counts the steps set
+by each bound (``dt_bounds``: a step equal to dt_max up to rounding counts
+as dt_max even when the record time coincides) and the times stable_dt was
+formed (``stable_dt_evals``); neither enters ``as_dict()``.
+
+Each RK2 stage builds its surface with ``GraphSurface.from_log_lambda``,
+whose one check is the range of lambda = e^s: a stage's grid and warp are
+its parent's, and the range check already rejects NaN and +-inf in s.
+
 A run records, at fixed intervals, the aggregate functional record plus
 extrema (H, |grad phi|, u, lambda(u)) and step diagnostics; the u extrema
 are r(lambda) of the lambda extrema, through the inverse table.  The monitor
@@ -39,7 +54,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import fit_log_slope
-from .basegrid import ScalarField
 from .errors import DomainError, FlowBreakdownError, MeanConvexityError
 from .surface import GraphSurface, compute_geometry
 
@@ -140,6 +154,10 @@ class FlowTrace:
     dt_history: list = field(default_factory=list)
     rejected_steps: int = 0
     breakdown: dict = None
+    # Diagnostics kept out of as_dict(): how many accepted steps each bound
+    # set, and how many times stable_dt was formed.
+    dt_bounds: dict = field(default_factory=lambda: {"cfl": 0, "dt_max": 0, "record": 0})
+    stable_dt_evals: int = 0
 
     def column(self, name):
         idx = CSV_COLUMNS.index(name)
@@ -179,12 +197,13 @@ class FlowTrace:
 
 def _sample(t, geom, dt):
     # u is increasing in lambda, so its extrema are r(lambda_min), r(lambda_max).
-    lam_min, lam_max = float(geom.lam.min()), float(geom.lam.max())
-    u_min, u_max = geom.surface.warp.r_from_rho(np.array([lam_min, lam_max]))
+    surface = geom.surface
+    lam_min, lam_max = float(surface.lam_min), float(surface.lam_max)
+    u_min, u_max = surface.warp.r_from_rho(np.array([lam_min, lam_max]))
     return FlowSample(
         t=float(t),
         functionals=geom.functionals,
-        h_min=float(geom.H.min()),
+        h_min=geom.h_min,
         h_max=float(geom.H.max()),
         grad_sup=float(np.sqrt(geom.grad_phi_sq.max())),
         u_min=float(u_min),
@@ -193,6 +212,18 @@ def _sample(t, geom, dt):
         lam_umax=lam_max,
         dt=float(dt),
     )
+
+
+def _dt_bound(dt, dt_max, to_record):
+    """The bound that set an accepted step: a step equal to dt_max up to
+    rounding is dt_max-bound even when the record boundary coincides; a step
+    cut short by the boundary is record-bound; anything smaller is CFL-bound
+    (or halved after a rejection)."""
+    if dt >= dt_max * (1.0 - 1e-9):
+        return "dt_max"
+    if abs(dt - to_record) <= 1e-9 * dt_max:
+        return "record"
+    return "cfl"
 
 
 def stable_dt(geom, cfl_safety):
@@ -216,9 +247,9 @@ def flow_step(surface, geometry, dt):
         return surface, geometry
     grid, warp = surface.grid, surface.warp
     s = surface.s.values
-    half = GraphSurface.from_log_lambda(ScalarField(s + 0.5 * dt * geometry.speed, grid), warp)
+    half = GraphSurface.from_log_lambda(s + 0.5 * dt * geometry.speed, grid, warp)
     geom_half = compute_geometry(half)
-    new = GraphSurface.from_log_lambda(ScalarField(s + dt * geom_half.speed, grid), warp)
+    new = GraphSurface.from_log_lambda(s + dt * geom_half.speed, grid, warp)
     return new, compute_geometry(new)
 
 
@@ -235,13 +266,20 @@ def run_flow(surface0, config):
     trace = FlowTrace(params=params, config=config)
     trace.samples.append(_sample(0.0, geom, 0.0))
 
+    # v >= 1, so cfl_scale (min lambda min H)^2 bounds stable_dt from below;
+    # while it clears dt_max (with a margin for rounding) stable_dt cannot bind.
+    cfl_scale = config.cfl_safety * surface0.grid.dx_min**2 / 2.0
+    dt_max_margin = config.dt_max * (1.0 + 1e-9)
     surface = surface0
     t = 0.0
     k_rec = 1
     eps = 1e-12 * max(1.0, config.t_end)
     while t < config.t_end - eps:
         t_next = min(k_rec * config.record_interval, config.t_end)
-        dt = min(config.dt_max, stable_dt(geom, config.cfl_safety), t_next - t)
+        dt = min(config.dt_max, t_next - t)
+        if not cfl_scale * (surface.lam_min * geom.h_min) ** 2 > dt_max_margin:
+            dt = min(dt, stable_dt(geom, config.cfl_safety))
+            trace.stable_dt_evals += 1
         while True:
             try:
                 surface_new, geom_new = flow_step(surface, geom, dt)
@@ -255,12 +293,13 @@ def run_flow(surface0, config):
                         f"flow breakdown at t={t:.6g}: {exc}", trace=trace, surface=surface
                     ) from exc
         surface, geom = surface_new, geom_new
+        trace.dt_bounds[_dt_bound(dt, config.dt_max, t_next - t)] += 1
         t += dt
         trace.dt_history.append(dt)
-        if float(geom.H.min()) <= h_floor:
+        if geom.h_min <= h_floor:
             trace.breakdown = {
                 "t": t,
-                "reason": f"H_min={float(geom.H.min()):.6g} at/below floor {h_floor:.6g}",
+                "reason": f"H_min={geom.h_min:.6g} at/below floor {h_floor:.6g}",
             }
             trace.samples.append(_sample(t, geom, dt))
             raise FlowBreakdownError(

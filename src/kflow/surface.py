@@ -21,7 +21,9 @@ with gtil^ij = ghat^ij - phi^i phi^j / v^2.  Only H is formed; g_ij and h_ij
 are not returned.  The support function is p = <grad V, nu> = lambda''(u) / v,
 using <d_r, nu> = 1/v, and the star-shapedness witness is chi = v / lambda.
 ``compute_geometry`` forms only what a flow step and its checks read
-(lambda, lambda', lambda'', |grad phi|^2, v and H); p, chi and the area
+(lambda, lambda', lambda'', |grad phi|^2, v, H and h_min = min H, the one
+reduction of H, which must be > 0: a NaN H, as when V rounds to 0 next to
+the horizon, is rejected as a mean-convexity failure); p, chi and the area
 element are formed when read, and the aggregate functional record below on
 its first read.  A flow reads the record only at its record times, so its
 midpoint stages never form it.  The graph height u is formed only where it
@@ -78,8 +80,9 @@ class GraphSurface:
     looks lambda(u) up in the warp table once.  ``from_log_lambda`` takes s
     itself and makes no table search; that is how a flow builds its states.
     ``s`` is a ScalarField and ``lam`` = e^s the warp-factor array, which
-    must lie in (rho0, lambda_max].  ``u`` is kept when it was given, and is
-    otherwise formed on its first read through the inverse table.
+    must lie in (rho0, lambda_max]; ``lam_min`` and ``lam_max`` are its
+    extrema, formed by that range check.  ``u`` is kept when it was given,
+    and is otherwise formed on its first read through the inverse table.
     """
 
     def __init__(self, u, warp):
@@ -96,26 +99,41 @@ class GraphSurface:
         self.u = u
 
     @classmethod
-    def from_log_lambda(cls, s, warp, lam=None):
-        """The graph with log lambda(u) = ``s``; ``lam`` = e^s may be passed
-        when it is known exactly (a slice)."""
-        _check_grid(s.grid, warp)
+    def from_log_lambda(cls, s, grid, warp, lam=None):
+        """The graph over ``grid`` with log lambda(u) = ``s``, a float array of
+        the grid's shape; ``lam`` = e^s may be passed when it is known exactly
+        (a slice).
+
+        The caller vouches that ``grid`` matches ``warp`` (a flow stage reuses
+        its parent's).  The one check is the range of lambda, which also
+        rejects NaN and +-inf in s; max(s) is tested against
+        ``warp.log_lam_cap`` first, so e^s cannot overflow.
+        """
         if lam is None:
-            with np.errstate(over="ignore"):  # an overflow to inf fails the range check
-                lam = np.exp(s.values)
+            s_max = s.max()
+            # NaN fails the comparison, so it is rejected with the large values.
+            if not s_max <= warp.log_lam_cap:
+                raise DomainError(
+                    f"warp factor e^{float(s_max):.6g} outside tabulated range "
+                    f"({warp.rho0:.12g}, {warp.lam_nodes[-1]:.12g}]"
+                )
+            lam = np.exp(s)
         surface = cls.__new__(cls)
-        surface._set(s, lam, warp)
+        surface._set(ScalarField.unchecked(s, grid), lam, warp)
         return surface
 
     def _set(self, s, lam, warp):
+        lam_min, lam_max = lam.min(), lam.max()
         # NaN fails both comparisons, so it is rejected with the out-of-range values.
-        if not ((lam > warp.rho0) & (lam <= warp.lam_nodes[-1])).all():
+        if not (lam_min > warp.rho0 and lam_max <= warp.lam_nodes[-1]):
             raise DomainError(
-                f"warp factor {float(np.min(lam)):.6g}..{float(np.max(lam)):.6g} outside "
+                f"warp factor {float(lam_min):.6g}..{float(lam_max):.6g} outside "
                 f"tabulated range ({warp.rho0:.12g}, {warp.lam_nodes[-1]:.12g}]"
             )
         self.s = s
         self.lam = lam
+        self.lam_min = lam_min
+        self.lam_max = lam_max
         self.warp = warp
 
     @cached_property
@@ -155,12 +173,12 @@ class SurfaceGeometry:
 
     ``lam``, ``dlam``, ``ddlam`` are lambda, lambda' = V(lambda) and lambda''
     at the graph height u; ``grad_phi_sq`` = |grad phi|^2, ``v`` =
-    sqrt(1 + |grad phi|^2) and ``H`` the mean curvature.  These are what a
-    flow step reads.  The support function ``p`` = lambda'' / v, ``chi`` =
-    v / lambda and ``area_element`` = lambda^(n-1) v (the density of the area
-    measure against d mu_ghat) are formed on each read; ``functionals``, the
-    aggregate record, is formed on the first read and then kept, so a flow
-    pays for it only at record times.
+    sqrt(1 + |grad phi|^2), ``H`` the mean curvature and ``h_min`` = min H,
+    which is > 0.  These are what a flow step reads.  The support function
+    ``p`` = lambda'' / v, ``chi`` = v / lambda and ``area_element`` =
+    lambda^(n-1) v (the density of the area measure against d mu_ghat) are
+    formed on each read; ``functionals``, the aggregate record, is formed on
+    the first read and then kept, so a flow pays for it only at record times.
     """
 
     surface: GraphSurface
@@ -170,6 +188,7 @@ class SurfaceGeometry:
     grad_phi_sq: np.ndarray
     v: np.ndarray
     H: np.ndarray
+    h_min: float
 
     @property
     def speed(self):
@@ -231,8 +250,10 @@ def compute_geometry(surface):
 
     The fiber derivatives are those of s = log lambda(u); lambda = e^s is
     held by the surface, so no table search is made (see the module
-    docstring).  Raises MeanConvexityError when H <= 0 at any node.  The
-    functional record is not formed here; ``SurfaceGeometry.functionals``
+    docstring).  H is reduced once, to h_min = min H, and MeanConvexityError
+    is raised unless h_min > 0: at a node where H <= 0 or H is NaN (as when
+    V rounds to 0 next to the horizon), and ``nodes`` lists those nodes.
+    The functional record is not formed here; ``SurfaceGeometry.functionals``
     forms it on first read.
     """
     n = surface.warp.params.n
@@ -266,10 +287,12 @@ def compute_geometry(surface):
     H += quad_over_v_sq
     H /= np.multiply(lam, v, out=lap_phi)
 
-    if (H <= 0.0).any():
-        bad = np.argwhere(H <= 0.0)
+    h_min = float(H.min())
+    # NaN fails the comparison, so a NaN H is a mean-convexity failure too.
+    if not h_min > 0.0:
+        bad = np.argwhere(~(H > 0.0))
         raise MeanConvexityError(
-            f"mean convexity violated at {len(bad)} node(s); min H = {float(H.min()):.6g}",
+            f"mean convexity violated at {len(bad)} node(s); min H = {h_min:.6g}",
             nodes=bad,
         )
 
@@ -281,6 +304,7 @@ def compute_geometry(surface):
         grad_phi_sq=grad_phi_sq,
         v=v,
         H=H,
+        h_min=h_min,
     )
 
 
@@ -369,15 +393,17 @@ def slice_surface(grid, warp, lam_value=None, r_value=None):
     lam = float(lam_value)
     if not lam > 0.0:
         raise DomainError(f"slice_surface: lam_value must be positive, got {lam_value!r}")
-    s = ScalarField.constant(grid, math.log(lam))
-    return GraphSurface.from_log_lambda(s, warp, lam=np.full(grid.shape, lam))
+    _check_grid(grid, warp)
+    return GraphSurface.from_log_lambda(np.full(grid.shape, math.log(lam)), grid, warp,
+                                        lam=np.full(grid.shape, lam))
 
 
 def random_star_shaped(grid, warp, seed, amplitude, base_r):
     """Random mean-convex star-shaped graph u = base_r (1 + perturbation).
 
     The perturbation is a seed-deterministic low-frequency field; on mean
-    convexity failure the amplitude is halved, up to 8 retries.
+    convexity failure (compute_geometry raises) the amplitude is halved, up
+    to 8 retries.
     """
     if not 0.0 <= amplitude < math.inf:
         raise DomainError(f"amplitude must be non-negative and finite, got {amplitude!r}")
@@ -386,13 +412,11 @@ def random_star_shaped(grid, warp, seed, amplitude, base_r):
     for _ in range(9):
         surface = GraphSurface(ScalarField(base_r * (1.0 + amp * pert), grid), warp)
         try:
-            geom = compute_geometry(surface)
+            compute_geometry(surface)
         except MeanConvexityError:
             amp *= 0.5
             continue
-        if float(geom.H.min()) > 0.0:
-            return surface
-        amp *= 0.5
+        return surface
     raise GenerationError(
         f"could not reach mean convexity from seed={seed}, amplitude={amplitude}"
     )

@@ -217,6 +217,91 @@ class TestStability:
             kf.FlowConfig(**kwargs)
 
 
+def _bound_counts(trace):
+    """Each accepted step's bound, rebuilt from dt_history with the tie rule
+    of the benchmark's classification: dt_max wins a tie with the record
+    boundary, and anything below both is CFL-bound."""
+    config = trace.config
+    counts = {"cfl": 0, "dt_max": 0, "record": 0}
+    t, k_rec = 0.0, 1
+    eps = 1e-12 * max(1.0, config.t_end)
+    for dt in trace.dt_history:
+        t_next = min(k_rec * config.record_interval, config.t_end)
+        if dt >= config.dt_max * (1.0 - 1e-9):
+            counts["dt_max"] += 1
+        elif abs(dt - (t_next - t)) <= 1e-9 * config.dt_max:
+            counts["record"] += 1
+        else:
+            counts["cfl"] += 1
+        t += dt
+        if t >= t_next - eps:
+            k_rec += 1
+    return counts
+
+
+def _stable_dt_loop(surface, config):
+    """run_flow's step sequence with stable_dt formed on every step."""
+    geom = kf.compute_geometry(surface)
+    t, k_rec, history = 0.0, 1, []
+    eps = 1e-12 * max(1.0, config.t_end)
+    while t < config.t_end - eps:
+        t_next = min(k_rec * config.record_interval, config.t_end)
+        dt = min(config.dt_max, kf.stable_dt(geom, config.cfl_safety), t_next - t)
+        while True:
+            try:
+                surface, geom = kf.flow_step(surface, geom, dt)
+                break
+            except (DomainError, MeanConvexityError):
+                dt *= 0.5
+        t += dt
+        history.append(dt)
+        if t >= t_next - eps:
+            k_rec += 1
+    return history
+
+
+class TestStepBounds:
+    """run_flow forms stable_dt only when its lower bound
+    cfl_safety dx^2 (min lambda min H)^2 / 2 does not clear dt_max; the step
+    sequence is that of forming it every time, and the trace counts which
+    bound set each step."""
+
+    @pytest.fixture(scope="class")
+    def flows(self, torus64, warp_flat, sphere64, warp_sphere):
+        return {
+            "torus2d": kf.random_star_shaped(torus64, warp_flat, seed=1, amplitude=0.05,
+                                             base_r=warp_flat.r_from_rho(2.0)),
+            "sphere_axisym": kf.random_star_shaped(sphere64, warp_sphere, seed=3,
+                                                   amplitude=0.05,
+                                                   base_r=warp_sphere.r_from_rho(3.0)),
+        }
+
+    @pytest.mark.parametrize("dt_max", [0.005, 1.0], ids=["capped", "uncapped"])
+    @pytest.mark.parametrize("mode", ["torus2d", "sphere_axisym"])
+    def test_dt_history_matches_stable_dt_loop(self, flows, mode, dt_max):
+        config = kf.FlowConfig(t_end=0.5, dt_max=dt_max, record_interval=0.125)
+        trace = kf.run_flow(flows[mode], config)
+        assert trace.dt_history == _stable_dt_loop(flows[mode], config)
+        assert trace.dt_bounds == _bound_counts(trace)
+        assert sum(trace.dt_bounds.values()) == len(trace.dt_history)
+
+    def test_capped_torus_never_forms_stable_dt(self, flows):
+        trace = kf.run_flow(flows["torus2d"], kf.FlowConfig(t_end=1.0))
+        assert trace.stable_dt_evals == 0
+        assert trace.dt_bounds == {"cfl": 0, "dt_max": 200, "record": 0}
+
+    def test_uncapped_sphere_forms_stable_dt_every_step(self, flows):
+        trace = kf.run_flow(flows["sphere_axisym"], kf.FlowConfig(t_end=1.0, dt_max=1.0))
+        assert trace.stable_dt_evals == len(trace.dt_history)
+        assert trace.dt_bounds["cfl"] > 0 and trace.dt_bounds["dt_max"] == 0
+        assert sum(trace.dt_bounds.values()) == len(trace.dt_history)
+
+    def test_counters_stay_out_of_trace_json(self, flows):
+        trace = kf.run_flow(flows["sphere_axisym"], kf.FlowConfig(t_end=0.25))
+        assert set(trace.as_dict()) == {"columns", "samples", "extra", "rejected_steps",
+                                        "n_steps", "breakdown", "config"}
+
+
 class TestMonotonicityReport:
     def test_adversarial_q1_bump_flagged(self, torus64, warp_flat):
         surf = kf.slice_surface(torus64, warp_flat, lam_value=2.0)

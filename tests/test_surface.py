@@ -1,6 +1,7 @@
 """Graph geometry: slice closed forms, variation oracle, deficit properties."""
 
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ import pytest
 
 import kflow as kf
 import kflow.background
+import kflow.surface
 from kflow.basegrid import ScalarField, differentiate
 from kflow.errors import DomainError, MeanConvexityError
 
@@ -380,3 +382,122 @@ class TestValidation:
         with pytest.raises(kf.ConfigurationError):
             kf.GraphSurface(ScalarField.constant(sphere64, 1.0), warp_flat)
 
+
+    def test_nan_mean_curvature_is_a_convexity_failure(self):
+        # Next to the horizon V rounds to 0, so |grad phi|^2 = 0/0 and H is
+        # NaN at every node; min H > 0 fails on NaN and the error lists them.
+        params = kf.SpaceParams(3, 1, 1.0, 4.0 * math.pi)
+        warp = kf.build_warp_table(params)
+        grid = kf.make_grid("sphere_axisym", 16)
+        surf = kf.slice_surface(grid, warp, lam_value=np.nextafter(warp.rho0, math.inf))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(MeanConvexityError, match="min H = nan") as err:
+                kf.compute_geometry(surf)
+        assert len(err.value.nodes) == grid.resolution
+
+    def test_h_min_is_min_h(self, surfaces):
+        for surf in surfaces:
+            geom = kf.compute_geometry(surf)
+            assert geom.h_min == float(geom.H.min()) and geom.h_min > 0.0
+
+
+def _validated_surface(s_values, grid, warp):
+    """A flow stage built the validated way: ScalarField's finiteness scan,
+    the grid check, e^s with overflow ignored and the elementwise range test."""
+    s = ScalarField(s_values, grid)
+    kflow.surface._check_grid(grid, warp)
+    with np.errstate(over="ignore"):
+        lam = np.exp(s.values)
+    assert ((lam > warp.rho0) & (lam <= warp.lam_nodes[-1])).all()
+    return SimpleNamespace(s=s, lam=lam, warp=warp, grid=grid)
+
+
+def _validated_step(surface, geometry, dt):
+    grid, warp = surface.grid, surface.warp
+    s = surface.s.values
+    half = _validated_surface(s + 0.5 * dt * geometry.speed, grid, warp)
+    geom_half = kf.compute_geometry(half)
+    new = _validated_surface(s + dt * geom_half.speed, grid, warp)
+    return new, kf.compute_geometry(new)
+
+
+class TestLeanStage:
+    """A flow stage checks only the range of lambda = e^s; its results are
+    bitwise those of the validated construction, and every bad s is a
+    DomainError with no floating-point warning."""
+
+    @pytest.mark.parametrize("index", range(4),
+                             ids=["torus2d", "sphere_n3", "sphere_n4", "symmetric"])
+    def test_steps_match_validated_path(self, kernel_surfaces, index):
+        surf = kernel_surfaces[index]
+        lean = ref = (surf, kf.compute_geometry(surf))
+        for _ in range(5):
+            lean = kf.flow_step(*lean, 0.005)
+            ref = _validated_step(*ref, 0.005)
+            assert np.array_equal(lean[0].s.values, ref[0].s.values)
+            assert np.array_equal(lean[0].lam, ref[0].lam)
+            assert lean[0].lam_min == ref[0].lam.min() and lean[0].lam_max == ref[0].lam.max()
+            for name in ("dlam", "ddlam", "grad_phi_sq", "v", "H", "speed"):
+                assert np.array_equal(getattr(lean[1], name), getattr(ref[1], name)), name
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 800.0],
+                             ids=["nan", "inf", "-inf", "800"])
+    def test_bad_stage_raises_without_warning(self, surfaces, bad):
+        for surf in surfaces:
+            s = surf.s.values.copy()
+            s.reshape(-1)[-1] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="outside tabulated range"):
+                    kf.GraphSurface.from_log_lambda(s, surf.grid, surf.warp)
+
+
+class TestPenroseAFIdentity:
+    """penrose_deficit(m + c int VH, |Sigma|) = c minkowski_deficit(Sigma)
+    = c (|Sigma|/theta)^((n-2)/(n-1)) (Q2 - (n-1) kappa theta), with
+    c = 1/(2 (n-1) theta): the Penrose bound for a graph is the weighted
+    Alexandrov-Fenchel inequality (it uses 2m = rho0^n + kappa rho0^(n-2))."""
+
+    @staticmethod
+    def _sides(geom):
+        params = geom.surface.warp.params
+        n, kappa, theta = params.n, params.kappa, params.theta
+        rec = geom.functionals
+        c = 1.0 / (2.0 * (n - 1) * theta)
+        mass = params.m + c * rec.intVH
+        x = (rec.area / theta) ** (1.0 / (n - 1))
+        scale = max(abs(mass), 0.5 * x**n, 0.5 * abs(kappa) * x ** (n - 2))
+        return (
+            kf.penrose_deficit(mass, rec.area, params),
+            c * kf.minkowski_deficit(geom),
+            c * (rec.area / theta) ** ((n - 2) / (n - 1)) * (rec.Q2 - (n - 1) * kappa * theta),
+        ), scale
+
+    @pytest.fixture(scope="class")
+    def backgrounds(self, torus64, warp_flat, sphere64, warp_sphere):
+        params4 = kf.SpaceParams(4, 1, 1.0, 2.0 * math.pi**2)
+        return [(torus64, warp_flat, 2.0), (sphere64, warp_sphere, 3.0),
+                (kf.make_grid("sphere_axisym", 64, n=4), kf.build_warp_table(params4), 3.0)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("index", range(3), ids=["torus2d", "sphere_n3", "sphere_n4"])
+    def test_random_graphs(self, backgrounds, index, seed):
+        grid, warp, lam = backgrounds[index]
+        surf = kf.random_star_shaped(grid, warp, seed=seed, amplitude=0.05,
+                                     base_r=warp.r_from_rho(lam))
+        (penrose, minkowski, q2_form), scale = self._sides(kf.compute_geometry(surf))
+        assert penrose > 0.0  # a non-slice graph: the inequality is strict
+        assert abs(penrose - minkowski) <= 1e-12 * scale
+        assert abs(penrose - q2_form) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n, kappa", [(3, -1), (3, 0), (3, 1), (4, -1), (4, 1)])
+    def test_symmetric_slices(self, n, kappa):
+        theta = 4.0 * math.pi
+        params = kf.SpaceParams(n, kappa, 1.0, theta)
+        warp = kf.build_warp_table(params)
+        grid = kf.make_grid("symmetric", 1, theta, kappa=kappa, n=n)
+        for lam in (1.5 * warp.rho0, 3.0 * warp.rho0, 10.0 * warp.rho0):
+            geom = kf.compute_geometry(kf.slice_surface(grid, warp, lam_value=lam))
+            sides, scale = self._sides(geom)
+            for side in sides:  # equality on slices
+                assert abs(side) <= 1e-12 * scale
