@@ -204,7 +204,7 @@ def potential(params, rho):
 
 
 def mass_from_horizon_area(area, *, n, kappa, theta):
-    """Mass of the Kottler space whose horizon has the given fiber area."""
+    """Mass (x^n + kappa x^(n-2)) / 2 of the Kottler space whose horizon has area theta x^(n-1)."""
     if not 0.0 < area < math.inf:
         raise DomainError(f"horizon area must be positive and finite, got {area!r}")
     x = (area / theta) ** (1.0 / (n - 1))

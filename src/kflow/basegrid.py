@@ -44,6 +44,7 @@ from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "MODES",
+    "MIN_RESOLUTION",
     "BaseGrid",
     "ScalarField",
     "Derivatives",
@@ -52,11 +53,14 @@ __all__ = [
     "differentiate",
     "beckner_deficit",
     "beckner_report",
+    "sharp_constant",
     "sphere_area",
     "low_frequency_field",
 ]
 
 MODES = ("torus2d", "sphere_axisym", "symmetric")
+# The fewest nodes each mode takes; the symmetric mode always has one.
+MIN_RESOLUTION = {"torus2d": 8, "sphere_axisym": 8, "symmetric": 1}
 
 
 def sphere_area(dim):
@@ -133,14 +137,15 @@ def make_grid(mode, resolution, theta_or_L=None, *, n=3, kappa=None):
         raise ConfigurationError(f"grid.mode: unknown mode {mode!r}, expected one of {MODES}")
     if n < 3:
         raise ConfigurationError(f"grid.n: ambient dimension must be >= 3, got {n}")
+    if resolution < MIN_RESOLUTION[mode]:
+        raise ConfigurationError(
+            f"grid.resolution: {mode} needs >= {MIN_RESOLUTION[mode]}, got {resolution}")
 
     if mode == "torus2d":
         if kappa not in (None, 0):
             raise ConfigurationError(f"grid.kappa: torus2d requires kappa = 0, got {kappa}")
         if n != 3:
             raise ConfigurationError(f"grid.n: torus2d supports n = 3 only, got {n}")
-        if resolution < 8:
-            raise ConfigurationError(f"grid.resolution: need >= 8 for PDE modes, got {resolution}")
         if theta_or_L is None or theta_or_L <= 0:
             raise ConfigurationError("grid: torus2d needs a positive side length L")
         L = float(theta_or_L)
@@ -164,8 +169,6 @@ def make_grid(mode, resolution, theta_or_L=None, *, n=3, kappa=None):
     if mode == "sphere_axisym":
         if kappa not in (None, 1):
             raise ConfigurationError(f"grid.kappa: sphere_axisym requires kappa = +1, got {kappa}")
-        if resolution < 8:
-            raise ConfigurationError(f"grid.resolution: need >= 8 for PDE modes, got {resolution}")
         theta_exact = sphere_area(n - 1)
         if theta_or_L is not None and not math.isclose(theta_or_L, theta_exact, rel_tol=1e-9):
             raise ConfigurationError(
@@ -339,22 +342,10 @@ def differentiate(field):
     return Derivatives(lap=np.zeros_like(f), grad_sq=np.zeros_like(f), quad_form=np.zeros_like(f))
 
 
-def _beckner_terms(field, n, grad_coeff):
-    grid = field.grid
-    f = field.values
-    if np.any(f <= 0.0):
-        raise DomainError("deficit requires a strictly positive field")
-    if grid.mode == "sphere_axisym" and grid.n != n:
-        raise ConfigurationError(
-            f"beckner: exponent family n={n} must match the sphere dimension n={grid.n}"
-        )
-    kap = grid.kappa
-    d = differentiate(field)
-    t_curv = (n - 1) * kap * integrate(ScalarField(f ** (n - 2), grid))
-    t_grad = grad_coeff * integrate(ScalarField(f ** (n - 4) * d.grad_sq, grid))
-    pow_int = integrate(ScalarField(f ** (n - 1), grid))
-    t_sharp = (n - 1) * kap * grid.theta ** (1.0 / (n - 1)) * pow_int ** ((n - 2) / (n - 1))
-    return t_curv, t_grad, t_sharp
+def sharp_constant(n, kappa, theta):
+    """(n-1) kappa theta^(1/(n-1)): the sharp constant of the deficit below,
+    and Q1's value on every slice, its lower bound on mean-convex graphs."""
+    return (n - 1) * kappa * theta ** (1.0 / (n - 1))
 
 
 def beckner_deficit(field, n):
@@ -367,7 +358,19 @@ def beckner_report(field, n):
     """Both deficit variants plus the size of the participating terms."""
     if n < 3:
         raise DomainError(f"need n >= 3, got {n}")
-    t_curv, t_grad, t_sharp = _beckner_terms(field, n, 0.5 * (n - 2))
+    grid = field.grid
+    f = field.values
+    if np.any(f <= 0.0):
+        raise DomainError("deficit requires a strictly positive field")
+    if grid.mode == "sphere_axisym" and grid.n != n:
+        raise ConfigurationError(
+            f"beckner: exponent family n={n} must match the sphere dimension n={grid.n}"
+        )
+    d = differentiate(field)
+    t_curv = (n - 1) * grid.kappa * integrate(ScalarField(f ** (n - 2), grid))
+    t_grad = 0.5 * (n - 2) * integrate(ScalarField(f ** (n - 4) * d.grad_sq, grid))
+    pow_int = integrate(ScalarField(f ** (n - 1), grid))
+    t_sharp = sharp_constant(n, grid.kappa, grid.theta) * pow_int ** ((n - 2) / (n - 1))
     relaxed_grad = t_grad * (n - 1) / (n - 2)
     scale = max(abs(t_curv), abs(t_grad), abs(t_sharp), abs(relaxed_grad))
     return {

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import plots
 from .background import SpaceParams, build_warp_table, find_horizon
-from .basegrid import MODES, ScalarField, beckner_report, low_frequency_field, make_grid
+from .basegrid import (MIN_RESOLUTION, MODES, ScalarField, beckner_report, low_frequency_field,
+                       make_grid)
 from .checks import CHECKS, judge
 from .errors import ConfigurationError, FlowBreakdownError, KFlowError
 from .flow import FlowConfig, monotonicity_report, run_flow
@@ -122,7 +123,7 @@ _TABLE = {
     "surface": _Key({
         "slice_lambda": _Key(_REAL),
         "base_lambda": _Key(_REAL),
-        "amplitude": _Key(_REAL, 0.0),
+        "amplitude": _Key(_REAL, 0.0, _NONNEGATIVE),
         "seed": _Key(int, range=_NONNEGATIVE),
     }, required=_if_present("flow")),
     "flow": _Key(_parameter_keys(FlowConfig)),
@@ -142,13 +143,13 @@ _TABLE = {
     }),
     "inequalities": _Key({
         "count": _Key(int, 20, _AT_LEAST_ONE),
-        "amplitude": _Key(_REAL, 0.1),
+        "amplitude": _Key(_REAL, 0.1, _NONNEGATIVE),
         "base_lambda": _Key(_REAL, 2.0),
         "tol_rel": _Key(_REAL, 1e-7, _POSITIVE),
     }),
     "beckner": _Key({
         "count": _Key(int, 100, _AT_LEAST_ONE),
-        "amplitude": _Key(_REAL, 0.2),
+        "amplitude": _Key(_REAL, 0.2, _NONNEGATIVE),
         "tol_rel": _Key(_REAL, 1e-8, _POSITIVE),
     }),
     # A scenario without a warp section records these two of the table's
@@ -246,6 +247,9 @@ def scenario_from_dict(raw):
         problems.append(f"scenario.grid.mode: torus2d requires kappa=0, got kappa={kappa}")
     if mode == "sphere_axisym" and kappa != 1:
         problems.append(f"scenario.grid.mode: sphere_axisym requires kappa=+1, got kappa={kappa}")
+    if mode is not None and raw["grid"]["resolution"] < MIN_RESOLUTION[mode]:
+        problems.append(f"scenario.grid.resolution: {mode} needs >= {MIN_RESOLUTION[mode]}, "
+                        f"got {raw['grid']['resolution']}")
     surface = raw.get("surface")
     if surface is not None and ("slice_lambda" in surface) == ("base_lambda" in surface):
         problems.append(
@@ -450,7 +454,6 @@ def _run_slice_check(scn, out_dir, params, grid, warp, seed, quiet):
 def _run_inequalities(scn, out_dir, params, grid, warp, seed, quiet):
     cfg = _settings("inequalities", scn.inequalities)
     base_r = warp.r_from_rho(cfg["base_lambda"])
-    worst = 0.0
     rows = []
     for k in range(cfg["count"]):
         surf = random_star_shaped(grid, warp, seed=seed + k, amplitude=cfg["amplitude"],
@@ -463,7 +466,7 @@ def _run_inequalities(scn, out_dir, params, grid, warp, seed, quiet):
             "heintze_karcher": heintze_karcher_deficit(geom),
         }
         rows.append({"seed": seed + k, **deficits, "scale": scale})
-        worst = min(worst, min(d / scale for d in deficits.values()))
+    worst = min(row[key] / row["scale"] for row in rows for key in deficits)
     payload = {"ensemble": rows, "worst_relative": worst, "tol_rel": cfg["tol_rel"]}
     return _finish(scn, out_dir, "inequalities.json", "inequalities", payload,
                    f"worst {worst:.3g}", quiet)
@@ -471,14 +474,13 @@ def _run_inequalities(scn, out_dir, params, grid, warp, seed, quiet):
 
 def _run_beckner(scn, out_dir, params, grid, warp, seed, quiet):
     cfg = _settings("beckner", scn.beckner)
-    worst = 0.0
-    deficits = []
+    deficits, relative = [], []
     for k in range(cfg["count"]):
         pert = low_frequency_field(grid, seed + k, cfg["amplitude"])
         rep = beckner_report(ScalarField(1.0 + pert, grid), params.n)
         deficits.append(rep["sharp"])
-        scale = max(rep["scale"], 1e-300)
-        worst = min(worst, rep["sharp"] / scale)
+        relative.append(rep["sharp"] / max(rep["scale"], 1e-300))
+    worst = min(relative)
     payload = {
         "mode": grid.mode,
         "count": cfg["count"],
@@ -507,8 +509,9 @@ def run_scenario(scn, out_root, *, seed=None, resolution=None, quiet=False, dump
     section); return the exit code."""
     if seed is not None and seed < 0:
         raise ConfigurationError(f"--seed: must be >= 0, got {seed}")
-    if resolution is not None and resolution < 1:
-        raise ConfigurationError(f"--resolution: must be >= 1, got {resolution}")
+    least = MIN_RESOLUTION[scn.grid["mode"]] if scn.grid else 1
+    if resolution is not None and resolution < least:
+        raise ConfigurationError(f"--resolution: must be >= {least}, got {resolution}")
     sections = [
         entry for command, entry in _SECTIONS.items()
         if getattr(scn, entry[0]) is not None and only in (None, command)

@@ -73,7 +73,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._util import fit_log_slope, integrate_panels
-from .background import SpaceParams, _v_squared_prime, find_horizon, v_squared
+from .background import (SpaceParams, _v_squared_prime, find_horizon, mass_from_horizon_area,
+                         v_squared)
 from .errors import DecayViolationError, DomainError, NonRepresentableGraphError, NumericsError
 
 __all__ = [
@@ -526,9 +527,7 @@ def mass_identity_check(graph, rho_schedule=DEFAULT_RHO_SCHEDULE):
 
 
 def penrose_deficit(mass, sigma_area, params):
-    """mass - (1/2)[(A/theta)^(n/(n-1)) + kappa (A/theta)^((n-2)/(n-1))]."""
-    if not 0.0 < sigma_area < math.inf:
-        raise DomainError(f"sigma_area must be positive and finite, got {sigma_area!r}")
-    n, kappa, theta = params.n, params.kappa, params.theta
-    x = (sigma_area / theta) ** (1.0 / (n - 1))
-    return mass - 0.5 * (x**n + kappa * x ** (n - 2))
+    """mass minus the mass of the Kottler space whose horizon has area
+    ``sigma_area`` (``background.mass_from_horizon_area``)."""
+    return mass - mass_from_horizon_area(sigma_area, n=params.n, kappa=params.kappa,
+                                         theta=params.theta)

@@ -46,7 +46,8 @@ always taken from the background, never re-measured.
 
 The deficit functions below vanish on every slice u = const (closed-form
 algebra using 2m = rho0^n + kappa rho0^(n-2)) and are non-negative for
-mean-convex star-shaped graphs.
+mean-convex star-shaped graphs.  Two are read off the record: an area power
+times Q2 or Q1 minus its slice value, its sharp bound (docs/derivations.md).
 """
 
 import math
@@ -55,7 +56,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basegrid import ScalarField, differentiate, low_frequency_field
+from .basegrid import ScalarField, differentiate, low_frequency_field, sharp_constant
 from .errors import ConfigurationError, DomainError, GenerationError, MeanConvexityError
 
 __all__ = [
@@ -308,31 +309,23 @@ def compute_geometry(surface):
     )
 
 
-def _area_powers(geom):
-    params = geom.surface.warp.params
-    n, theta = params.n, params.theta
-    rho0 = geom.surface.warp.rho0
-    a_ratio = geom.functionals.area / theta
-    hi = theta * (a_ratio ** (n / (n - 1)) - rho0**n)
-    lo = theta * (a_ratio ** ((n - 2) / (n - 1)) - rho0 ** (n - 2))
-    return hi, lo
-
-
 def minkowski_deficit(geom):
-    """Weighted-mean-curvature excess over the sharp area-power comparison;
-    zero on slices, non-negative for mean-convex star-shaped graphs."""
+    """(|Sigma|/theta)^((n-2)/(n-1)) (Q2 - (n-1) kappa theta), the weighted
+    Alexandrov-Fenchel deficit; zero on slices, non-negative for mean-convex
+    star-shaped graphs."""
     params = geom.surface.warp.params
-    n, kappa = params.n, params.kappa
-    hi, lo = _area_powers(geom)
-    return geom.functionals.intVH - (n - 1) * kappa * lo - (n - 1) * hi
+    n, kappa, theta = params.n, params.kappa, params.theta
+    rec = geom.functionals
+    return (rec.area / theta) ** ((n - 2) / (n - 1)) * (rec.Q2 - (n - 1) * kappa * theta)
 
 
 def weighted_volume_deficit(geom):
-    """Weighted-mean-curvature excess over the weighted-volume comparison."""
+    """|Sigma|^((n-2)/(n-1)) (Q1 - (n-1) kappa theta^(1/(n-1))), the
+    weighted-volume deficit; zero on slices."""
     params = geom.surface.warp.params
-    n, kappa = params.n, params.kappa
-    _, lo = _area_powers(geom)
-    return geom.functionals.intVH - (n - 1) * geom.functionals.J - (n - 1) * kappa * lo
+    rec = geom.functionals
+    bound = sharp_constant(params.n, params.kappa, params.theta)
+    return rec.area ** ((params.n - 2) / (params.n - 1)) * (rec.Q1 - bound)
 
 
 def heintze_karcher_deficit(geom):
@@ -367,11 +360,11 @@ def deficit_scale(geom):
     n, kappa, theta = params.n, params.kappa, params.theta
     rho0 = geom.surface.warp.rho0
     rec = geom.functionals
-    hi, lo = _area_powers(geom)
+    lo = theta * ((rec.area / theta) ** ((n - 2) / (n - 1)) - rho0 ** (n - 2))
     terms = (
         abs(rec.intVH),
         (n - 1) * abs(rec.J),
-        (n - 1) * abs(hi),
+        (n - 1) * abs(rec.K),
         (n - 1) * abs(kappa) * abs(lo),
         abs(rec.intP),
         (n - 1) * abs(rec.intVoverH),

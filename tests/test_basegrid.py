@@ -225,6 +225,18 @@ class TestBecknerDeficit:
         with pytest.raises(ConfigurationError):
             beckner_deficit(ScalarField.constant(sphere64, 1.0), 4)
 
+    def test_sharp_bitwise(self, sphere64):
+        # Reference: the sharp deficit with its constant written out in place.
+        n = 3
+        field = ScalarField(1.0 + low_frequency_field(sphere64, 5, 0.2), sphere64)
+        f, kap, theta = field.values, sphere64.kappa, sphere64.theta
+        grad_sq = differentiate(field).grad_sq
+        t_curv = (n - 1) * kap * integrate(ScalarField(f ** (n - 2), sphere64))
+        t_grad = 0.5 * (n - 2) * integrate(ScalarField(f ** (n - 4) * grad_sq, sphere64))
+        pow_int = integrate(ScalarField(f ** (n - 1), sphere64))
+        t_sharp = (n - 1) * kap * theta ** (1.0 / (n - 1)) * pow_int ** ((n - 2) / (n - 1))
+        assert beckner_report(field, n)["sharp"] == t_curv + t_grad - t_sharp
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_random_fields_nonnegative(self, sphere64, seed):

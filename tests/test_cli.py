@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import kflow as kf
 from kflow import cli, plots
+from kflow.basegrid import ScalarField, beckner_report, low_frequency_field
 from kflow.checks import CHECKS
 from kflow.errors import ConfigurationError, DomainError, KFlowError
 
@@ -188,6 +189,12 @@ class TestParsing:
         ("mass", "rho_schedule", [50, 50, 200], "scenario.mass.rho_schedule"),
         ("mass", "rho_schedule", [100, 50, 200], "scenario.mass.rho_schedule"),
         ("mass", "rho_schedule", [50, 100], "scenario.mass.rho_schedule"),
+        # Amplitudes may not be negative; a torus2d or sphere_axisym grid needs
+        # the 8 nodes make_grid asks for.
+        ("surface", "amplitude", -0.05, "scenario.surface.amplitude"),
+        ("inequalities", "amplitude", -0.1, "scenario.inequalities.amplitude"),
+        ("beckner", "amplitude", -0.2, "scenario.beckner.amplitude"),
+        ("grid", "resolution", 4, "scenario.grid.resolution"),
     ])
     def test_bad_value_names_key(self, tmp_path, section, key, value, where):
         cfg = json.loads(json.dumps(SMALL_FLOW))
@@ -267,6 +274,31 @@ class TestRunScenario:
         assert report["passed"] is False
         assert report["breakdown"]
 
+    @pytest.mark.parametrize("command", ["check-inequalities", "beckner"])
+    def test_worst_relative_is_row_minimum(self, tmp_path, command):
+        # Every deficit of these runs is positive, so the worst relative
+        # deficit is too; it used to be clipped at 0.
+        cfg = {"name": "t-worst", "seed": 3, "space": SMALL_FLOW["space"],
+               "grid": {"mode": "torus2d", "resolution": 32}, "inequalities": {"count": 3}}
+        if command == "beckner":
+            cfg = {"name": "t-worst", "seed": 3,
+                   "space": {"n": 3, "kappa": 1, "m": 0.5, "theta": 4 * math.pi},
+                   "grid": {"mode": "sphere_axisym", "resolution": 32}, "beckner": {"count": 3}}
+        scn = cli.scenario_from_dict(cfg)
+        assert cli.run_scenario(scn, str(tmp_path), quiet=True) == 0
+        payload = json.loads((tmp_path / "t-worst" / ARTIFACTS[command]).read_text())
+        if command == "beckner":
+            grid = kf.make_grid("sphere_axisym", 32, n=3)
+            reps = [beckner_report(ScalarField(1.0 + low_frequency_field(grid, 3 + k, 0.2),
+                                               grid), 3) for k in range(3)]
+            assert payload["deficits"] == [rep["sharp"] for rep in reps]
+            relative = [rep["sharp"] / rep["scale"] for rep in reps]
+        else:
+            relative = [row[key] / row["scale"] for row in payload["ensemble"]
+                        for key in ("minkowski", "weighted_volume", "heintze_karcher")]
+        assert min(relative) > 0.0
+        assert payload["worst_relative"] == min(relative)
+
     def test_one_warp_table_per_scenario(self, tmp_path, monkeypatch):
         calls = []
         real = cli.build_warp_table
@@ -322,13 +354,15 @@ class TestMain:
             if (tmp_path / "a" / rel).is_file():
                 assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
-    @pytest.mark.parametrize("flag, value", [("--resolution", "0"), ("--seed", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--resolution", "0"), ("--resolution", "4"),
+                                             ("--seed", "-1")])
     def test_main_bad_flag_is_error(self, tmp_path, capsys, flag, value):
         cfg = write_config(tmp_path, SMALL_FLOW)
         code = cli.main(["flow", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet",
                          flag, value])
         assert code == 1
         assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_main_missing_section(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL_MASS)
@@ -363,6 +397,11 @@ class TestMain:
         ("beckner", "beckner", "count", 0),
         ("mass", "mass", "tol", math.inf),
         ("mass", "mass", "expect_mass", math.nan),
+        # Out of range: these used to fail, or pass, only at run time.
+        ("flow", "surface", "amplitude", -0.05),
+        ("check-inequalities", "inequalities", "amplitude", -0.1),
+        ("beckner", "beckner", "amplitude", -0.2),
+        ("flow", "grid", "resolution", 4),
     ])
     def test_main_vacuous_or_non_finite_is_error(self, tmp_path, capsys, command, section,
                                                  key, value):

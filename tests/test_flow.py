@@ -319,6 +319,16 @@ class TestMonotonicityReport:
             pytest.approx(trace.samples[k].t),
         )
 
+    @pytest.mark.parametrize("mode", ["torus2d", "sphere_axisym"])
+    def test_q1_final_bound_bitwise(self, torus64, warp_flat, sphere64, warp_sphere, mode):
+        # Reference: the bound written out in the report's own operand order.
+        grid, warp = (torus64, warp_flat) if mode == "torus2d" else (sphere64, warp_sphere)
+        surf = kf.slice_surface(grid, warp, lam_value=2.0)
+        trace = kf.run_flow(surf, kf.FlowConfig(t_end=0.25, dt_max=0.05))
+        n, kappa, theta = warp.params.n, warp.params.kappa, warp.params.theta
+        expect = float((n - 1) * kappa * theta ** (1.0 / (n - 1)))
+        assert kf.monotonicity_report(trace).q1_final_bound == expect
+
     def test_empty_trace_rejected(self, params_flat):
         empty = kf.FlowTrace(params=params_flat, config=kf.FlowConfig(t_end=1.0))
         with pytest.raises(DomainError):

@@ -452,11 +452,40 @@ class TestLeanStage:
                     kf.GraphSurface.from_log_lambda(s, surf.grid, surf.warp)
 
 
+def _area_power_forms(geom):
+    """minkowski_deficit, weighted_volume_deficit and deficit_scale written
+    over the area powers (|Sigma|/theta)^(n/(n-1)) and ^((n-2)/(n-1)), as they
+    were formed before the deficits were read off Q2 and Q1: references."""
+    params = geom.surface.warp.params
+    n, kappa, theta = params.n, params.kappa, params.theta
+    rho0 = geom.surface.warp.rho0
+    rec = geom.functionals
+    a_ratio = rec.area / theta
+    hi = theta * (a_ratio ** (n / (n - 1)) - rho0**n)
+    lo = theta * (a_ratio ** ((n - 2) / (n - 1)) - rho0 ** (n - 2))
+    minkowski = rec.intVH - (n - 1) * kappa * lo - (n - 1) * hi
+    weighted_volume = rec.intVH - (n - 1) * rec.J - (n - 1) * kappa * lo
+    scale = max((
+        abs(rec.intVH),
+        (n - 1) * abs(rec.J),
+        (n - 1) * abs(hi),
+        (n - 1) * abs(kappa) * abs(lo),
+        abs(rec.intP),
+        (n - 1) * abs(rec.intVoverH),
+        abs(rec.J + rho0**n * theta),
+        (0.5 * n * rho0**n + 0.5 * (n - 2) * abs(kappa) * rho0 ** (n - 2)) * theta,
+    ))
+    return minkowski, weighted_volume, scale
+
+
 class TestPenroseAFIdentity:
     """penrose_deficit(m + c int VH, |Sigma|) = c minkowski_deficit(Sigma)
     = c (|Sigma|/theta)^((n-2)/(n-1)) (Q2 - (n-1) kappa theta), with
     c = 1/(2 (n-1) theta): the Penrose bound for a graph is the weighted
-    Alexandrov-Fenchel inequality (it uses 2m = rho0^n + kappa rho0^(n-2))."""
+    Alexandrov-Fenchel inequality (it uses 2m = rho0^n + kappa rho0^(n-2)).
+
+    The two deficits read off Q2 and Q1 agree with their area-power forms to
+    1e-12 of deficit_scale, which is bitwise that of the area-power form."""
 
     @staticmethod
     def _sides(geom):
@@ -467,6 +496,11 @@ class TestPenroseAFIdentity:
         mass = params.m + c * rec.intVH
         x = (rec.area / theta) ** (1.0 / (n - 1))
         scale = max(abs(mass), 0.5 * x**n, 0.5 * abs(kappa) * x ** (n - 2))
+        minkowski_ref, weighted_volume_ref, scale_ref = _area_power_forms(geom)
+        assert kf.deficit_scale(geom) == scale_ref
+        for got, ref in ((kf.minkowski_deficit(geom), minkowski_ref),
+                         (kf.weighted_volume_deficit(geom), weighted_volume_ref)):
+            assert abs(got - ref) <= 1e-12 * scale_ref
         return (
             kf.penrose_deficit(mass, rec.area, params),
             c * kf.minkowski_deficit(geom),
