@@ -44,7 +44,7 @@ from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "MODES",
-    "MIN_RESOLUTION",
+    "resolution_problem",
     "BaseGrid",
     "ScalarField",
     "Derivatives",
@@ -59,8 +59,18 @@ __all__ = [
 ]
 
 MODES = ("torus2d", "sphere_axisym", "symmetric")
-# The fewest nodes each mode takes; the symmetric mode always has one.
-MIN_RESOLUTION = {"torus2d": 8, "sphere_axisym": 8, "symmetric": 1}
+# The fewest and the most nodes each mode takes; the symmetric mode has one.
+_RESOLUTIONS = {"torus2d": (8, math.inf), "sphere_axisym": (8, math.inf), "symmetric": (1, 1)}
+
+
+def resolution_problem(mode, resolution):
+    """Why a ``mode`` grid cannot have ``resolution`` nodes, or None if it can."""
+    least, most = _RESOLUTIONS[mode]
+    if least <= resolution <= most:
+        return None
+    if least == most:
+        return f"{mode} needs exactly {least}, got {resolution}"
+    return f"{mode} needs >= {least}, got {resolution}"
 
 
 def sphere_area(dim):
@@ -137,9 +147,9 @@ def make_grid(mode, resolution, theta_or_L=None, *, n=3, kappa=None):
         raise ConfigurationError(f"grid.mode: unknown mode {mode!r}, expected one of {MODES}")
     if n < 3:
         raise ConfigurationError(f"grid.n: ambient dimension must be >= 3, got {n}")
-    if resolution < MIN_RESOLUTION[mode]:
-        raise ConfigurationError(
-            f"grid.resolution: {mode} needs >= {MIN_RESOLUTION[mode]}, got {resolution}")
+    problem = resolution_problem(mode, resolution)
+    if problem:
+        raise ConfigurationError(f"grid.resolution: {problem}")
 
     if mode == "torus2d":
         if kappa not in (None, 0):

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import plots
 from .background import SpaceParams, build_warp_table, find_horizon
-from .basegrid import (MIN_RESOLUTION, MODES, ScalarField, beckner_report, low_frequency_field,
-                       make_grid)
+from .basegrid import (MODES, ScalarField, beckner_report, low_frequency_field, make_grid,
+                       resolution_problem)
 from .checks import CHECKS, judge
 from .errors import ConfigurationError, FlowBreakdownError, KFlowError
 from .flow import FlowConfig, monotonicity_report, run_flow
@@ -247,9 +247,9 @@ def scenario_from_dict(raw):
         problems.append(f"scenario.grid.mode: torus2d requires kappa=0, got kappa={kappa}")
     if mode == "sphere_axisym" and kappa != 1:
         problems.append(f"scenario.grid.mode: sphere_axisym requires kappa=+1, got kappa={kappa}")
-    if mode is not None and raw["grid"]["resolution"] < MIN_RESOLUTION[mode]:
-        problems.append(f"scenario.grid.resolution: {mode} needs >= {MIN_RESOLUTION[mode]}, "
-                        f"got {raw['grid']['resolution']}")
+    problem = None if mode is None else resolution_problem(mode, raw["grid"]["resolution"])
+    if problem:
+        problems.append(f"scenario.grid.resolution: {problem}")
     surface = raw.get("surface")
     if surface is not None and ("slice_lambda" in surface) == ("base_lambda" in surface):
         problems.append(
@@ -509,9 +509,11 @@ def run_scenario(scn, out_root, *, seed=None, resolution=None, quiet=False, dump
     section); return the exit code."""
     if seed is not None and seed < 0:
         raise ConfigurationError(f"--seed: must be >= 0, got {seed}")
-    least = MIN_RESOLUTION[scn.grid["mode"]] if scn.grid else 1
-    if resolution is not None and resolution < least:
-        raise ConfigurationError(f"--resolution: must be >= {least}, got {resolution}")
+    if resolution is not None:
+        problem = (resolution_problem(scn.grid["mode"], resolution) if scn.grid
+                   else None if resolution >= 1 else f"must be >= 1, got {resolution}")
+        if problem:
+            raise ConfigurationError(f"--resolution: {problem}")
     sections = [
         entry for command, entry in _SECTIONS.items()
         if getattr(scn, entry[0]) is not None and only in (None, command)

@@ -1,19 +1,21 @@
 """Explicit time integration of the inverse mean curvature flow of graphs.
 
 The graph height evolves under du/dt = v/H.  The state integrated is
-s = log lambda(u), which evolves under ds/dt = v lambda' / (lambda H), so a
-step makes no warp-table search.  For slice data ds/dt = 1/(n-1) is
+s = log lambda(u), which evolves under ds/dt = v lambda' / (lambda H) =
+W^2 / D (``kflow.surface``), so a step makes no warp-table search, takes no
+square root and divides by V nowhere.  For slice data ds/dt = 1/(n-1) is
 constant, i.e. lambda(u(t)) = lambda(u(0)) e^(t/(n-1)), which the scheme
 below integrates exactly up to rounding; the area obeys
 |Sigma_t| = e^t |Sigma_0|.
 
 Scheme: explicit midpoint (RK2) in s with an adaptive step bounded by
 
-    dt <= cfl_safety * dx^2 * min_nodes (v^2 lambda^2 H^2) / (2 D_max),
+    dt <= cfl_safety * dx^2 * min_nodes (v^2 lambda^2 H^2) / (2 e_max),
 
-where D_max is the largest eigenvalue of gtil^ij, the coefficient matrix of
-phi_ij in the quasilinear graph equation (its eigenvalues are 1 and 1/v^2 in
-orthonormal fiber coordinates, so D_max = 1; s is a pointwise function of u,
+where v lambda H = D / (V W), so v^2 lambda^2 H^2 = D^2 / (V^2 W^2), and
+e_max is the largest eigenvalue of gtil^ij, the coefficient matrix of phi_ij
+in the quasilinear graph equation (its eigenvalues are 1 and 1/v^2 in
+orthonormal fiber coordinates, so e_max = 1; s is a pointwise function of u,
 so the bound is the same in s as in u), and additionally by ``dt_max``,
 a configured cap on the step.  The parabolic bound grows like
 e^(2t/(n-1)), but the area law does not need the cap: uncapped, a perturbed
@@ -22,19 +24,23 @@ candidate update loses mean convexity, finiteness or the tabulated range are
 rejected and retried at dt/2.
 
 Each step takes dt = min(dt_max, stable_dt, t_next - t), with t_next the
-next record time.  Since v >= 1 holds exactly in floating point,
-cfl_safety dx^2 (min lambda min H)^2 / 2 bounds stable_dt from below, and
-both extrema are already formed (by the surface's range check and by
-compute_geometry).  While that bound exceeds dt_max (1 + 1e-9), stable_dt
-cannot bind and is not formed; otherwise it is formed exactly as before, so
-the step sequence is the same either way.  The trace counts the steps set
-by each bound (``dt_bounds``: a step equal to dt_max up to rounding counts
-as dt_max even when the record time coincides) and the times stable_dt was
-formed (``stable_dt_evals``); neither enters ``as_dict()``.
+next record time.  Since v >= 1 (W >= V^2 holds exactly in floating point),
+cfl_safety dx^2 (min lambda min H)^2 / 2 bounds stable_dt from below up to
+rounding.  min lambda is formed by the surface's range check, and min H is
+formed once per accepted step, for this test and the floor test; it is the
+only read of H on the step path.  While that bound exceeds dt_max
+(1 + 1e-9), stable_dt cannot bind and is not formed; otherwise it is
+formed, so the step sequence is the same as if it were formed on every step.
+The trace counts the steps set by each bound (``dt_bounds``: a step equal to
+dt_max up to rounding counts as dt_max even when the record time coincides)
+and the times stable_dt was formed (``stable_dt_evals``); neither enters
+``as_dict()``.
 
 Each RK2 stage builds its surface with ``GraphSurface.from_log_lambda``,
 whose one check is the range of lambda = e^s: a stage's grid and warp are
-its parent's, and the range check already rejects NaN and +-inf in s.
+its parent's, and the range check already rejects NaN and +-inf in s.  Its
+geometry forms V^2, W and D and tests D > 0 and V^2 > 0; the midpoint stage
+then forms only its speed W^2 / D.
 
 A run records, at fixed intervals, the aggregate functional record plus
 extrema (H, |grad phi|, u, lambda(u)) and step diagnostics; the u extrema
@@ -229,17 +235,21 @@ def _dt_bound(dt, dt_max, to_record):
 
 
 def stable_dt(geom, cfl_safety):
-    """Parabolic step bound; the fiber-stencil eigenvalue bound D_max is 1."""
+    """Parabolic step bound cfl_safety dx^2 min(v^2 lambda^2 H^2) / 2, with
+    v^2 lambda^2 H^2 = D^2 / (V^2 W^2); the fiber-stencil eigenvalue bound
+    e_max is 1."""
     grid = geom.surface.grid
     if not math.isfinite(grid.dx_min):
         return math.inf
-    coeff = geom.v**2 * geom.lam**2 * geom.H**2
+    coeff = geom.D / geom.W
+    coeff *= coeff
+    coeff /= geom.dlam_sq
     return cfl_safety * grid.dx_min**2 * float(coeff.min()) / 2.0
 
 
 def flow_step(surface, geometry, dt):
     """One explicit-midpoint update of s = log lambda(u) under
-    ds/dt = v lambda' / (lambda H).
+    ds/dt = v lambda' / (lambda H) = W^2 / D.
 
     Returns ``(surface, geometry)`` at t + dt; dt = 0 returns the inputs
     unchanged.  Raises DomainError or MeanConvexityError when the step leaves

@@ -17,18 +17,27 @@ metric, second fundamental form and mean curvature are
     h_ij = (lambda / v) (lambda' (ghat_ij + phi_i phi_j) - phi_ij),
     H    = (n-1) lambda' / (lambda v) - gtil^ij phi_ij / (lambda v),
 
-with gtil^ij = ghat^ij - phi^i phi^j / v^2.  Only H is formed; g_ij and h_ij
-are not returned.  The support function is p = <grad V, nu> = lambda''(u) / v,
-using <d_r, nu> = 1/v, and the star-shapedness witness is chi = v / lambda.
-``compute_geometry`` forms only what a flow step and its checks read
-(lambda, lambda', lambda'', |grad phi|^2, v, H and h_min = min H, the one
-reduction of H, which must be > 0: a NaN H, as when V rounds to 0 next to
-the horizon, is rejected as a mean-convexity failure); p, chi and the area
-element are formed when read, and the aggregate functional record below on
-its first read.  A flow reads the record only at its record times, so its
-midpoint stages never form it.  The graph height u is formed only where it
-is read, through the inverse table.  docs/derivations.md derives the
-formulas in s.
+with gtil^ij = ghat^ij - phi^i phi^j / v^2.  g_ij and h_ij are not returned.
+The support function is p = <grad V, nu> = lambda''(u) / v, using
+<d_r, nu> = 1/v, and the star-shapedness witness is chi = v / lambda.
+
+The kernel forms none of V, v, phi or H on the step path.  With
+V^2 = lambda^2 + kappa - 2 q and lambda lambda'' = lambda^2 + (n-2) q, where
+q = m lambda^(2-n), v^2 = W / V^2 and the c |grad s|^2 terms collapse, so
+
+    W = V^2 + |grad s|^2,
+    D = ((n-1) V^2 - Lap s) W + lambda lambda'' |grad s|^2 + grad s . Hess s . grad s,
+    H = D / (lambda W^(3/2)),    v lambda H = D / (V W),    ds/dt = W^2 / D
+
+(docs/derivations.md, "Flow speed as W^2/D").  ``compute_geometry`` forms
+V^2, W and D and tests mean convexity as D > 0, with V^2 > 0: where V^2
+rounds to <= 0, next to the horizon, H is NaN and the graph is rejected.
+Every other field is formed on its first read: a flow's midpoint stage
+forms only the speed W^2 / D, its full stage also H, once, for min H; p,
+chi and the area element are formed when read, and the aggregate functional
+record below on its first read, which a flow makes only at its record
+times.  The graph height u is formed only where it is read, through the
+inverse table.  docs/derivations.md derives the formulas in s.
 
 Aggregate functionals (all integrals over Sigma with its area measure
 lambda^(n-1) v d mu_ghat):
@@ -168,34 +177,68 @@ class FunctionalRecord:
     Q2: float
 
 
-@dataclass(frozen=True, eq=False)
 class SurfaceGeometry:
-    """Per-node geometry of a graph; its functional record is formed on first read.
+    """Per-node geometry of a graph, formed from three kernel arrays.
 
-    ``lam``, ``dlam``, ``ddlam`` are lambda, lambda' = V(lambda) and lambda''
-    at the graph height u; ``grad_phi_sq`` = |grad phi|^2, ``v`` =
-    sqrt(1 + |grad phi|^2), ``H`` the mean curvature and ``h_min`` = min H,
-    which is > 0.  These are what a flow step reads.  The support function
-    ``p`` = lambda'' / v, ``chi`` = v / lambda and ``area_element`` =
-    lambda^(n-1) v (the density of the area measure against d mu_ghat) are
-    formed on each read; ``functionals``, the aggregate record, is formed on
-    the first read and then kept, so a flow pays for it only at record times.
+    ``compute_geometry`` forms ``dlam_sq`` = V^2 = lambda'^2, ``W`` = V^2 +
+    |grad s|^2 and ``D`` = v lambda H V W (module docstring); ``lam_ddlam`` =
+    lambda lambda'' and ``grad_s_sq`` = |grad s|^2 are kept for the fields
+    below, with ``lam`` = lambda at the graph height u.  ``speed`` = W^2 / D
+    is what an RK2 midpoint stage reads.  Every other field is formed on its
+    first read and then kept: ``dlam`` and ``ddlam`` are lambda' and lambda'';
+    ``grad_phi_sq`` = |grad phi|^2 = |grad s|^2 / V^2, ``v`` =
+    sqrt(1 + |grad phi|^2), ``H`` = D / (lambda W^(3/2)) the mean curvature and
+    ``h_min`` = min H, which is > 0.  The support function ``p`` = lambda'' / v,
+    ``chi`` = v / lambda and ``area_element`` = lambda^(n-1) v (the density of
+    the area measure against d mu_ghat) are formed on each read;
+    ``functionals``, the aggregate record, is formed on the first read and
+    then kept, so a flow pays for it only at record times.
     """
 
-    surface: GraphSurface
-    lam: np.ndarray
-    dlam: np.ndarray
-    ddlam: np.ndarray
-    grad_phi_sq: np.ndarray
-    v: np.ndarray
-    H: np.ndarray
-    h_min: float
+    def __init__(self, surface, dlam_sq, lam_ddlam, grad_s_sq, W, D):
+        self.surface = surface
+        self.lam = surface.lam
+        self.dlam_sq = dlam_sq
+        self.lam_ddlam = lam_ddlam
+        self.grad_s_sq = grad_s_sq
+        self.W = W
+        self.D = D
 
-    @property
+    @cached_property
     def speed(self):
-        """Speed ds/dt = v lambda' / (lambda H) of s = log lambda(u) under the
-        inverse mean curvature flow du/dt = v / H."""
-        return self.v * self.dlam / (self.lam * self.H)
+        """Speed ds/dt = v lambda' / (lambda H) = W^2 / D of s = log lambda(u)
+        under the inverse mean curvature flow du/dt = v / H."""
+        speed = self.W * self.W
+        speed /= self.D
+        return speed
+
+    @cached_property
+    def H(self):
+        """Mean curvature D / (lambda W^(3/2))."""
+        H = np.sqrt(self.W)
+        H *= self.W
+        H *= self.lam
+        return np.divide(self.D, H, out=H)
+
+    @cached_property
+    def h_min(self):
+        return float(self.H.min())
+
+    @cached_property
+    def dlam(self):
+        return np.sqrt(self.dlam_sq)
+
+    @cached_property
+    def ddlam(self):
+        return self.lam_ddlam / self.lam
+
+    @cached_property
+    def grad_phi_sq(self):
+        return self.grad_s_sq / self.dlam_sq
+
+    @cached_property
+    def v(self):
+        return np.sqrt(1.0 + self.grad_phi_sq)
 
     @property
     def p(self):
@@ -247,66 +290,56 @@ class SurfaceGeometry:
 
 
 def compute_geometry(surface):
-    """Per-node geometry of a graph: what a flow step and its checks read.
+    """Per-node geometry of a graph: V^2, W and D (see SurfaceGeometry).
 
-    The fiber derivatives are those of s = log lambda(u); lambda = e^s is
-    held by the surface, so no table search is made (see the module
-    docstring).  H is reduced once, to h_min = min H, and MeanConvexityError
-    is raised unless h_min > 0: at a node where H <= 0 or H is NaN (as when
-    V rounds to 0 next to the horizon), and ``nodes`` lists those nodes.
-    The functional record is not formed here; ``SurfaceGeometry.functionals``
-    forms it on first read.
+    lambda = e^s is held by the surface and V^2 = lambda^2 + kappa - 2 q,
+    lambda lambda'' = lambda^2 + (n-2) q with q = m lambda^(2-n) are closed
+    forms of it, so no table search is made; the fiber derivatives are those
+    of s.  No square root is taken, and the only divisions are by lambda.
+    The graph is mean convex where D > 0 and V^2 > 0, and MeanConvexityError
+    is raised unless both hold at every node; ``nodes`` lists the nodes where
+    either fails.  H is NaN where V^2 rounds to <= 0 (next to the horizon,
+    where V = 0), and the error then reads min H = nan.  Every other field
+    is formed on its first read.
     """
-    n = surface.warp.params.n
+    params = surface.warp.params
+    n = params.n
     lam = surface.lam
-    dlam, ddlam = surface.warp.derivatives_at(lam)
-
+    # Each array below is formed in place, left to right in the operand order
+    # of its formula, so its bits equal those of the formula as written.
+    lam_sq = lam * lam
+    # 2 q = 2 m lambda^(2-n) by n-2 divisions by lambda (lambda ** 1 would copy).
+    two_q = (2.0 * params.m) / lam
+    for _ in range(n - 3):
+        two_q /= lam
+    # V^2 = lambda^2 + kappa - 2 q
+    dlam_sq = lam_sq + params.kappa
+    dlam_sq -= two_q
+    # lambda lambda'' = lambda^2 + (n-2) q; 2q is exact, so (n-2)/2 (2q) = (n-2) q.
+    two_q *= 0.5 * (n - 2)
+    lam_ddlam = np.add(lam_sq, two_q, out=two_q)
     d = differentiate(surface.s)
     grad_sq = d.grad_sq
-    dlam_sq = dlam * dlam
-    grad_phi_sq = grad_sq / dlam_sq
-    v_sq = 1.0 + grad_phi_sq
-    v = np.sqrt(v_sq)
-    # Each quantity below is formed in place, left to right in the operand
-    # order of its formula, so its bits equal those of the formula as written.
-    # c |grad s|^2, with c = lambda lambda'' / V^2, formed once.
-    c_grad_sq = lam * ddlam
-    c_grad_sq /= dlam_sq
-    c_grad_sq *= grad_sq
-    # Lap phi = (Lap s - c |grad s|^2) / V
-    lap_phi = d.lap - c_grad_sq
-    lap_phi /= dlam
-    # phi_i phi_ij phi_j / v^2 = ((quad_form - c |grad s|^4) / V^3) / v^2
-    quad_over_v_sq = np.multiply(c_grad_sq, grad_sq, out=c_grad_sq)
-    np.subtract(d.quad_form, quad_over_v_sq, out=quad_over_v_sq)
-    quad_over_v_sq /= np.multiply(dlam_sq, dlam, out=dlam_sq)
-    quad_over_v_sq /= v_sq
-    # H = ((n-1) V - Lap phi + phi_i phi_ij phi_j / v^2) / (lambda v), where
-    # gtil^ij phi_ij = Lap phi - phi_i phi_ij phi_j / v^2.
-    H = (n - 1) * dlam
-    H -= lap_phi
-    H += quad_over_v_sq
-    H /= np.multiply(lam, v, out=lap_phi)
+    # W = V^2 + |grad s|^2 = v^2 V^2
+    W = dlam_sq + grad_sq
+    # D = ((n-1) V^2 - Lap s) W + lambda lambda'' |grad s|^2 + grad s . Hess s . grad s
+    D = (n - 1) * dlam_sq
+    D -= d.lap
+    D *= W
+    D += np.multiply(lam_ddlam, grad_sq, out=lam_sq)
+    D += d.quad_form
 
-    h_min = float(H.min())
-    # NaN fails the comparison, so a NaN H is a mean-convexity failure too.
-    if not h_min > 0.0:
-        bad = np.argwhere(~(H > 0.0))
+    geom = SurfaceGeometry(surface, dlam_sq, lam_ddlam, grad_sq, W, D)
+    # NaN fails the comparisons, so a NaN D is a mean-convexity failure too.
+    if not (D.min() > 0.0 and dlam_sq.min() > 0.0):
+        near_horizon = ~(dlam_sq > 0.0)
+        bad = np.argwhere(near_horizon | ~(D > 0.0))
+        h_min = math.nan if near_horizon.any() else geom.h_min
         raise MeanConvexityError(
             f"mean convexity violated at {len(bad)} node(s); min H = {h_min:.6g}",
             nodes=bad,
         )
-
-    return SurfaceGeometry(
-        surface=surface,
-        lam=lam,
-        dlam=dlam,
-        ddlam=ddlam,
-        grad_phi_sq=grad_phi_sq,
-        v=v,
-        H=H,
-        h_min=h_min,
-    )
+    return geom
 
 
 def minkowski_deficit(geom):

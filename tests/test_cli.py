@@ -5,7 +5,10 @@ import functools
 import json
 import math
 import operator
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -66,6 +69,9 @@ UNEVALUATED = [
 
 SHIPPED = [json.loads(pathlib.Path(path).read_text()) for path in cli.shipped_scenarios()]
 ENERGY_PROFILE = next(cfg for cfg in SHIPPED if cfg["name"] == "energy-profile-mass")
+SYMMETRIC_SLICE = next(cfg for cfg in SHIPPED if cfg["name"] == "symmetric-slice")
+# The src/ directory that holds the kflow package under test.
+SRC_ROOT = pathlib.Path(cli.__file__).resolve().parents[1]
 
 # Replacement values for one mutated scenario key or list element.
 MUTANTS = (math.nan, math.inf, -math.inf, True, "x", None, [], {}, -1, 0)
@@ -363,6 +369,35 @@ class TestMain:
         assert code == 1
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("resolution", [2, 64])
+    def test_symmetric_grid_resolution_other_than_one_is_error(self, tmp_path, capsys,
+                                                               resolution):
+        # The symmetric mode has one node, whatever the resolution asks for.
+        cfg = copy.deepcopy(SYMMETRIC_SLICE)
+        cfg["grid"]["resolution"] = resolution
+        code = cli.main(["flow", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        assert "scenario.grid.resolution" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["2", "64"])
+    def test_symmetric_resolution_flag_other_than_one_is_error(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, SYMMETRIC_SLICE)
+        code = cli.main(["flow", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet",
+                         "--resolution", value])
+        assert code == 1
+        assert "--resolution" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_python_m_kflow_help(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC_ROOT), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-m", "kflow", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: kflow")
 
     def test_main_missing_section(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL_MASS)

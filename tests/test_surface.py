@@ -114,19 +114,26 @@ class TestNoTableSearch:
     closed forms of lambda = e^s."""
 
     def test_no_table_search_in_run_flow(self, surfaces, monkeypatch):
+        # Nor does it call derivatives_at: V^2 and lambda lambda'' are formed
+        # in the kernel.
         calls = []
-        original = kflow.background.hermite_eval
+        originals = {"hermite_eval": kflow.background.hermite_eval,
+                     "derivatives_at": kflow.background.WarpTable.derivatives_at}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(name):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return originals[name](*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(kflow.background, "hermite_eval", counting)
+        monkeypatch.setattr(kflow.background, "hermite_eval", counting("hermite_eval"))
+        monkeypatch.setattr(kflow.background.WarpTable, "derivatives_at",
+                            counting("derivatives_at"))
         for surf in surfaces:
             calls.clear()
             trace = kf.run_flow(surf, kf.FlowConfig(t_end=0.5, record_interval=0.125))
             assert len(trace.dt_history) > 0
-            assert len(calls) == 0, surf.grid.mode
+            assert calls == [], surf.grid.mode
 
     @pytest.mark.parametrize("index, bound", [(0, 1e-7), (1, 1e-9), (2, 1e-14)],
                              ids=["torus2d", "sphere_axisym", "symmetric"])
@@ -154,9 +161,10 @@ def kernel_surfaces(torus64, warp_flat, sphere64, warp_sphere, sym_grid, warp_hy
     ] + [kf.slice_surface(sym_grid, warp_hyp_sym, lam_value=2.0)]
 
 
-def _reference_geometry(surface):
-    """lambda', lambda'', |grad phi|^2, v, H and ds/dt with the expressions and
-    operand order of the out-of-place kernel."""
+def _phi_path_geometry(surface):
+    """lambda', lambda'', |grad phi|^2, v, H and ds/dt formed through the
+    fiber coordinate phi, as the kernel did before it formed W and D: a
+    reference for the W/D kernel to rounding."""
     n = surface.warp.params.n
     lam = surface.lam
     dlam, ddlam = surface.warp.derivatives_at(lam)
@@ -173,9 +181,32 @@ def _reference_geometry(surface):
             "speed": v * dlam / (lam * H)}
 
 
+def _reference_geometry(surface):
+    """Every field of the W/D kernel with the expressions and operand order of
+    the out-of-place formulas."""
+    params = surface.warp.params
+    n = params.n
+    lam = surface.lam
+    d = differentiate(surface.s)
+    q = params.m / lam
+    for _ in range(n - 3):
+        q = q / lam
+    dlam_sq = lam * lam + params.kappa - 2.0 * q
+    lam_ddlam = lam * lam + (n - 2) * q
+    W = dlam_sq + d.grad_sq
+    D = ((n - 1) * dlam_sq - d.lap) * W + lam_ddlam * d.grad_sq + d.quad_form
+    grad_phi_sq = d.grad_sq / dlam_sq
+    H = D / (np.sqrt(W) * W * lam)
+    return {"dlam_sq": dlam_sq, "lam_ddlam": lam_ddlam, "grad_s_sq": d.grad_sq, "W": W,
+            "D": D, "speed": W * W / D, "H": H, "dlam": np.sqrt(dlam_sq),
+            "ddlam": lam_ddlam / lam, "grad_phi_sq": grad_phi_sq,
+            "v": np.sqrt(1.0 + grad_phi_sq)}
+
+
 class TestInPlaceKernel:
-    """compute_geometry forms H in place; every field stays bitwise equal to
-    the out-of-place expressions (differentiate is pinned in test_basegrid)."""
+    """compute_geometry forms V^2, W and D in place, and each field on its
+    first read; every field stays bitwise equal to the out-of-place
+    expressions (differentiate is pinned in test_basegrid)."""
 
     @pytest.mark.parametrize("index", range(4),
                              ids=["torus2d", "sphere_n3", "sphere_n4", "symmetric"])
@@ -185,6 +216,26 @@ class TestInPlaceKernel:
         assert geom.lam is surf.lam
         for name, want in _reference_geometry(surf).items():
             assert np.array_equal(getattr(geom, name), want), name
+
+    @pytest.mark.parametrize("index", range(4),
+                             ids=["torus2d", "sphere_n3", "sphere_n4", "symmetric"])
+    def test_fields_match_phi_path(self, kernel_surfaces, index):
+        # v^2 = W / V^2 and the c |grad s|^2 terms collapse to
+        # lambda lambda'' |grad s|^2 / W (docs/derivations.md), so the two
+        # kernels differ by rounding only.
+        surf = kernel_surfaces[index]
+        geom = kf.compute_geometry(surf)
+        for name, want in _phi_path_geometry(surf).items():
+            got = getattr(geom, name)
+            scale = np.maximum(np.abs(want), np.finfo(float).tiny)
+            assert np.max(np.abs(got - want) / scale) <= 1e-14, name
+
+    def test_fields_formed_on_first_read(self, kernel_surfaces):
+        geom = kf.compute_geometry(kernel_surfaces[0])
+        lazy = ("speed", "H", "h_min", "dlam", "ddlam", "grad_phi_sq", "v", "functionals")
+        assert not set(lazy) & set(vars(geom))
+        for name in lazy:
+            assert getattr(geom, name) is getattr(geom, name), name
 
     def test_massless_ddlam_is_a_new_array(self):
         # At m = 0, lambda'' = lambda; the kernel still returns its own array,
@@ -393,6 +444,21 @@ class TestValidation:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(MeanConvexityError, match="min H = nan") as err:
                 kf.compute_geometry(surf)
+        assert len(err.value.nodes) == grid.resolution
+
+    def test_horizon_node_with_gradient_noise_is_a_convexity_failure(self, warp_sphere):
+        # s = log lambda carries rounding noise of 1e-17 while e^s rounds to
+        # lambda = 1, where V^2 = 1 + 1 - 2 m / lambda is exactly 0.  Then
+        # W = |grad s|^2 > 0 and D ~ lambda lambda'' |grad s|^2 > 0 at every
+        # node, so only the V^2 > 0 test catches it, with the error it had
+        # when H was formed through V and came out NaN.
+        grid = kf.make_grid("sphere_axisym", 16)
+        surf = kf.GraphSurface.from_log_lambda(1e-17 * grid.coords[0], grid, warp_sphere)
+        assert np.all(surf.lam == 1.0) and warp_sphere.rho0 < 1.0
+        d = differentiate(surf.s)
+        assert np.all(d.grad_sq > 0.0)
+        with pytest.raises(MeanConvexityError, match="min H = nan") as err:
+            kf.compute_geometry(surf)
         assert len(err.value.nodes) == grid.resolution
 
     def test_h_min_is_min_h(self, surfaces):
