@@ -23,6 +23,16 @@ the energy integral of the second-order one; the tabulation below keeps it
 satisfied to ~1e-13 relative by storing closed-form derivatives at every
 node and interpolating with exact-slope cubic Hermite pieces.
 
+This module is the one place that writes the closed forms of the potential,
+each in one function: 2q = 2 m rho^(2-n) (``_two_q``), V^2 = rho^2 + kappa -
+2q (``_v_squared_parts``, and ``v_squared``), lambda'' (``_ddlam``, and
+(V^2)' = 2 lambda'' in ``_v_squared_prime``), lambda lambda'' = lambda^2 +
+(n-2) q (``_lam_ddlam``) and V = sqrt(max(V^2, 0)) (``_v``).  All but V
+also take an array of masses, and the massless case is handled once, in
+``_mass_power``.  The horizon root, the warp table, the geometry kernel and
+the mass layer all read them (docs/derivations.md, "Closed forms of the
+Kottler potential").
+
 Constant-curvature deviation: the curvature of (P, g) differs from the
 hyperbolic model by O(m lambda^-n) terms, with the fiber-plane sectional
 curvature 2 m lambda^-n - 1 and the radial-plane one -(1 + (n-2) m lambda^-n).
@@ -102,17 +112,66 @@ class SpaceParams:
         return 1.0 / (2.0 * (self.n - 1) * self.theta)
 
 
+# The closed forms of the Kottler potential, each written once.  The private
+# forms take a numpy value, an array or a 0-d array for one radius: a float's
+# power would round differently.  A mass may be an array shaped like rho.
+
+
+def _mass_power(cm, rho, p):
+    """cm rho^p, where cm is a mass (or an array of masses) times a constant:
+    rho^p, then scaled in place.  This is the one place the massless case is
+    handled: cm = 0 gives exact zeros (a float for one radius), so rho = 0
+    never forms 0 * inf."""
+    if not isinstance(cm, np.ndarray) and cm == 0.0:
+        return np.zeros_like(rho) if rho.ndim else 0.0
+    term = rho ** p
+    term *= cm
+    return term
+
+
+def _two_q(n, m, rho):
+    """2 q = 2 m rho^(2-n), a new value."""
+    return _mass_power(2.0 * m, rho, 2 - n)
+
+
+def _v_squared_parts(n, kappa, m, rho):
+    """(V^2, 2q) with V^2 = rho^2 + kappa - 2q, each a new value."""
+    two_q = _two_q(n, m, rho)
+    v2 = rho**2
+    v2 += kappa
+    v2 -= two_q
+    return v2, two_q
+
+
+def _lam_ddlam(n, lam, two_q):
+    """lambda lambda'' = lambda^2 + (n-2) q from the 2q of
+    ``_v_squared_parts``, formed in place in ``two_q``."""
+    two_q *= 0.5 * (n - 2)  # doubling is exact, so this is (n-2) q to the bit
+    two_q += lam * lam
+    return two_q
+
+
+def _ddlam(n, m, rho):
+    """lambda'' = rho + (n-2) m rho^(1-n) at lambda = rho, a new value; (V^2)' = 2 lambda''."""
+    dd = _mass_power((n - 2) * m, rho, 1 - n)
+    dd += rho
+    return dd
+
+
+def _v(params, rho):
+    """V = sqrt(max(V^2, 0)) at rho, with no domain check (``potential`` makes it)."""
+    return np.sqrt(np.maximum(v_squared(params, rho), 0.0))
+
+
 def v_squared(params, rho):
     """V^2(rho) = rho^2 + kappa - 2 m rho^(2-n); no domain restriction."""
     rho = np.asarray(rho, dtype=float)
-    if params.m == 0.0:  # avoid 0 * inf at rho = 0 in the massless limit
-        return rho**2 + params.kappa
-    return rho**2 + params.kappa - 2.0 * params.m * rho ** (2 - params.n)
+    return _v_squared_parts(params.n, params.kappa, params.m, rho)[0]
 
 
 def _v_squared_prime(params, rho):
-    rho = np.asarray(rho, dtype=float)
-    return 2.0 * rho + 2.0 * (params.n - 2) * params.m * rho ** (1 - params.n)
+    """(V^2)'(rho) = 2 lambda''(rho)."""
+    return 2.0 * _ddlam(params.n, params.m, np.asarray(rho, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -126,10 +185,13 @@ class HorizonData:
 
 @lru_cache(maxsize=None)
 def _horizon_radius(n, kappa, m):
-    """Largest positive root of rho^2 + kappa - 2 m rho^(2-n)."""
+    """Largest positive root of V^2 = rho^2 + kappa - 2 m rho^(2-n).
+
+    V^2 and its slope are the closed forms above, on one radius at a time;
+    the cache makes each space pay for them once."""
 
     def phi(r):
-        return r * r + kappa - 2.0 * m * r ** (2 - n)
+        return float(_v_squared_parts(n, kappa, m, np.asarray(r))[0])
 
     if m < 0.0:
         # phi has an interior minimum at rho_h; the outer root lies above it.
@@ -169,8 +231,7 @@ def _horizon_radius(n, kappa, m):
         f = phi(root)
         if abs(f) <= tol:
             break
-        df = 2.0 * root + 2.0 * (n - 2) * m * root ** (1 - n)
-        step = f / df
+        step = f / (2.0 * float(_ddlam(n, m, np.asarray(root))))
         root -= step
         root = min(max(root, a), b)
     else:
@@ -199,7 +260,7 @@ def potential(params, rho):
     rho_arr = np.asarray(rho, dtype=float)
     if not ((rho_arr >= rho0 * (1.0 - 1e-12)) & (rho_arr < math.inf)).all():
         raise DomainError(f"rho={rho!r} below the horizon radius {rho0:.12g} or not finite")
-    val = np.sqrt(np.maximum(v_squared(params, rho_arr), 0.0))
+    val = _v(params, rho_arr)
     return float(val) if np.isscalar(rho) else val
 
 
@@ -234,7 +295,6 @@ class WarpTable:
     """
 
     def __init__(self, params, r_grid, lam_nodes):
-        n, m = params.n, params.m
         self.params = params
         self.r_grid = np.asarray(r_grid, dtype=float)
         self.lam_nodes = np.asarray(lam_nodes, dtype=float)
@@ -242,16 +302,13 @@ class WarpTable:
             raise DomainError("warp table must start at r = 0")
         if np.any(np.diff(self.r_grid) <= 0.0) or np.any(np.diff(self.lam_nodes) <= 0.0):
             raise NumericsError("warp table nodes must be strictly increasing")
-        self.d_lam_nodes = np.sqrt(np.maximum(v_squared(params, self.lam_nodes), 0.0))
+        self.d_lam_nodes = _v(params, self.lam_nodes)
         if self.lam_nodes[0] > 0.0:
             # The table starts at the horizon, a root of V^2, so lambda'(0) = 0.
             # The polished root leaves |V^2| up to ~1e-14 rho0^2 there, which the
             # square root would turn into a spurious slope of up to ~1e-7.
             self.d_lam_nodes[0] = 0.0
-        if m == 0.0:  # avoid 0 * inf when the table starts at lambda = 0
-            self.dd_lam_nodes = self.lam_nodes.copy()
-        else:
-            self.dd_lam_nodes = self.lam_nodes + (n - 2) * m * self.lam_nodes ** (1 - n)
+        self.dd_lam_nodes = _ddlam(params.n, params.m, self.lam_nodes)
         self.rho0 = float(self.lam_nodes[0])
         self.r_max = float(self.r_grid[-1])
         # s = log lambda above this lies beyond the table, and e^s is finite below it.
@@ -263,10 +320,8 @@ class WarpTable:
     def derivatives_at(self, lam):
         """(lambda', lambda'') at warp values ``lam`` from the closed forms
         V(lambda) and lambda + (n-2) m lambda^(1-n); no table search."""
-        n, kappa, m = self.params.n, self.params.kappa, self.params.m
-        # q = m lambda^(1-n): V^2 = lambda (lambda - 2 q) + kappa, lambda'' = lambda + (n-2) q.
-        q = m / lam ** (n - 1)
-        return np.sqrt(np.maximum(lam * (lam - 2.0 * q) + kappa, 0.0)), lam + (n - 2) * q
+        lam = np.asarray(lam, dtype=float)
+        return _v(self.params, lam), _ddlam(self.params.n, self.params.m, lam)
 
     def dlam_interp(self, r):
         """lambda'(r) by Hermite interpolation of the nodal values (probe path)."""
@@ -360,22 +415,18 @@ class WarpTable:
 
 def _build_nodes(params, rho_start, r_max, h_target, singular_start):
     """rho ladder plus cumulative r by panel quadrature of 1/V."""
-
-    def vfun(rho):
-        return np.sqrt(np.maximum(v_squared(params, rho), 0.0))
-
     rho_c = rho_start + max(1.0, 0.25 * rho_start)
     if singular_start:
         pp = float(_v_squared_prime(params, rho_start))
         xi_c = math.sqrt(rho_c - rho_start)
         n_a = int(np.clip(math.ceil(xi_c / (0.1 * h_target * math.sqrt(pp))), 64, 80000))
         xi_edges = xi_c * np.linspace(0.0, 1.0, n_a + 1)
-        r_inc = panel_integrals(lambda xi: 2.0 * xi / vfun(rho_start + xi**2), xi_edges)
+        r_inc = panel_integrals(lambda xi: 2.0 * xi / _v(params, rho_start + xi**2), xi_edges)
         rho_a = rho_start + xi_edges**2
     else:
         n_a = max(64, int(math.ceil((rho_c - rho_start) / h_target)))
         rho_edges = np.linspace(rho_start, rho_c, n_a + 1)
-        r_inc = panel_integrals(lambda rho: 1.0 / vfun(rho), rho_edges)
+        r_inc = panel_integrals(lambda rho: 1.0 / _v(params, rho), rho_edges)
         rho_a = rho_edges
     r_a = np.concatenate([[0.0], np.cumsum(r_inc)])
 
@@ -383,11 +434,23 @@ def _build_nodes(params, rho_start, r_max, h_target, singular_start):
     n_b = int(math.ceil(((r_max - r_a[-1]) * 1.3 + 2.0) / d_sigma))
     sig_edges = d_sigma * np.arange(n_b + 1)
     rho_of = lambda s: rho_c * np.exp(s)
-    r_inc_b = panel_integrals(lambda s: rho_of(s) / vfun(rho_of(s)), sig_edges)
+    r_inc_b = panel_integrals(lambda s: rho_of(s) / _v(params, rho_of(s)), sig_edges)
 
     rho_nodes = np.concatenate([rho_a, rho_of(sig_edges[1:])])
     r_nodes = np.concatenate([r_a, r_a[-1] + np.cumsum(r_inc_b)])
     return rho_nodes, r_nodes
+
+
+def _warp_tol_problem(r_max, tol, target_nodes):
+    """Why a table of ``target_nodes`` nodes over [0, r_max] cannot reach the
+    relative tolerance ``tol``, or None if it can.  The node spacing is
+    h = r_max / max(200, target_nodes), and exact-slope cubic Hermite errs by
+    ~ h^4 |lambda''''| / 384 ~ h^4/384 relative."""
+    attainable = (r_max / max(200, int(target_nodes))) ** 4 / 384.0
+    if attainable <= tol:
+        return None
+    return (f"tolerance {tol:g} unachievable with {target_nodes} nodes over r_max={r_max:g}; "
+            f"attainable ~{attainable:.2g}")
 
 
 def build_warp_table(params, r_max=25.0, tol=1e-11, target_nodes=4000):
@@ -396,13 +459,10 @@ def build_warp_table(params, r_max=25.0, tol=1e-11, target_nodes=4000):
         # NaN fails every comparison, so test finiteness explicitly.
         if not math.isfinite(value) or value <= 0.0:
             raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    problem = _warp_tol_problem(r_max, tol, target_nodes)
+    if problem:
+        raise ResolutionError(problem)
     h_target = r_max / max(200, int(target_nodes))
-    # Exact-slope cubic Hermite error ~ h^4 |lambda''''| / 384 ~ h^4/384 relative.
-    if h_target**4 / 384.0 > tol:
-        raise ResolutionError(
-            f"tolerance {tol:g} unachievable with {target_nodes} nodes over r_max={r_max:g}; "
-            f"attainable ~{h_target**4 / 384.0:.2g}"
-        )
     rho0 = find_horizon(params).rho0
     if _v_squared_prime(params, rho0) <= 1e-8:
         raise ResolutionError(

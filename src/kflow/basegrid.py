@@ -78,6 +78,14 @@ def sphere_area(dim):
     return 2.0 * math.pi ** ((dim + 1) / 2.0) / math.gamma((dim + 1) / 2.0)
 
 
+def _sphere_area_problem(n, theta):
+    """Why ``theta`` is not the area |S^(n-1)| of a sphere_axisym fiber, or None."""
+    exact = sphere_area(n - 1)
+    if math.isclose(theta, exact, rel_tol=1e-9):
+        return None
+    return f"sphere_axisym area is fixed at |S^{n-1}| = {exact:.12g}, got {theta}"
+
+
 @dataclass(frozen=True, eq=False)
 class BaseGrid:
     mode: str
@@ -180,11 +188,9 @@ def make_grid(mode, resolution, theta_or_L=None, *, n=3, kappa=None):
         if kappa not in (None, 1):
             raise ConfigurationError(f"grid.kappa: sphere_axisym requires kappa = +1, got {kappa}")
         theta_exact = sphere_area(n - 1)
-        if theta_or_L is not None and not math.isclose(theta_or_L, theta_exact, rel_tol=1e-9):
-            raise ConfigurationError(
-                f"grid: sphere_axisym area is fixed at |S^{n-1}| = {theta_exact:.12g}, "
-                f"got {theta_or_L}"
-            )
+        problem = theta_or_L is not None and _sphere_area_problem(n, theta_or_L)
+        if problem:
+            raise ConfigurationError(f"grid: {problem}")
         a = (n - 3) / 2.0
         mu, wmu = roots_jacobi(resolution, a, a)
         transverse = sphere_area(n - 2)

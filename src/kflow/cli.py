@@ -19,9 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import plots
-from .background import SpaceParams, build_warp_table, find_horizon
-from .basegrid import (MODES, ScalarField, beckner_report, low_frequency_field, make_grid,
-                       resolution_problem)
+from .background import SpaceParams, _warp_tol_problem, build_warp_table, find_horizon
+from .basegrid import (MODES, ScalarField, _sphere_area_problem, beckner_report,
+                       low_frequency_field, make_grid, resolution_problem)
 from .checks import CHECKS, judge
 from .errors import ConfigurationError, FlowBreakdownError, KFlowError
 from .flow import FlowConfig, monotonicity_report, run_flow
@@ -250,6 +250,21 @@ def scenario_from_dict(raw):
     problem = None if mode is None else resolution_problem(mode, raw["grid"]["resolution"])
     if problem:
         problems.append(f"scenario.grid.resolution: {problem}")
+    # The sphere's quadrature weights sum to |S^(n-1)|, so no other fiber area fits it.
+    n = raw["space"]["n"]
+    problem = mode == "sphere_axisym" and n >= 3 and _sphere_area_problem(
+        n, raw["space"]["theta"])
+    if problem:
+        problems.append(f"scenario.space.theta: {problem}")
+    warp = raw.get("warp", {})
+    settings = {key: _WARP_PARAMETERS[key].default for key in ("r_max", "tol", "target_nodes")}
+    settings.update(_settings("warp", warp))
+    problem = _warp_tol_problem(**settings)
+    if problem:
+        # The defaults pass, so the scenario sets a key that fails: the
+        # tolerance if it sets one, else the node count or the range.
+        key = next(key for key in ("tol", "target_nodes", "r_max") if key in warp)
+        problems.append(f"scenario.warp.{key}: {problem}")
     surface = raw.get("surface")
     if surface is not None and ("slice_lambda" in surface) == ("base_lambda" in surface):
         problems.append(
@@ -333,8 +348,6 @@ def _grid(scn, params, resolution=None):
     mode = cfg["mode"]
     if mode == "torus2d":
         return make_grid(mode, res, math.sqrt(params.theta))
-    if mode == "sphere_axisym":
-        return make_grid(mode, res, n=params.n)
     return make_grid(mode, res, params.theta, n=params.n, kappa=params.kappa)
 
 

@@ -73,8 +73,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._util import fit_log_slope, integrate_panels
-from .background import (SpaceParams, _v_squared_prime, find_horizon, mass_from_horizon_area,
-                         v_squared)
+from .background import (SpaceParams, _ddlam, _two_q, _v, _v_squared_parts, _v_squared_prime,
+                         find_horizon, mass_from_horizon_area, v_squared)
 from .errors import DecayViolationError, DomainError, NonRepresentableGraphError, NumericsError
 
 __all__ = [
@@ -218,7 +218,7 @@ def kottler_pair_graph(params, m_graph):
 
     def profile(rho, vb2):  # psi, and V_graph^2 for its log-derivative
         vg2 = v_squared(pg, rho)
-        return 2.0 * dm * rho ** (2 - n) / (vg2 * vb2), vg2
+        return _two_q(n, dm, rho) / (vg2 * vb2), vg2
 
     def dlog_psi_v2(rho, vg2):
         return (2 - n) / rho - _v_squared_prime(pg, rho) / vg2
@@ -256,14 +256,14 @@ def mass_profile_graph(params, m_horizon, m_total, rate=1.0):
 
     def profile(rho, vb2):  # psi, and the terms its log-derivative reuses
         mt, mt_prime = mtilde_and_prime(rho)
-        rho_2n = rho ** (2 - n)
-        u = rho**2 + kappa - 2.0 * mt * rho_2n
+        u = _v_squared_parts(n, kappa, mt, rho)[0]  # V^2 at the mass mtilde
         dm = mt - params.m
-        return 2.0 * dm * rho_2n / (u * vb2), (mt, mt_prime, rho_2n, u, dm)
+        return _two_q(n, dm, rho) / (u * vb2), (mt, mt_prime, u, dm)
 
     def dlog_psi_v2(rho, terms):
-        mt, mt_prime, rho_2n, u, dm = terms
-        u_prime = 2.0 * rho + 2.0 * (n - 2) * mt * rho ** (1 - n) - 2.0 * mt_prime * rho_2n
+        mt, mt_prime, u, dm = terms
+        # U' = (V^2)' = 2 lambda'' at the mass mtilde, minus 2 mtilde' rho^(2-n)
+        u_prime = 2.0 * _ddlam(n, mt, rho) - _two_q(n, mt_prime, rho)
         return mt_prime / dm + (2 - n) / rho - u_prime / u
 
     return _radial_graph(
@@ -418,8 +418,8 @@ def radial_shape_operator(graph, rho):
     and f'' come from one ``graph.pointwise`` call.
     """
     params = graph.base
-    scalar = np.ndim(rho) == 0
     rho = np.asarray(rho, dtype=float)
+    scalar = rho.ndim == 0  # np.ndim of a float raises and catches an AttributeError
     # NaN fails both comparisons, so it is rejected with the out-of-range values.
     inside = (rho > graph.rho_inner) & (rho < math.inf)
     if not inside.all():
@@ -510,7 +510,7 @@ def mass_identity_check(graph, rho_schedule=DEFAULT_RHO_SCHEDULE):
     params = graph.base
     n = params.n
     rho_i = graph.rho_inner
-    v_i = math.sqrt(max(float(v_squared(params, rho_i)), 0.0))
+    v_i = float(_v(params, rho_i))
     h_sigma = (n - 1) * v_i / rho_i
     flux = v_i * h_sigma * rho_i ** (n - 1) * params.theta
     boundary = params.mass_constant * flux

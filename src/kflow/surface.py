@@ -65,6 +65,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .background import _lam_ddlam, _v_squared_parts
 from .basegrid import ScalarField, differentiate, low_frequency_field, sharp_constant
 from .errors import ConfigurationError, DomainError, GenerationError, MeanConvexityError
 
@@ -294,8 +295,9 @@ def compute_geometry(surface):
 
     lambda = e^s is held by the surface and V^2 = lambda^2 + kappa - 2 q,
     lambda lambda'' = lambda^2 + (n-2) q with q = m lambda^(2-n) are closed
-    forms of it, so no table search is made; the fiber derivatives are those
-    of s.  No square root is taken, and the only divisions are by lambda.
+    forms of it (``background._v_squared_parts`` and ``_lam_ddlam``), so no
+    table search is made; the fiber derivatives are those of s.  No square
+    root is taken, and the only inverse formed is lambda^(2-n).
     The graph is mean convex where D > 0 and V^2 > 0, and MeanConvexityError
     is raised unless both hold at every node; ``nodes`` lists the nodes where
     either fails.  H is NaN where V^2 rounds to <= 0 (next to the horizon,
@@ -305,19 +307,11 @@ def compute_geometry(surface):
     params = surface.warp.params
     n = params.n
     lam = surface.lam
-    # Each array below is formed in place, left to right in the operand order
-    # of its formula, so its bits equal those of the formula as written.
-    lam_sq = lam * lam
-    # 2 q = 2 m lambda^(2-n) by n-2 divisions by lambda (lambda ** 1 would copy).
-    two_q = (2.0 * params.m) / lam
-    for _ in range(n - 3):
-        two_q /= lam
-    # V^2 = lambda^2 + kappa - 2 q
-    dlam_sq = lam_sq + params.kappa
-    dlam_sq -= two_q
-    # lambda lambda'' = lambda^2 + (n-2) q; 2q is exact, so (n-2)/2 (2q) = (n-2) q.
-    two_q *= 0.5 * (n - 2)
-    lam_ddlam = np.add(lam_sq, two_q, out=two_q)
+    # V^2 and lambda lambda'' are the background's closed forms of lambda.  Each
+    # array is formed left to right in the operand order of its formula, in
+    # place where it can be, so its bits equal those of the formula as written.
+    dlam_sq, two_q = _v_squared_parts(n, params.kappa, params.m, lam)
+    lam_ddlam = _lam_ddlam(n, lam, two_q)
     d = differentiate(surface.s)
     grad_sq = d.grad_sq
     # W = V^2 + |grad s|^2 = v^2 V^2
@@ -326,7 +320,8 @@ def compute_geometry(surface):
     D = (n - 1) * dlam_sq
     D -= d.lap
     D *= W
-    D += np.multiply(lam_ddlam, grad_sq, out=lam_sq)
+    # Lap s is spent, so its array takes lambda lambda'' |grad s|^2.
+    D += np.multiply(lam_ddlam, grad_sq, out=d.lap)
     D += d.quad_form
 
     geom = SurfaceGeometry(surface, dlam_sq, lam_ddlam, grad_sq, W, D)
@@ -407,15 +402,10 @@ def deficit_scale(geom):
     return max(terms)
 
 
-def slice_surface(grid, warp, lam_value=None, r_value=None):
-    """Exact slice u = const, specified either by lambda(u) or by u itself.
+def slice_surface(grid, warp, lam_value):
+    """Exact slice u = const given by its warp factor lambda(u) = ``lam_value``.
 
-    A slice given by lambda(u) holds that lambda exactly: no inversion and
-    no table search."""
-    if (lam_value is None) == (r_value is None):
-        raise ConfigurationError("slice_surface: give exactly one of lam_value / r_value")
-    if r_value is not None:
-        return GraphSurface(ScalarField.constant(grid, r_value), warp)
+    The slice holds that lambda exactly: no inversion and no table search."""
     lam = float(lam_value)
     if not lam > 0.0:
         raise DomainError(f"slice_surface: lam_value must be positive, got {lam_value!r}")

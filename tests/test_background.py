@@ -127,6 +127,38 @@ class TestPotential:
             assert kf.potential(p, rho) == pytest.approx(math.sqrt(rho**2 + 1), rel=1e-9)
 
 
+# (n, kappa, m) over n in {3, 4, 5} and kappa in {-1, 0, +1}: the massless and
+# a negative mass at kappa = -1, and 2m = 1.4, not a power of two, everywhere.
+ONE_FORM_SPACES = [(n, kappa, m) for n in (3, 4, 5)
+                   for kappa, masses in ((-1, (0.0, -0.05, 0.7)), (0, (0.5, 0.7)), (1, (0.7, 1.0)))
+                   for m in masses]
+
+
+class TestOneForm:
+    """V^2, lambda'' and V are written once, in the background: the geometry
+    kernel, derivatives_at and the warp table's nodes read the same closed
+    forms as v_squared and _v_squared_prime, bit for bit."""
+
+    @pytest.mark.parametrize("n, kappa, m", ONE_FORM_SPACES)
+    def test_sites_agree_bitwise(self, n, kappa, m):
+        params = kf.SpaceParams(n, kappa, m, 4.0 * math.pi)
+        warp = kf.build_warp_table(params, r_max=5.0, target_nodes=1000)
+        lam = np.linspace(warp.rho0, 40.0, 100_001)[1:]
+        v2 = v_squared(params, lam)
+        half_prime = 0.5 * _v_squared_prime(params, lam)
+        # The symmetric grid's derivatives vanish, so each entry of lam is a
+        # slice of its own.
+        grid = kf.make_grid("symmetric", 1, params.theta, n=n, kappa=kappa)
+        surface = kf.GraphSurface.from_log_lambda(np.log(lam), grid, warp, lam=lam)
+        assert kf.compute_geometry(surface).dlam_sq.tobytes() == v2.tobytes()
+        dlam, ddlam = warp.derivatives_at(lam)
+        assert dlam.tobytes() == np.sqrt(np.maximum(v2, 0.0)).tobytes()
+        assert ddlam.tobytes() == half_prime.tobytes()
+        nodes = warp.lam_nodes
+        assert warp.dd_lam_nodes.tobytes() == (0.5 * _v_squared_prime(params, nodes)).tobytes()
+        assert warp.d_lam_nodes[1:].tobytes() == np.sqrt(v_squared(params, nodes[1:])).tobytes()
+
+
 class TestWarpTable:
     def test_invariants(self, params_flat, warp_flat):
         w = warp_flat

@@ -39,6 +39,8 @@ SMALL_FLOW = {
 }
 
 
+SPHERE16 = {"mode": "sphere_axisym", "resolution": 16}
+
 # The artifact each command writes its checks to.
 ARTIFACTS = {"flow": "report.json", "mass": "mass.json", "slice-check": "slice_check.json",
              "check-inequalities": "inequalities.json", "beckner": "beckner.json"}
@@ -201,6 +203,9 @@ class TestParsing:
         ("inequalities", "amplitude", -0.1, "scenario.inequalities.amplitude"),
         ("beckner", "amplitude", -0.2, "scenario.beckner.amplitude"),
         ("grid", "resolution", 4, "scenario.grid.resolution"),
+        # A warp table the h^4/384 bound says cannot reach its tolerance.
+        ("warp", "tol", 1e-20, "scenario.warp.tol"),
+        ("warp", "target_nodes", 3, "scenario.warp.target_nodes"),
     ])
     def test_bad_value_names_key(self, tmp_path, section, key, value, where):
         cfg = json.loads(json.dumps(SMALL_FLOW))
@@ -471,6 +476,29 @@ class TestMain:
                          "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 1
         assert f"scenario.{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, changes, where", [
+        # A sphere_axisym grid's weights sum to |S^(n-1)|: 4 pi at n = 3, 2 pi^2 at n = 4.
+        ("flow", {"space": {"n": 3, "kappa": 1, "m": 1.0, "theta": 10.0}, "grid": SPHERE16},
+         "scenario.space.theta"),
+        ("flow", {"space": {"n": 4, "kappa": 1, "m": 1.0, "theta": 4.0 * math.pi},
+                  "grid": SPHERE16}, "scenario.space.theta"),
+        # A warp table the h^4/384 bound says cannot reach its tolerance.
+        ("flow", {"warp": {"tol": 1e-20}}, "scenario.warp.tol"),
+        ("mass", {"warp": {"target_nodes": 3}}, "scenario.warp.target_nodes"),
+    ])
+    def test_main_unbuildable_grid_or_table_is_error(self, tmp_path, capsys, command, changes,
+                                                    where):
+        # Each of these used to parse and write the output directory: the
+        # sphere flows ran with quadrature weights of the wrong total area, and
+        # the table failed at run time naming no key (a mass run, which builds
+        # no table, passed).
+        cfg = dict(SMALL_FLOW, mass=dict(MINIMAL_MASS["mass"]), checks=[], **changes)
+        code = cli.main([command, "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        assert f"{where}: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_main_check_without_its_section_is_error(self, tmp_path, capsys):

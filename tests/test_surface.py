@@ -181,16 +181,20 @@ def _phi_path_geometry(surface):
             "speed": v * dlam / (lam * H)}
 
 
-def _reference_geometry(surface):
+def _reference_geometry(surface, q_by_division=False):
     """Every field of the W/D kernel with the expressions and operand order of
-    the out-of-place formulas."""
+    the out-of-place formulas; q = m lambda^(2-n) is the power of the
+    background's closed forms, or with ``q_by_division`` n-2 divisions by
+    lambda, as the kernel once formed it."""
     params = surface.warp.params
     n = params.n
     lam = surface.lam
     d = differentiate(surface.s)
-    q = params.m / lam
-    for _ in range(n - 3):
-        q = q / lam
+    q = params.m * lam ** (2 - n)
+    if q_by_division:
+        q = params.m / lam
+        for _ in range(n - 3):
+            q = q / lam
     dlam_sq = lam * lam + params.kappa - 2.0 * q
     lam_ddlam = lam * lam + (n - 2) * q
     W = dlam_sq + d.grad_sq
@@ -216,6 +220,17 @@ class TestInPlaceKernel:
         assert geom.lam is surf.lam
         for name, want in _reference_geometry(surf).items():
             assert np.array_equal(getattr(geom, name), want), name
+
+    @pytest.mark.parametrize("index", range(4),
+                             ids=["torus2d", "sphere_n3", "sphere_n4", "symmetric"])
+    def test_fields_match_division_form(self, kernel_surfaces, index):
+        # m lambda^(2-n) and (m / lambda) / lambda ... differ in the last bit.
+        surf = kernel_surfaces[index]
+        geom = kf.compute_geometry(surf)
+        for name, want in _reference_geometry(surf, q_by_division=True).items():
+            got = getattr(geom, name)
+            scale = np.maximum(np.abs(want), np.finfo(float).tiny)
+            assert np.max(np.abs(got - want) / scale) <= 1e-14, name
 
     @pytest.mark.parametrize("index", range(4),
                              ids=["torus2d", "sphere_n3", "sphere_n4", "symmetric"])
