@@ -2,22 +2,17 @@
 quasi-local mass over Kottler backgrounds."""
 
 from .background import (
-    CurvatureDeviation,
-    HorizonData,
     SpaceParams,
     WarpTable,
     build_warp_table,
     critical_mass,
-    curvature_deviation,
     find_horizon,
-    hyperbolic_reference_table,
     mass_from_horizon_area,
     potential,
 )
 from .basegrid import (
     BaseGrid,
     ScalarField,
-    beckner_deficit,
     beckner_report,
     differentiate,
     integrate,

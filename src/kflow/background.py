@@ -33,10 +33,6 @@ also take an array of masses, and the massless case is handled once, in
 the mass layer all read them (docs/derivations.md, "Closed forms of the
 Kottler potential").
 
-Constant-curvature deviation: the curvature of (P, g) differs from the
-hyperbolic model by O(m lambda^-n) terms, with the fiber-plane sectional
-curvature 2 m lambda^-n - 1 and the radial-plane one -(1 + (n-2) m lambda^-n).
-
 Radial graphs over this background are built in ``kflow.mass``.
 """
 
@@ -57,17 +53,13 @@ from .errors import (
 
 __all__ = [
     "SpaceParams",
-    "HorizonData",
     "WarpTable",
-    "CurvatureDeviation",
     "critical_mass",
     "find_horizon",
     "potential",
     "v_squared",
     "build_warp_table",
-    "hyperbolic_reference_table",
     "mass_from_horizon_area",
-    "curvature_deviation",
 ]
 
 
@@ -120,8 +112,8 @@ class SpaceParams:
 def _mass_power(cm, rho, p):
     """cm rho^p, where cm is a mass (or an array of masses) times a constant:
     rho^p, then scaled in place.  This is the one place the massless case is
-    handled: cm = 0 gives exact zeros (a float for one radius), so rho = 0
-    never forms 0 * inf."""
+    handled: cm = 0 (the massless kappa = -1 space) gives exact zeros, a float
+    for one radius, and forms no power."""
     if not isinstance(cm, np.ndarray) and cm == 0.0:
         return np.zeros_like(rho) if rho.ndim else 0.0
     term = rho ** p
@@ -172,15 +164,6 @@ def v_squared(params, rho):
 def _v_squared_prime(params, rho):
     """(V^2)'(rho) = 2 lambda''(rho)."""
     return 2.0 * _ddlam(params.n, params.m, np.asarray(rho, dtype=float))
-
-
-@dataclass(frozen=True)
-class HorizonData:
-    """Horizon radius, its fiber-area, and the mass recovered from that area."""
-
-    rho0: float
-    horizon_area: float
-    horizon_mass_check: float
 
 
 @lru_cache(maxsize=None)
@@ -242,21 +225,13 @@ def _horizon_radius(n, kappa, m):
 
 
 def find_horizon(params):
-    """Locate the horizon: bracketed bisection plus a Newton polish."""
-    rho0 = _horizon_radius(params.n, params.kappa, float(params.m))
-    area = rho0 ** (params.n - 1) * params.theta
-    return HorizonData(
-        rho0=rho0,
-        horizon_area=area,
-        horizon_mass_check=mass_from_horizon_area(
-            area, n=params.n, kappa=params.kappa, theta=params.theta
-        ),
-    )
+    """Horizon radius rho0, a float: bracketed bisection plus a Newton polish."""
+    return _horizon_radius(params.n, params.kappa, float(params.m))
 
 
 def potential(params, rho):
     """Static potential V(rho) for rho >= rho0 (zero exactly at the horizon)."""
-    rho0 = find_horizon(params).rho0
+    rho0 = find_horizon(params)
     rho_arr = np.asarray(rho, dtype=float)
     if not ((rho_arr >= rho0 * (1.0 - 1e-12)) & (rho_arr < math.inf)).all():
         raise DomainError(f"rho={rho!r} below the horizon radius {rho0:.12g} or not finite")
@@ -303,11 +278,10 @@ class WarpTable:
         if np.any(np.diff(self.r_grid) <= 0.0) or np.any(np.diff(self.lam_nodes) <= 0.0):
             raise NumericsError("warp table nodes must be strictly increasing")
         self.d_lam_nodes = _v(params, self.lam_nodes)
-        if self.lam_nodes[0] > 0.0:
-            # The table starts at the horizon, a root of V^2, so lambda'(0) = 0.
-            # The polished root leaves |V^2| up to ~1e-14 rho0^2 there, which the
-            # square root would turn into a spurious slope of up to ~1e-7.
-            self.d_lam_nodes[0] = 0.0
+        # The table starts at the horizon, a root of V^2, so lambda'(0) = 0.
+        # The polished root leaves |V^2| up to ~1e-14 rho0^2 there, which the
+        # square root would turn into a spurious slope of up to ~1e-7.
+        self.d_lam_nodes[0] = 0.0
         self.dd_lam_nodes = _ddlam(params.n, params.m, self.lam_nodes)
         self.rho0 = float(self.lam_nodes[0])
         self.r_max = float(self.r_grid[-1])
@@ -398,14 +372,6 @@ class WarpTable:
         dd_mid = self.derivatives_at(self.lam(rm))[1]
         return float(min(np.min(self.dd_lam_nodes), np.min(dd_mid)))
 
-    def asymptotic_constant(self):
-        """(mean, relative variation) of lambda e^-r over the last decade of lambda."""
-        mask = self.r_grid >= self.r_max - math.log(10.0)
-        c = self.lam_nodes[mask] * np.exp(-self.r_grid[mask])
-        mean = float(np.mean(c))
-        var = float((np.max(c) - np.min(c)) / mean)
-        return mean, var
-
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("r,lambda\n")
@@ -413,21 +379,16 @@ class WarpTable:
                 fh.write(f"{r!r},{lam!r}\n")
 
 
-def _build_nodes(params, rho_start, r_max, h_target, singular_start):
-    """rho ladder plus cumulative r by panel quadrature of 1/V."""
+def _build_nodes(params, rho_start, r_max, h_target):
+    """rho ladder from the horizon rho_start plus cumulative r by panel
+    quadrature of 1/V, with rho = rho_start + xi^2 next to the horizon."""
     rho_c = rho_start + max(1.0, 0.25 * rho_start)
-    if singular_start:
-        pp = float(_v_squared_prime(params, rho_start))
-        xi_c = math.sqrt(rho_c - rho_start)
-        n_a = int(np.clip(math.ceil(xi_c / (0.1 * h_target * math.sqrt(pp))), 64, 80000))
-        xi_edges = xi_c * np.linspace(0.0, 1.0, n_a + 1)
-        r_inc = panel_integrals(lambda xi: 2.0 * xi / _v(params, rho_start + xi**2), xi_edges)
-        rho_a = rho_start + xi_edges**2
-    else:
-        n_a = max(64, int(math.ceil((rho_c - rho_start) / h_target)))
-        rho_edges = np.linspace(rho_start, rho_c, n_a + 1)
-        r_inc = panel_integrals(lambda rho: 1.0 / _v(params, rho), rho_edges)
-        rho_a = rho_edges
+    pp = float(_v_squared_prime(params, rho_start))
+    xi_c = math.sqrt(rho_c - rho_start)
+    n_a = int(np.clip(math.ceil(xi_c / (0.1 * h_target * math.sqrt(pp))), 64, 80000))
+    xi_edges = xi_c * np.linspace(0.0, 1.0, n_a + 1)
+    r_inc = panel_integrals(lambda xi: 2.0 * xi / _v(params, rho_start + xi**2), xi_edges)
+    rho_a = rho_start + xi_edges**2
     r_a = np.concatenate([[0.0], np.cumsum(r_inc)])
 
     d_sigma = 0.8 * h_target
@@ -463,63 +424,13 @@ def build_warp_table(params, r_max=25.0, tol=1e-11, target_nodes=4000):
     if problem:
         raise ResolutionError(problem)
     h_target = r_max / max(200, int(target_nodes))
-    rho0 = find_horizon(params).rho0
+    rho0 = find_horizon(params)
     if _v_squared_prime(params, rho0) <= 1e-8:
         raise ResolutionError(
             "degenerate (critical-mass) horizon: the radial coordinate is not tabulable"
         )
-    rho_nodes, r_nodes = _build_nodes(params, rho0, r_max, h_target, True)
+    rho_nodes, r_nodes = _build_nodes(params, rho0, r_max, h_target)
     stop = int(np.searchsorted(r_nodes, r_max))
     stop = min(stop + 1, len(r_nodes))
     return WarpTable(params, r_nodes[:stop], rho_nodes[:stop])
 
-
-class _HyperbolicParams(SpaceParams):
-    """Massless kappa=+1 limit; only for the dedicated comparison table."""
-
-    def __post_init__(self):  # lambda(r) = sinh r has no horizon, so skip m > 0
-        pass
-
-
-def hyperbolic_reference_table(n, r_max=25.0, target_nodes=4000):
-    """Warp table of the exact hyperbolic limit (kappa=1, m->0): lambda = sinh r."""
-    theta = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    params = _HyperbolicParams(n=n, kappa=1, m=0.0, theta=theta)
-    h_target = r_max / max(200, int(target_nodes))
-    rho_nodes, r_nodes = _build_nodes(params, 0.0, r_max, h_target, False)
-    stop = min(int(np.searchsorted(r_nodes, r_max)) + 1, len(r_nodes))
-    return WarpTable(params, r_nodes[:stop], rho_nodes[:stop])
-
-
-# ---------------------------------------------------------------------------
-# Curvature deviation from the constant-curvature model
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CurvatureDeviation:
-    """Pointwise distance of the curvature from the hyperbolic model.
-
-    ``sec_tangential`` and ``sec_radial`` are the sectional curvatures of the
-    fiber and radial planes (both -1 in the model); the deviations are the
-    max-component norms of Riem + g (x) g and Ric + (n-1) g.
-    """
-
-    riem_dev: float
-    ric_dev: float
-    sec_tangential: float
-    sec_radial: float
-
-
-def curvature_deviation(params, warp, r):
-    if not 0.0 <= r <= warp.r_max:  # NaN fails too
-        raise DomainError(f"r={r!r} outside [0, {warp.r_max:g}]")
-    n, m = params.n, params.m
-    lam = float(warp.lam(r))
-    scale = m * lam ** (-n)
-    return CurvatureDeviation(
-        riem_dev=abs(scale) * max(2.0, float(n - 2)),
-        ric_dev=(n - 1) * (n - 2) * abs(scale),
-        sec_tangential=2.0 * scale - 1.0,
-        sec_radial=-(1.0 + (n - 2) * scale),
-    )

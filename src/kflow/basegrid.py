@@ -51,7 +51,6 @@ __all__ = [
     "make_grid",
     "integrate",
     "differentiate",
-    "beckner_deficit",
     "beckner_report",
     "sharp_constant",
     "sphere_area",
@@ -364,14 +363,10 @@ def sharp_constant(n, kappa, theta):
     return (n - 1) * kappa * theta ** (1.0 / (n - 1))
 
 
-def beckner_deficit(field, n):
-    """Sharp-form deficit (gradient coefficient (n-2)/2); >= 0 on the sphere,
-    on the homogeneous mode, and trivially for kappa = 0."""
-    return beckner_report(field, n)["sharp"]
-
-
 def beckner_report(field, n):
-    """Both deficit variants plus the size of the participating terms."""
+    """Both deficit variants plus the size of the participating terms.  ``sharp``
+    (gradient coefficient (n-2)/2) is >= 0 on the sphere, on the homogeneous
+    mode, and trivially for kappa = 0."""
     if n < 3:
         raise DomainError(f"need n >= 3, got {n}")
     grid = field.grid

@@ -69,8 +69,8 @@ class _Key(NamedTuple):
 _POSITIVE = (lambda v: v > 0, "> 0")
 _NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
-_FILE_NAME = (lambda v: v and not any(c in v for c in r'/\:*?"<>| '),
-              "nonempty and filesystem-safe")
+_FILE_NAME = (lambda v: v not in ("", ".", "..") and not any(c in v for c in r'/\:*?"<>| '),
+              "nonempty, filesystem-safe and not '.' or '..'")
 _ALWAYS = (lambda raw: True, "")
 _INCREASING = (lambda v: len(v) >= 3 and all(b > a for a, b in zip(v, v[1:])),
                "strictly increasing with at least 3 points")
@@ -279,7 +279,7 @@ def scenario_from_dict(raw):
             problems.append(f"scenario.checks: {check!r} needs a {row.section} section")
     try:
         params = SpaceParams(**_settings("space", raw["space"]))
-        rho0 = find_horizon(params).rho0
+        rho0 = find_horizon(params)
     except KFlowError as exc:
         problems.append(f"scenario.space: {exc}")
     else:

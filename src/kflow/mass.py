@@ -223,7 +223,7 @@ def kottler_pair_graph(params, m_graph):
     def dlog_psi_v2(rho, vg2):
         return (2 - n) / rho - _v_squared_prime(pg, rho) / vg2
 
-    rho_start = find_horizon(pg).rho0
+    rho_start = find_horizon(pg)
     return _radial_graph(params, rho_start, m_graph > params.m, rho_start + 20.0,
                          profile=profile, dlog_psi_v2=dlog_psi_v2)
 
@@ -247,7 +247,7 @@ def mass_profile_graph(params, m_horizon, m_total, rate=1.0):
     if not (math.isfinite(rate) and rate > 0.0):  # the bulk cut-off divides by it
         raise DomainError(f"rate must be positive and finite, got {rate!r}")
     n, kappa = params.n, params.kappa
-    rho_i = find_horizon(replace(params, m=m_horizon)).rho0
+    rho_i = find_horizon(replace(params, m=m_horizon))
     dm_tot = m_total - m_horizon
 
     def mtilde_and_prime(rho):
@@ -286,7 +286,7 @@ def graph_from_f_prime(params, f_prime, rho_inner, decay_tau=None, f_prime2=None
     at or below n/2 is rejected outright, and the fitted value must clear
     n/2 regardless of what was stated.
     """
-    rho0 = find_horizon(params).rho0
+    rho0 = find_horizon(params)
     if not rho0 <= rho_inner < math.inf:  # inside the horizon V^2 < 0
         raise DomainError(
             f"rho_inner={rho_inner!r} must be finite and at or beyond "
@@ -313,7 +313,7 @@ def mass_integrand(graph, rho):
     """
     params = graph.base
     rho = float(rho)
-    rho0 = find_horizon(params).rho0
+    rho0 = find_horizon(params)
     if not max(graph.rho_inner, rho0) < rho < math.inf:
         raise DomainError(
             f"rho={rho:.6g} not finite and beyond "

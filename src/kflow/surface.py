@@ -19,7 +19,7 @@ metric, second fundamental form and mean curvature are
 
 with gtil^ij = ghat^ij - phi^i phi^j / v^2.  g_ij and h_ij are not returned.
 The support function is p = <grad V, nu> = lambda''(u) / v, using
-<d_r, nu> = 1/v, and the star-shapedness witness is chi = v / lambda.
+<d_r, nu> = 1/v.
 
 The kernel forms none of V, v, phi or H on the step path.  With
 V^2 = lambda^2 + kappa - 2 q and lambda lambda'' = lambda^2 + (n-2) q, where
@@ -33,8 +33,8 @@ q = m lambda^(2-n), v^2 = W / V^2 and the c |grad s|^2 terms collapse, so
 V^2, W and D and tests mean convexity as D > 0, with V^2 > 0: where V^2
 rounds to <= 0, next to the horizon, H is NaN and the graph is rejected.
 Every other field is formed on its first read: a flow's midpoint stage
-forms only the speed W^2 / D, its full stage also H, once, for min H; p,
-chi and the area element are formed when read, and the aggregate functional
+forms only the speed W^2 / D, its full stage also H, once, for min H; p
+and the area element are formed when read, and the aggregate functional
 record below on its first read, which a flow makes only at its record
 times.  The graph height u is formed only where it is read, through the
 inverse table.  docs/derivations.md derives the formulas in s.
@@ -189,11 +189,11 @@ class SurfaceGeometry:
     first read and then kept: ``dlam`` and ``ddlam`` are lambda' and lambda'';
     ``grad_phi_sq`` = |grad phi|^2 = |grad s|^2 / V^2, ``v`` =
     sqrt(1 + |grad phi|^2), ``H`` = D / (lambda W^(3/2)) the mean curvature and
-    ``h_min`` = min H, which is > 0.  The support function ``p`` = lambda'' / v,
-    ``chi`` = v / lambda and ``area_element`` = lambda^(n-1) v (the density of
-    the area measure against d mu_ghat) are formed on each read;
-    ``functionals``, the aggregate record, is formed on the first read and
-    then kept, so a flow pays for it only at record times.
+    ``h_min`` = min H, which is > 0.  The support function ``p`` = lambda'' / v
+    and ``area_element`` = lambda^(n-1) v (the density of the area measure
+    against d mu_ghat) are formed on each read; ``functionals``, the
+    aggregate record, is formed on the first read and then kept, so a flow
+    pays for it only at record times.
     """
 
     def __init__(self, surface, dlam_sq, lam_ddlam, grad_s_sq, W, D):
@@ -244,10 +244,6 @@ class SurfaceGeometry:
     @property
     def p(self):
         return self.ddlam / self.v
-
-    @property
-    def chi(self):
-        return self.v / self.lam
 
     @property
     def area_element(self):

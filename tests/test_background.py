@@ -1,4 +1,4 @@
-"""Background geometry: horizon, warp table, curvature decay."""
+"""Background geometry: horizon, potential, warp table and its lookups."""
 
 import math
 
@@ -43,7 +43,7 @@ class TestCriticalMass:
         assert abs(v_squared(p, rho_h)) < 1e-13
         assert abs(_v_squared_prime(p, rho_h)) < 1e-13
         # and find_horizon lands exactly there
-        assert kf.find_horizon(p).rho0 == pytest.approx(rho_h, rel=1e-10)
+        assert kf.find_horizon(p) == pytest.approx(rho_h, rel=1e-10)
 
 
 class TestHorizon:
@@ -57,8 +57,9 @@ class TestHorizon:
         ],
     )
     def test_known_roots(self, n, kappa, m, expect):
-        hd = kf.find_horizon(kf.SpaceParams(n, kappa, m, 4 * math.pi))
-        assert hd.rho0 == pytest.approx(expect, rel=1e-10)
+        rho0 = kf.find_horizon(kf.SpaceParams(n, kappa, m, 4 * math.pi))
+        assert type(rho0) is float
+        assert rho0 == pytest.approx(expect, rel=1e-10)
 
     def test_residual_and_horizon_relation(self):
         rng = np.random.default_rng(11)
@@ -71,7 +72,7 @@ class TestHorizon:
                 mc = kf.critical_mass(n)
                 m = float(rng.uniform(0.9 * mc, 20.0))
             p = kf.SpaceParams(n, kappa, m, 1.0)
-            rho0 = kf.find_horizon(p).rho0
+            rho0 = kf.find_horizon(p)
             assert abs(v_squared(p, rho0)) <= 1e-12 * max(1.0, rho0**2)
             # 2m = rho0^n + kappa rho0^(n-2)
             assert 2 * m == pytest.approx(rho0**n + kappa * rho0 ** (n - 2), rel=1e-12)
@@ -86,9 +87,9 @@ class TestHorizon:
 
     def test_mass_area_roundtrip(self):
         p = kf.SpaceParams(4, -1, -0.05, 7.0)
-        hd = kf.find_horizon(p)
-        assert hd.horizon_mass_check == pytest.approx(p.m, rel=1e-10)
-        assert hd.horizon_area == pytest.approx(hd.rho0**3 * 7.0, rel=1e-14)
+        area = kf.find_horizon(p) ** (p.n - 1) * p.theta
+        got = kf.mass_from_horizon_area(area, n=p.n, kappa=p.kappa, theta=p.theta)
+        assert got == pytest.approx(p.m, rel=1e-10)
 
     @pytest.mark.parametrize(
         "n,kappa,theta,area,expect",
@@ -111,7 +112,7 @@ class TestHorizon:
 class TestPotential:
     def test_values(self, params_flat):
         assert kf.potential(params_flat, 2.0) == pytest.approx(math.sqrt(3.5), rel=1e-14)
-        rho0 = kf.find_horizon(params_flat).rho0
+        rho0 = kf.find_horizon(params_flat)
         assert abs(kf.potential(params_flat, rho0)) < 2e-6  # sqrt of the root residual
 
     def test_domain_error(self, params_flat):
@@ -155,6 +156,7 @@ class TestOneForm:
         assert dlam.tobytes() == np.sqrt(np.maximum(v2, 0.0)).tobytes()
         assert ddlam.tobytes() == half_prime.tobytes()
         nodes = warp.lam_nodes
+        assert warp.d_lam_nodes[0] == 0.0  # the horizon slope, on every space
         assert warp.dd_lam_nodes.tobytes() == (0.5 * _v_squared_prime(params, nodes)).tobytes()
         assert warp.d_lam_nodes[1:].tobytes() == np.sqrt(v_squared(params, nodes[1:])).tobytes()
 
@@ -162,7 +164,7 @@ class TestOneForm:
 class TestWarpTable:
     def test_invariants(self, params_flat, warp_flat):
         w = warp_flat
-        assert w.lam(0.0) == pytest.approx(kf.find_horizon(params_flat).rho0, rel=1e-14)
+        assert w.lam(0.0) == pytest.approx(kf.find_horizon(params_flat), rel=1e-14)
         assert abs(w.derivatives_at(w.lam(0.0))[0]) < 1e-6
         assert np.all(np.diff(w.lam_nodes) > 0)
         assert w.identity_residual() < 1e-10
@@ -176,16 +178,18 @@ class TestWarpTable:
         ddlam = warp_flat.derivatives_at(lam)[1]
         assert np.max(np.abs(ddlam - expect) / np.abs(expect)) < 1e-12
 
-    def test_exponential_growth_constant(self, warp_flat):
-        _, variation = warp_flat.asymptotic_constant()
-        assert variation < 1e-6
-
-    def test_hyperbolic_reference(self):
-        w = kf.hyperbolic_reference_table(3, r_max=12.0)
-        r = np.linspace(0.05, 11.5, 40)
-        assert np.max(np.abs(w.lam(r) - np.sinh(r)) / np.sinh(r)) < 1e-10
-        dlam = w.derivatives_at(w.lam(r))[0]
-        assert np.max(np.abs(dlam - np.cosh(r)) / np.cosh(r)) < 1e-10
+    def test_torus_oracle(self, warp_flat):
+        # lambda = cosh(3r/2)^(2/3) on n = 3, kappa = 0, m = 1/2 (docs/derivations.md,
+        # "Torus oracle").  lambda' vanishes at the horizon, so its error is
+        # taken against max(1, lambda'); r reaches the table's last decade.
+        r = np.linspace(0.05, 24.0, 80)
+        lam = np.cosh(1.5 * r) ** (2.0 / 3.0)
+        dlam = np.sinh(1.5 * r) / np.cosh(1.5 * r) ** (1.0 / 3.0)
+        got = warp_flat.lam(r)
+        assert np.max(np.abs(got - lam) / lam) < 1e-10
+        got_dlam = warp_flat.derivatives_at(got)[0]
+        assert np.max(np.abs(got_dlam - dlam) / np.maximum(1.0, dlam)) < 1e-10
+        assert np.max(np.abs(warp_flat.r_from_rho(lam) - r)) < 1e-10
 
     def test_inverse_lookup(self, warp_flat):
         for rho in (1.0001, 1.7, 2.0, 50.0, 1e6):
@@ -295,14 +299,11 @@ class TestHermiteEval:
     """hermite_eval is bitwise equal to the np.clip reference everywhere in range."""
 
     @pytest.fixture
-    def tables(self, warp_flat):
-        hyp = kf.hyperbolic_reference_table(3, r_max=12.0)  # starts at lambda = 0
+    def tables(self, warp_flat, warp_hyp_sym):
         two = (np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([0.5, 1.5]))
         return [
-            (warp_flat.r_grid, warp_flat.lam_nodes, warp_flat.d_lam_nodes),
-            (hyp.r_grid, hyp.lam_nodes, hyp.d_lam_nodes),
-            two,
-        ]
+            (w.r_grid, w.lam_nodes, w.d_lam_nodes) for w in (warp_flat, warp_hyp_sym)
+        ] + [two]
 
     @staticmethod
     def _points(xs):
@@ -366,39 +367,3 @@ class TestFitLogSlope:
         assert _util.fit_log_slope(x, y) == pytest.approx(want, rel=1e-12)
         assert _util.fit_log_slope(x, np.where(x < 4.0, 0.0, y)) is None
 
-
-class TestCurvature:
-    def test_constant_curvature_case(self):
-        p = kf.SpaceParams(3, -1, 0.0, 1.0)
-        w = kf.build_warp_table(p, r_max=10.0, target_nodes=1500)
-        dev = kf.curvature_deviation(p, w, 3.0)
-        assert dev.riem_dev == 0.0
-        assert dev.ric_dev == 0.0
-        assert dev.sec_tangential == pytest.approx(-1.0, rel=1e-14)
-        assert dev.sec_radial == pytest.approx(-1.0, rel=1e-14)
-
-    def test_mixed_component_identity(self, params_flat, warp_flat):
-        # -lambda lambda'' ghat_ij equals -(1 + (n-2) m lambda^-n) bar-g_ij:
-        # per unit bar-g the coefficients must agree.
-        for r in (0.5, 2.0, 7.0):
-            lam = float(warp_flat.lam(r))
-            ddlam = float(warp_flat.derivatives_at(lam)[1])
-            dev = kf.curvature_deviation(params_flat, warp_flat, r)
-            assert -ddlam / lam == pytest.approx(dev.sec_radial, rel=1e-12)
-
-    def test_decay_exponent(self, params_flat, warp_flat):
-        # log of the deviation decays with slope -n in r over the last decade
-        r = np.linspace(warp_flat.r_max - math.log(10.0), warp_flat.r_max - 0.05, 24)
-        devs = [kf.curvature_deviation(params_flat, warp_flat, float(x)).riem_dev for x in r]
-        slope = np.polyfit(r, np.log(devs), 1)[0]
-        assert abs(slope + params_flat.n) < 0.05
-
-    def test_positive_for_nonzero_mass(self, params_flat, warp_flat):
-        dev = kf.curvature_deviation(params_flat, warp_flat, 1.0)
-        assert dev.riem_dev > 0.0
-        assert dev.ric_dev > 0.0
-
-    @pytest.mark.parametrize("r", [math.nan, math.inf, -1.0])
-    def test_domain(self, params_flat, warp_flat, r):
-        with pytest.raises(DomainError):
-            kf.curvature_deviation(params_flat, warp_flat, r)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from kflow.basegrid import (
     ScalarField,
     _torus_derivatives,
-    beckner_deficit,
     beckner_report,
     differentiate,
     integrate,
@@ -195,21 +194,20 @@ class TestDerivatives:
 class TestBecknerDeficit:
     def test_constant_equality_sphere(self, sphere64):
         for c in (0.3, 1.0, 2.7):
-            assert abs(beckner_deficit(ScalarField.constant(sphere64, c), 3)) < 1e-10
+            assert abs(beckner_report(ScalarField.constant(sphere64, c), 3)["sharp"]) < 1e-10
 
     def test_constant_equality_n4(self):
         g = make_grid("sphere_axisym", 48, n=4)
-        assert abs(beckner_deficit(ScalarField.constant(g, 1.4), 4)) < 1e-10
+        assert abs(beckner_report(ScalarField.constant(g, 1.4), 4)["sharp"]) < 1e-10
 
     def test_positive_perturbation(self, sphere64):
         f = ScalarField(1.0 + 0.1 * sphere64.aux["mu"], sphere64)  # 1 + 0.1 cos(theta)
-        assert beckner_deficit(f, 3) >= 0.0
+        assert beckner_report(f, 3)["sharp"] >= 0.0
 
     def test_symmetric_mode_equalities(self, sym_grid):
         # every field is constant there: both kappa=-1 statements collapse
-        assert beckner_deficit(ScalarField.constant(sym_grid, 2.0), 3) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        sharp = beckner_report(ScalarField.constant(sym_grid, 2.0), 3)["sharp"]
+        assert sharp == pytest.approx(0.0, abs=1e-12)
 
     def test_torus_gradient_only(self, torus64):
         pert = low_frequency_field(torus64, seed=2, amplitude=0.2)
@@ -219,11 +217,11 @@ class TestBecknerDeficit:
 
     def test_positive_field_required(self, sphere64):
         with pytest.raises(DomainError):
-            beckner_deficit(ScalarField.constant(sphere64, -1.0), 3)
+            beckner_report(ScalarField.constant(sphere64, -1.0), 3)
 
     def test_dimension_mismatch(self, sphere64):
         with pytest.raises(ConfigurationError):
-            beckner_deficit(ScalarField.constant(sphere64, 1.0), 4)
+            beckner_report(ScalarField.constant(sphere64, 1.0), 4)
 
     def test_sharp_bitwise(self, sphere64):
         # Reference: the sharp deficit with its constant written out in place.

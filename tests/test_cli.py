@@ -206,6 +206,9 @@ class TestParsing:
         # A warp table the h^4/384 bound says cannot reach its tolerance.
         ("warp", "tol", 1e-20, "scenario.warp.tol"),
         ("warp", "target_nodes", 3, "scenario.warp.target_nodes"),
+        # A name is a directory under --out, so "." and ".." would write outside it.
+        (None, "name", "..", "scenario.name"),
+        (None, "name", ".", "scenario.name"),
     ])
     def test_bad_value_names_key(self, tmp_path, section, key, value, where):
         cfg = json.loads(json.dumps(SMALL_FLOW))

@@ -314,8 +314,8 @@ class TestPenrose:
         assert d1 - d0 == pytest.approx(0.1, rel=1e-12)
 
     def test_kottler_space_itself(self, base_flat):
-        hd = kf.find_horizon(base_flat)
-        assert abs(kf.penrose_deficit(base_flat.m, hd.horizon_area, base_flat)) < 1e-12
+        area = kf.find_horizon(base_flat) ** (base_flat.n - 1) * base_flat.theta
+        assert abs(kf.penrose_deficit(base_flat.m, area, base_flat)) < 1e-12
 
     def test_family_nonnegative(self, base_hyp, family_flat):
         est = kf.mass_limit(family_flat)
@@ -471,7 +471,7 @@ class TestProfilesPinned:
         params = kf.SpaceParams(*base)
         m_h, m_t = params.m + 0.2, params.m + 0.55
         graph = kf.mass_profile_graph(params, m_h, m_t, rate=rate)
-        rho_i = kf.find_horizon(replace(params, m=m_h)).rho0
+        rho_i = kf.find_horizon(replace(params, m=m_h))
         assert graph.rho_inner == rho_i
         self._assert_bitwise(graph, _reference_profile(params, rho_i, m_t, m_h, rate))
 
@@ -513,7 +513,7 @@ def _reference_shape(graph, rho):
 def _four_graphs(params):
     """A Kottler pair, a dominant-energy profile, a user f' with f'' and a
     user f' whose f'' is a finite difference."""
-    rho_inner = kf.find_horizon(params).rho0 + 0.5
+    rho_inner = kf.find_horizon(params) + 0.5
     user = {"params": params, "rho_inner": rho_inner,
             "f_prime": lambda r: 0.3 * np.asarray(r, float) ** -3.5}
     graphs = [kf.kottler_pair_graph(params, params.m + 0.4),

@@ -31,7 +31,6 @@ class TestSliceClosedForms:
         assert np.max(np.abs(geom.H - math.sqrt(3.5))) < 1e-12
         assert np.max(np.abs(geom.p - 2.125)) < 1e-12
         assert np.max(np.abs(geom.dlam - math.sqrt(3.5))) < 1e-12
-        assert np.max(np.abs(geom.chi * geom.lam / geom.v - 1.0)) < 1e-15
 
     def test_functionals(self, slice_flat):
         rec = kf.compute_geometry(slice_flat).functionals
