@@ -24,14 +24,15 @@ satisfied to ~1e-13 relative by storing closed-form derivatives at every
 node and interpolating with exact-slope cubic Hermite pieces.
 
 This module is the one place that writes the closed forms of the potential,
-each in one function: 2q = 2 m rho^(2-n) (``_two_q``), V^2 = rho^2 + kappa -
-2q (``_v_squared_parts``, and ``v_squared``), lambda'' (``_ddlam``, and
+each in one function: 2q = 2 m rho^(2-n) and V^2 = rho^2 + kappa - 2q
+(``_v_squared_parts``, and ``v_squared``), lambda'' (``_ddlam``, and
 (V^2)' = 2 lambda'' in ``_v_squared_prime``), lambda lambda'' = lambda^2 +
 (n-2) q (``_lam_ddlam``) and V = sqrt(max(V^2, 0)) (``_v``).  All but V
-also take an array of masses, and the massless case is handled once, in
-``_mass_power``.  The horizon root, the warp table, the geometry kernel and
-the mass layer all read them (docs/derivations.md, "Closed forms of the
-Kottler potential").
+also take an array of masses, ``_v_squared_parts`` also forms the 2q of
+further masses from the same power, and the massless case is handled once,
+in ``_mass_power``.  The horizon root, the warp table, the geometry kernel
+and the mass layer all read them (docs/derivations.md, "Closed forms of
+the Kottler potential").
 
 Radial graphs over this background are built in ``kflow.mass``.
 """
@@ -109,30 +110,33 @@ class SpaceParams:
 # power would round differently.  A mass may be an array shaped like rho.
 
 
-def _mass_power(cm, rho, p):
-    """cm rho^p, where cm is a mass (or an array of masses) times a constant:
-    rho^p, then scaled in place.  This is the one place the massless case is
-    handled: cm = 0 (the massless kappa = -1 space) gives exact zeros, a float
-    for one radius, and forms no power."""
-    if not isinstance(cm, np.ndarray) and cm == 0.0:
-        return np.zeros_like(rho) if rho.ndim else 0.0
-    term = rho ** p
-    term *= cm
-    return term
+def _mass_power(rho, p, c, masses):
+    """c m rho^p for each mass m (a number, or an array shaped like rho), new
+    values from one rho^p.  This is the one place the massless case is
+    handled: c m = 0 (the massless kappa = -1 space) gives exact zeros, a
+    float for one radius, and needs no power."""
+    power = None
+    terms = []
+    for m in masses:
+        cm = c * m
+        if not isinstance(cm, np.ndarray) and cm == 0.0:
+            terms.append(np.zeros_like(rho) if rho.ndim else 0.0)
+            continue
+        if power is None:
+            power = rho ** p
+        terms.append(power * cm)
+    return terms
 
 
-def _two_q(n, m, rho):
-    """2 q = 2 m rho^(2-n), a new value."""
-    return _mass_power(2.0 * m, rho, 2 - n)
-
-
-def _v_squared_parts(n, kappa, m, rho):
-    """(V^2, 2q) with V^2 = rho^2 + kappa - 2q, each a new value."""
-    two_q = _two_q(n, m, rho)
+def _v_squared_parts(n, kappa, m, rho, *more):
+    """(V^2, 2q) with 2q = 2 m rho^(2-n) and V^2 = rho^2 + kappa - 2q at the
+    mass m, then the 2q of each further mass from the same power; each a new
+    value."""
+    two_qs = _mass_power(rho, 2 - n, 2.0, (m, *more))
     v2 = rho**2
     v2 += kappa
-    v2 -= two_q
-    return v2, two_q
+    v2 -= two_qs[0]
+    return (v2, *two_qs)
 
 
 def _lam_ddlam(n, lam, two_q):
@@ -145,7 +149,7 @@ def _lam_ddlam(n, lam, two_q):
 
 def _ddlam(n, m, rho):
     """lambda'' = rho + (n-2) m rho^(1-n) at lambda = rho, a new value; (V^2)' = 2 lambda''."""
-    dd = _mass_power((n - 2) * m, rho, 1 - n)
+    (dd,) = _mass_power(rho, 1 - n, n - 2, (m,))
     dd += rho
     return dd
 

@@ -5,13 +5,10 @@ Three modes cover the fibers that appear over a Kottler background:
 * ``torus2d`` -- flat square torus of side L (kappa = 0, ambient n = 3).
   Uniform periodic nodes; 4th-order centered stencils; trapezoidal
   quadrature (spectrally accurate for smooth periodic integrands).
-  The stencils read their neighbours from a wrap-padded copy of the field,
-  flattened so that every operand is a contiguous run: along axis 0 the
-  (m+4, m) copy, neighbours m entries apart; along axis 1 the (m, m+4)
-  copy, neighbours one entry apart, with the m valid columns copied out of
-  the result.  Each stencil is formed in place with the operand order of
-  its formula, so the derivatives are bitwise equal to the same formula
-  evaluated with np.roll neighbours.
+  The stencils are band matrices applied by BLAS to row and column tiles
+  of a wrap-padded copy of the field less its first entry: constants give
+  exact zeros, and other fields the stencil formulas on np.roll
+  neighbours to rounding (docs/derivations.md).
 * ``sphere_axisym`` -- round unit sphere S^(n-1) (kappa = +1), restricted
   to axisymmetric fields f(theta).  Collocation in mu = cos(theta) on
   Gauss-Jacobi nodes with weight (1 - mu^2)^((n-3)/2), so quadrature and
@@ -148,6 +145,25 @@ def _jacobi_diff_matrix(x):
     return d
 
 
+# Most rows a band covers.  A product's M N K = b (b+4) m stays within
+# OpenBLAS's one-thread limit, 262 144, up to m = 819.
+_TILE = 16
+
+
+def _torus_bands(m, dx):
+    """The 4th-order periodic d/dx and d^2/dx^2 as stacked (b, b+4) bands and
+    their C-contiguous transposes, b the largest divisor of m up to ``_TILE``.
+    Row r holds the weights of f[i-2..i+2] in columns r..r+4, so a band times
+    padded rows kb..kb+b+3 gives derivative rows kb..kb+b-1."""
+    b = max(k for k in range(1, min(m, _TILE) + 1) if m % k == 0)
+    weights = np.array([[1.0, -8.0, 0.0, 8.0, -1.0], [-1.0, 16.0, -30.0, 16.0, -1.0]])
+    weights /= np.array([[12.0 * dx], [12.0 * dx * dx]])
+    rows = np.arange(b)[:, None]
+    bands = np.zeros((2, b, b + 4))
+    bands[:, rows, rows + np.arange(5)] = weights[:, None, :]
+    return bands, np.ascontiguousarray(bands.transpose(0, 2, 1))
+
+
 def make_grid(mode, resolution, theta_or_L=None, *, n=3, kappa=None):
     """Build a base-manifold grid.  See the module docstring for the modes."""
     if mode not in MODES:
@@ -170,6 +186,7 @@ def make_grid(mode, resolution, theta_or_L=None, *, n=3, kappa=None):
         ax = np.arange(resolution) * (L / resolution)
         w = np.full((resolution, resolution), (L / resolution) ** 2)
         w *= theta / w.sum()
+        bands, bands_t = _torus_bands(resolution, L / resolution)
         return BaseGrid(
             mode=mode,
             n=3,
@@ -180,7 +197,7 @@ def make_grid(mode, resolution, theta_or_L=None, *, n=3, kappa=None):
             coords=(ax, ax.copy()),
             quad_weights=w,
             dx_min=L / resolution,
-            aux={"L": L, "dx": L / resolution},
+            aux={"L": L, "dx": L / resolution, "bands": bands, "bands_t": bands_t},
         )
 
     if mode == "sphere_axisym":
@@ -240,67 +257,45 @@ def integrate(field):
     return float(np.sum(field.grid.quad_weights * field.values))
 
 
-def _wrap_pad(f, axis):
-    """A new C-contiguous copy of ``f`` with two wrapped entries added at each
-    end of ``axis``."""
+def _tiles(padded, b, axis):
+    """Overlapping views of the C-contiguous wrap-padded array, b apart along
+    ``axis``: tile k holds its rows (axis 0) or columns (axis 1) kb..kb+b+3,
+    the input of derivative rows or columns kb..kb+b-1."""
+    rows, cols = padded.shape
+    row, col = padded.strides
     if axis == 0:
-        return np.concatenate((f[-2:], f, f[:2]))
-    return np.concatenate((f[:, -2:], f, f[:, :2]), axis=1)
+        shape, strides = ((rows - 4) // b, b + 4, cols), (b * row, row, col)
+    else:
+        shape, strides = ((cols - 4) // b, rows, b + 4), (b * col, row, col)
+    return np.ndarray(shape, buffer=padded, strides=strides)
 
 
-def _neighbours(padded, step, count):
-    """f[i-2], f[i-1], f[i], f[i+1], f[i+2] as contiguous runs of ``count``
-    entries of the flattened ``padded`` array, neighbours ``step`` apart."""
-    flat = padded.reshape(-1)
-    return [flat[k * step:k * step + count] for k in range(5)]
+def _along_y(g, bands_t):
+    """Each band applied along axis 1 of the periodic m x m ``g``: each column
+    tile of its wrap-padded copy times band^T, into that tile's m x b block."""
+    m, b = g.shape[0], bands_t.shape[2]
+    tiles = _tiles(np.concatenate((g[:, -2:], g, g[:, :2]), axis=1), b, 1)
+    outs = [np.empty((m, m)) for _ in bands_t]
+    for band_t, out in zip(bands_t, outs):
+        np.matmul(tiles, band_t, out=out.reshape(m, m // b, b).transpose(1, 0, 2))
+    return outs
 
 
-def _d1_periodic(neighbours, dx, out, tmp):
-    """(l2 - 8 l1 + 8 r1 - r2) / (12 dx), formed in ``out`` in that operand order."""
-    l2, l1, _, r1, r2 = neighbours
-    np.multiply(l1, 8.0, out=out)
-    np.subtract(l2, out, out=out)
-    out += np.multiply(r1, 8.0, out=tmp)
-    out -= r2
-    out /= 12.0 * dx
-    return out
-
-
-def _d2_periodic(neighbours, dx, out, tmp):
-    """(-l2 + 16 l1 - 30 f + 16 r1 - r2) / (12 dx^2), formed in ``out`` in
-    that operand order; -l2 + 16 l1 is formed as 16 l1 - l2, the same sum."""
-    l2, l1, f, r1, r2 = neighbours
-    np.multiply(l1, 16.0, out=out)
-    out -= l2
-    out -= np.multiply(f, 30.0, out=tmp)
-    out += np.multiply(r1, 16.0, out=tmp)
-    out -= r2
-    out /= 12.0 * dx * dx
-    return out
-
-
-def _torus_derivatives(f, dx):
-    """fx, fy, fxx, fxy, fyy of a periodic m x m field by 4th-order stencils,
-    as new C-contiguous arrays.  Along axis 1 the stencils also run across
-    the ends of the padded rows; those entries are dropped when the m valid
-    columns are copied out (module docstring)."""
+def _torus_derivatives(f, aux):
+    """fx, fy, fxx, fxy, fyy of a periodic m x m field by the 4th-order band
+    products of ``make_grid``, as new C-contiguous arrays; fxy is d/dy of fx.
+    The products act on f less its first entry, which is exact for a constant
+    field, so constants give exact zeros (docs/derivations.md)."""
     m = f.shape[0]
-    size = m * m
-    tmp = np.empty(size + 4 * m)
-    along_x = _neighbours(_wrap_pad(f, 0), m, size)
-    fx = _d1_periodic(along_x, dx, np.empty(size), tmp[:size]).reshape(m, m)
-    fxx = _d2_periodic(along_x, dx, np.empty(size), tmp[:size]).reshape(m, m)
-
-    count = size + 4 * m - 4
-    rows = np.empty((m, m + 4))
-    run, tmp = rows.reshape(-1)[:count], tmp[:count]
-    along_y = _neighbours(_wrap_pad(f, 1), 1, count)
-    _d1_periodic(along_y, dx, run, tmp)
-    fy = rows[:, :m].copy()
-    _d2_periodic(along_y, dx, run, tmp)
-    fyy = rows[:, :m].copy()
-    _d1_periodic(_neighbours(_wrap_pad(fx, 1), 1, count), dx, run, tmp)
-    fxy = rows[:, :m].copy()
+    bands = aux["bands"]
+    padded = np.empty((m + 4, m))
+    g = np.subtract(f, f[0, 0], out=padded[2:-2])
+    padded[:2] = g[-2:]
+    padded[-2:] = g[:2]
+    tiles = _tiles(padded, bands.shape[1], 0)
+    fx, fxx = (np.matmul(band, tiles).reshape(m, m) for band in bands)
+    fy, fyy = _along_y(g, aux["bands_t"])
+    (fxy,) = _along_y(fx, aux["bands_t"][:1])
     return fx, fy, fxx, fxy, fyy
 
 
@@ -320,7 +315,7 @@ def differentiate(field):
     grid = field.grid
     f = field.values
     if grid.mode == "torus2d":
-        fx, fy, fxx, fxy, fyy = _torus_derivatives(f, grid.aux["dx"])
+        fx, fy, fxx, fxy, fyy = _torus_derivatives(f, grid.aux)
         # fx^2 fxx + 2 fx fy fxy + fy^2 fyy and fx^2 + fy^2, left to right.
         fx_sq = fx * fx
         fy_sq = fy * fy

@@ -307,19 +307,34 @@ _BEYOND_HORIZON = (
 )
 
 
-def _inside_horizon(raw, rho0):
-    """A problem for each warp-factor value (defaults included) at or below rho0."""
-    problems = []
-    for section, key in _BEYOND_HORIZON:
+def _warp_factors(raw, keys):
+    """(path, value) of each warp-factor value the scenario gives or defaults to."""
+    for section, key in keys:
         if raw.get(section) is None:
             continue
         value = _settings(section, raw[section]).get(key)
         where = f"scenario.{section}.{key}"
-        located = ([(f"{where}[{i}]", x) for i, x in enumerate(value)]
-                   if isinstance(value, list) else [(where, value)])
-        problems.extend(f"{at}: must be > the horizon radius rho0 = {rho0:.12g}, got {x!r}"
-                        for at, x in located if x is not None and x <= rho0)
-    return problems
+        if isinstance(value, list):
+            yield from ((f"{where}[{i}]", x) for i, x in enumerate(value))
+        elif value is not None:
+            yield where, value
+
+
+def _inside_horizon(raw, rho0):
+    """A problem for each warp-factor value (defaults included) at or below rho0."""
+    return [f"{at}: must be > the horizon radius rho0 = {rho0:.12g}, got {x!r}"
+            for at, x in _warp_factors(raw, _BEYOND_HORIZON) if x <= rho0]
+
+
+def _beyond_table(raw, warp):
+    """A problem for each surface warp factor above the table's largest, which
+    ``scenario.warp.r_max`` sets; ``mass.rho_schedule`` radii need no table."""
+    lam_max = warp.lam_nodes[-1]
+    r_max = _settings("warp", raw.get("warp") or {})["r_max"]
+    keys = [entry for entry in _BEYOND_HORIZON if entry != ("mass", "rho_schedule")]
+    return [f"{at}: {x!r} is outside tabulated range ({warp.rho0:.12g}, {lam_max:.12g}] "
+            f"of the warp table that scenario.warp.r_max = {r_max:g} sets"
+            for at, x in _warp_factors(raw, keys) if x > lam_max]
 
 
 def _mass_graph(params, cfg):
@@ -537,16 +552,19 @@ def run_scenario(scn, out_root, *, seed=None, resolution=None, quiet=False, dump
                 f"scenario {scn.name!r} has no section for command {only!r}"
             )
         raise ConfigurationError(f"scenario {scn.name}: no pipeline section present")
-    out_dir = os.path.join(out_root, scn.name)
-    os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "scenario.normalized.json"), scn.to_dict())
-    eff_seed = scn.seed if seed is None else int(seed)
     params = SpaceParams(**_settings("space", scn.space))
     warp = grid = None
     if dump_warp or any(needs_warp for _, _, needs_warp in sections):
         warp = build_warp_table(params, **_settings("warp", scn.warp))
+        problems = _beyond_table(scn.to_dict(), warp)
+        if problems:
+            raise ConfigurationError(problems)
     if any(attr != "mass" for attr, _, _ in sections):
         grid = _grid(scn, params, resolution)
+    out_dir = os.path.join(out_root, scn.name)
+    os.makedirs(out_dir, exist_ok=True)
+    _write_json(os.path.join(out_dir, "scenario.normalized.json"), scn.to_dict())
+    eff_seed = scn.seed if seed is None else int(seed)
     if dump_warp:
         warp.to_csv(os.path.join(out_dir, "warp.csv"))
     code = 0

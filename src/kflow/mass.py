@@ -73,7 +73,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._util import fit_log_slope, integrate_panels
-from .background import (SpaceParams, _ddlam, _two_q, _v, _v_squared_parts, _v_squared_prime,
+from .background import (SpaceParams, _ddlam, _v, _v_squared_parts, _v_squared_prime,
                          find_horizon, mass_from_horizon_area, v_squared)
 from .errors import DecayViolationError, DomainError, NonRepresentableGraphError, NumericsError
 
@@ -213,12 +213,12 @@ def kottler_pair_graph(params, m_graph):
             f"m_graph={m_graph} < m_base={params.m}: the radicand is negative"
         )
     pg = replace(params, m=m_graph)
-    n = params.n
+    n, kappa = params.n, params.kappa
     dm = m_graph - params.m
 
     def profile(rho, vb2):  # psi, and V_graph^2 for its log-derivative
-        vg2 = v_squared(pg, rho)
-        return _two_q(n, dm, rho) / (vg2 * vb2), vg2
+        vg2, _, two_q_dm = _v_squared_parts(n, kappa, m_graph, rho, dm)
+        return two_q_dm / (vg2 * vb2), vg2
 
     def dlog_psi_v2(rho, vg2):
         return (2 - n) / rho - _v_squared_prime(pg, rho) / vg2
@@ -256,14 +256,15 @@ def mass_profile_graph(params, m_horizon, m_total, rate=1.0):
 
     def profile(rho, vb2):  # psi, and the terms its log-derivative reuses
         mt, mt_prime = mtilde_and_prime(rho)
-        u = _v_squared_parts(n, kappa, mt, rho)[0]  # V^2 at the mass mtilde
         dm = mt - params.m
-        return _two_q(n, dm, rho) / (u * vb2), (mt, mt_prime, u, dm)
+        # U = V^2 at the mass mtilde, with 2q at dm and mtilde' from its power
+        u, _, two_q_dm, two_q_mt_prime = _v_squared_parts(n, kappa, mt, rho, dm, mt_prime)
+        return two_q_dm / (u * vb2), (mt, mt_prime, u, dm, two_q_mt_prime)
 
     def dlog_psi_v2(rho, terms):
-        mt, mt_prime, u, dm = terms
+        mt, mt_prime, u, dm, two_q_mt_prime = terms
         # U' = (V^2)' = 2 lambda'' at the mass mtilde, minus 2 mtilde' rho^(2-n)
-        u_prime = 2.0 * _ddlam(n, mt, rho) - _two_q(n, mt_prime, rho)
+        u_prime = 2.0 * _ddlam(n, mt, rho) - two_q_mt_prime
         return mt_prime / dm + (2 - n) / rho - u_prime / u
 
     return _radial_graph(

@@ -1,11 +1,17 @@
 """Base-manifold discretization: quadrature, stencils, sharp Sobolev deficit."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import kflow
 
 from kflow.basegrid import (
     ScalarField,
@@ -17,6 +23,45 @@ from kflow.basegrid import (
     make_grid,
 )
 from kflow.errors import ConfigurationError, DomainError
+
+# Torus sizes for the band-product checks: one tile (8, 12, and the prime 13),
+# one-row tiles (the prime 17), and several 16-row tiles (64, 96, 128).
+TORUS_SIZES = (8, 12, 13, 17, 64, 96, 128)
+
+
+def _torus(m):
+    return make_grid("torus2d", m, 2.0 * math.pi)
+
+
+def _roll_d1(f, axis, dx):
+    r1, r2 = np.roll(f, -1, axis), np.roll(f, -2, axis)
+    l1, l2 = np.roll(f, 1, axis), np.roll(f, 2, axis)
+    return (l2 - 8.0 * l1 + 8.0 * r1 - r2) / (12.0 * dx)
+
+
+def _roll_d2(f, axis, dx):
+    r1, r2 = np.roll(f, -1, axis), np.roll(f, -2, axis)
+    l1, l2 = np.roll(f, 1, axis), np.roll(f, 2, axis)
+    return (-l2 + 16.0 * l1 - 30.0 * f + 16.0 * r1 - r2) / (12.0 * dx * dx)
+
+
+def _product_reference(f, grid):
+    """fx, fy, fxx, fxy, fyy as the band products written out tile by tile."""
+    bands, bands_t = grid.aux["bands"], grid.aux["bands_t"]
+    b, m = bands.shape[1], f.shape[0]
+    g = f - f[0, 0]
+
+    def along_x(a, band):
+        p = np.concatenate((a[-2:], a, a[:2]))
+        return np.concatenate([band @ p[k * b:k * b + b + 4] for k in range(m // b)])
+
+    def along_y(a, band_t):
+        p = np.concatenate((a[:, -2:], a, a[:, :2]), axis=1)
+        return np.concatenate([p[:, k * b:k * b + b + 4] @ band_t for k in range(m // b)], axis=1)
+
+    fx = along_x(g, bands[0])
+    fxy = along_y(fx, bands_t[0])
+    return fx, along_y(g, bands_t[0]), along_x(g, bands[1]), fxy, along_y(g, bands_t[1])
 
 
 class TestMakeGrid:
@@ -108,41 +153,83 @@ class TestDerivatives:
             d = differentiate(ScalarField.constant(g, 4.2))
             for arr in (d.lap, d.grad_sq, d.quad_form):
                 assert np.max(np.abs(arr)) <= 1e-12 * 4.2
+        # On the torus a constant gives exact zeros at every size.
+        for m in TORUS_SIZES:
+            for c in (4.2, 1.0 / 3.0, -7.1, 0.0):
+                d = differentiate(ScalarField.constant(_torus(m), c))
+                for arr in (d.lap, d.grad_sq, d.quad_form):
+                    assert not np.any(arr), (m, c)
 
     def test_torus_mixed_partial_symmetry(self, torus64):
         pert = low_frequency_field(torus64, seed=9, amplitude=1.0)
         f = ScalarField(pert, torus64)
         d = differentiate(f)
         # quad_form must match its definition from the stencil derivatives
-        fx, fy, fxx, fxy, fyy = _torus_derivatives(f.values, torus64.aux["dx"])
+        fx, fy, fxx, fxy, fyy = _torus_derivatives(f.values, torus64.aux)
         expect = fx**2 * fxx + 2 * fx * fy * fxy + fy**2 * fyy
         assert np.max(np.abs(d.quad_form - expect)) == 0.0
 
     def test_torus_stencils_match_roll_reference(self, torus64):
-        # The stencils read neighbours from a wrap-padded copy; np.roll with
-        # the same operand order must give bitwise equal results, also on a
-        # rough field where any misplaced neighbour would show.
-        def d1(f, axis, dx):
-            r1, r2 = np.roll(f, -1, axis), np.roll(f, -2, axis)
-            l1, l2 = np.roll(f, 1, axis), np.roll(f, 2, axis)
-            return (l2 - 8.0 * l1 + 8.0 * r1 - r2) / (12.0 * dx)
-
-        def d2(f, axis, dx):
-            r1, r2 = np.roll(f, -1, axis), np.roll(f, -2, axis)
-            l1, l2 = np.roll(f, 1, axis), np.roll(f, 2, axis)
-            return (-l2 + 16.0 * l1 - 30.0 * f + 16.0 * r1 - r2) / (12.0 * dx * dx)
-
-        f = np.random.default_rng(17).normal(size=torus64.shape)
+        # The bands hold the stencil weights: (1, -8, 0, 8, -1) / (12 dx) and
+        # (-1, 16, -30, 16, -1) / (12 dx^2) on columns r..r+4 of row r.
         dx = torus64.aux["dx"]
-        fx, fy = d1(f, 0, dx), d1(f, 1, dx)
-        fxx, fyy = d2(f, 0, dx), d2(f, 1, dx)
-        fxy = d1(fx, 1, dx)
-        for got, want in zip(_torus_derivatives(f, dx), (fx, fy, fxx, fxy, fyy)):
-            assert got.tobytes() == want.tobytes()
-        d = differentiate(ScalarField(f, torus64))
-        assert np.array_equal(d.lap, fxx + fyy)
-        assert np.array_equal(d.grad_sq, fx**2 + fy**2)
-        assert np.array_equal(d.quad_form, fx**2 * fxx + 2.0 * fx * fy * fxy + fy**2 * fyy)
+        bands = torus64.aux["bands"]
+        expect = np.zeros_like(bands)
+        for r in range(bands.shape[1]):
+            expect[0, r, r:r + 5] = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * dx)
+            expect[1, r, r:r + 5] = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * dx * dx)
+        assert np.array_equal(bands, expect)
+        assert np.array_equal(torus64.aux["bands_t"], bands.transpose(0, 2, 1))
+        # Each derivative is bitwise the tile-by-tile product, and agrees with
+        # the stencil formulas on np.roll neighbours to rounding, also on a
+        # rough field where any misplaced neighbour or tile would show.
+        for m in TORUS_SIZES:
+            grid = _torus(m)
+            dx = grid.aux["dx"]
+            f = np.random.default_rng(17).normal(size=grid.shape)
+            got = _torus_derivatives(f, grid.aux)
+            for a, want in zip(got, _product_reference(f, grid)):
+                assert a.tobytes() == want.tobytes(), m
+            fx = _roll_d1(f, 0, dx)
+            rolled = (fx, _roll_d1(f, 1, dx), _roll_d2(f, 0, dx), _roll_d1(fx, 1, dx),
+                      _roll_d2(f, 1, dx))
+            for a, want in zip(got, rolled):
+                assert np.max(np.abs(a - want)) <= 1e-14 * np.max(np.abs(want)), m
+            fx, fy, fxx, fxy, fyy = got
+            d = differentiate(ScalarField(f, grid))
+            assert np.array_equal(d.lap, fxx + fyy)
+            assert np.array_equal(d.grad_sq, fx**2 + fy**2)
+            assert np.array_equal(d.quad_form, fx**2 * fxx + 2.0 * fx * fy * fxy + fy**2 * fyy)
+
+    def test_torus_bytes_do_not_depend_on_blas_threads(self):
+        # Every band product stays within OpenBLAS's one-thread size, so a
+        # process with two BLAS threads returns the same bytes as one with one.
+        code = (
+            "import hashlib, math, numpy as np\n"
+            "from kflow.basegrid import ScalarField, differentiate, make_grid\n"
+            "for m in (64, 128, 256):\n"
+            "    grid = make_grid('torus2d', m, 2.0 * math.pi)\n"
+            "    f = 1.0 + np.random.default_rng(m).normal(size=grid.shape)\n"
+            "    d = differentiate(ScalarField(f, grid))\n"
+            "    print(hashlib.sha256(d.lap.tobytes() + d.grad_sq.tobytes()"
+            " + d.quad_form.tobytes()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kflow.__file__)))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True)
+            digests.append(out.stdout.split())
+        here = []
+        for m in (64, 128, 256):
+            grid = make_grid("torus2d", m, 2.0 * math.pi)
+            f = 1.0 + np.random.default_rng(m).normal(size=grid.shape)
+            d = differentiate(ScalarField(f, grid))
+            raw = d.lap.tobytes() + d.grad_sq.tobytes() + d.quad_form.tobytes()
+            here.append(hashlib.sha256(raw).hexdigest())
+        assert digests[0] == digests[1] == here
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_sphere_derivatives_match_reference(self, n):
@@ -165,7 +252,7 @@ class TestDerivatives:
         # Every call returns new, unshared arrays: a second call leaves the
         # first call's outputs and the input as they were.
         rng = np.random.default_rng(3)
-        for grid in (torus64, sphere64, sym_grid):
+        for grid in (torus64, _torus(96), _torus(13), sphere64, sym_grid):
             f = 1.0 + rng.normal(size=grid.shape)
             f_kept = f.copy()
             first = differentiate(ScalarField(f, grid))

@@ -490,6 +490,8 @@ class TestMain:
         # A warp table the h^4/384 bound says cannot reach its tolerance.
         ("flow", {"warp": {"tol": 1e-20}}, "scenario.warp.tol"),
         ("mass", {"warp": {"target_nodes": 3}}, "scenario.warp.target_nodes"),
+        # A table that ends at lambda = 1.7688, below the slice's lambda = 2.
+        ("flow", {"warp": {"r_max": 1.0}}, "scenario.surface.slice_lambda"),
     ])
     def test_main_unbuildable_grid_or_table_is_error(self, tmp_path, capsys, command, changes,
                                                     where):
@@ -501,7 +503,9 @@ class TestMain:
         code = cli.main([command, "--config", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 1
-        assert f"{where}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{where}: " in err
+        assert "scenario.warp.r_max" in err or "r_max" not in changes.get("warp", {})
         assert not (tmp_path / "o").exists()
 
     def test_main_check_without_its_section_is_error(self, tmp_path, capsys):
