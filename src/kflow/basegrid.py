@@ -14,7 +14,10 @@ Three modes cover the fibers that appear over a Kottler background:
   Gauss-Jacobi nodes with weight (1 - mu^2)^((n-3)/2), so quadrature and
   differentiation are both spectrally accurate and the poles are never
   sampled.  Smooth axisymmetric fields of cos(theta) automatically satisfy
-  the pole regularity f'(0) = f'(pi) = 0.
+  the pole regularity f'(0) = f'(pi) = 0.  The collocation d/dmu and its
+  square D.D are stored once, stacked as one (2m, m) matrix, so a single
+  product with f less its first entry gives both derivatives; constants
+  give exact zeros (docs/derivations.md).
 * ``symmetric`` -- a single homogeneous node of weight theta (any kappa,
   any n >= 3); all derivatives vanish.  This carries the kappa = -1 runs,
   where no constructive 2-D discretization of a higher-genus hyperbolic
@@ -145,6 +148,13 @@ def _jacobi_diff_matrix(x):
     return d
 
 
+def _stacked_operator(mu):
+    """The collocation d/dmu and d^2/dmu^2 = D.D on the nodes ``mu``, stacked as
+    one (2m, m) matrix [D; D.D], so a single product gives both derivatives."""
+    d = _jacobi_diff_matrix(mu)
+    return np.concatenate((d, d @ d))
+
+
 # Most rows a band covers.  A product's M N K = b (b+4) m stays within
 # OpenBLAS's one-thread limit, 262 144, up to m = 819.
 _TILE = 16
@@ -226,7 +236,7 @@ def make_grid(mode, resolution, theta_or_L=None, *, n=3, kappa=None):
             aux={
                 "mu": mu,
                 "minus_mu": -mu,
-                "D": _jacobi_diff_matrix(mu),
+                "stacked": _stacked_operator(mu),
                 "one_minus_mu_sq": 1.0 - mu**2,
             },
         )
@@ -299,16 +309,19 @@ def _torus_derivatives(f, aux):
     return fx, fy, fxx, fxy, fyy
 
 
-@dataclass(frozen=True, eq=False)
 class Derivatives:
     """Covariant derivative data of a scalar field on (N, ghat): ``lap`` the
     Laplace-Beltrami operator, ``grad_sq`` = |grad f|^2 and ``quad_form`` =
     (grad f)^i (grad f)^j Hess_ij, each a new array of the grid's shape.
+    A plain slotted record: one is built per flow stage.
     """
 
-    lap: np.ndarray
-    grad_sq: np.ndarray
-    quad_form: np.ndarray
+    __slots__ = ("lap", "grad_sq", "quad_form")
+
+    def __init__(self, lap, grad_sq, quad_form):
+        self.lap = lap
+        self.grad_sq = grad_sq
+        self.quad_form = quad_form
 
 
 def differentiate(field):
@@ -325,31 +338,25 @@ def differentiate(field):
         term *= fxy
         quad_form += term
         quad_form += np.multiply(fy_sq, fyy, out=term)
-        return Derivatives(
-            lap=np.add(fxx, fyy, out=fxx),
-            grad_sq=np.add(fx_sq, fy_sq, out=fx_sq),
-            quad_form=quad_form,
-        )
+        return Derivatives(np.add(fxx, fyy, out=fxx), np.add(fx_sq, fy_sq, out=fx_sq), quad_form)
     if grid.mode == "sphere_axisym":
         aux = grid.aux
-        d = aux["D"]
-        # Differencing against the mean keeps constants exactly annihilated
-        # (D @ const is only zero to rounding, and D @ (D @ const) amplifies).
-        shifted = f - f.sum() / f.size
-        fmu = d @ shifted
-        fmumu = d @ fmu
+        m = f.shape[0]
+        # One product with [D; D.D] gives f_mu and f_mumu.  It acts on f less
+        # its first entry, which is exact for a constant field, so constants
+        # give exact zeros (docs/derivations.md, "Sphere derivatives").
+        both = aux["stacked"] @ (f - f[0])
+        fmu = both[:m]
         one_m = aux["one_minus_mu_sq"]
         f_tan = aux["minus_mu"] * fmu  # each of the n-2 transverse entries: cot(theta) f_theta
         # The radial (theta-theta) Hessian entry (1 - mu^2) f_mumu - mu f_mu:
         # a - b is a + (-b) in IEEE arithmetic, so adding f_tan gives its bits.
-        f_thth = one_m * fmumu + f_tan
+        f_thth = one_m * both[m:]
+        f_thth += f_tan
         grad_sq = one_m * (fmu * fmu)
-        return Derivatives(
-            lap=f_thth + (grid.n - 2) * f_tan,
-            grad_sq=grad_sq,
-            quad_form=grad_sq * f_thth,
-        )
-    return Derivatives(lap=np.zeros_like(f), grad_sq=np.zeros_like(f), quad_form=np.zeros_like(f))
+        return Derivatives(f_thth + (grid.n - 2) * f_tan, grad_sq, grad_sq * f_thth)
+    shape = f.shape
+    return Derivatives(np.zeros(shape), np.zeros(shape), np.zeros(shape))
 
 
 def sharp_constant(n, kappa, theta):

@@ -120,16 +120,22 @@ class RadialGraph:
     oracle: dict = None
 
 
+# The radii of the decay-order fit and their logs, formed once (read-only).
+_DECAY_RHO = np.geomspace(50.0, 800.0, 7)
+_DECAY_LOG_RHO = np.log(_DECAY_RHO)
+_DECAY_RHO.flags.writeable = False
+_DECAY_LOG_RHO.flags.writeable = False
+
+
 def _decay_order(psi):
     """Fitted tau with psi = O(rho^(-tau-2)), from a log-log slope on [50, 800];
     NaN when psi is not finite there."""
-    rho = np.geomspace(50.0, 800.0, 7)
-    vals = np.abs(np.asarray(psi(rho), dtype=float))
+    vals = np.abs(np.asarray(psi(_DECAY_RHO), dtype=float))
     if not np.isfinite(vals).all():
         return math.nan
     if np.all(vals < 1e-280):
         return math.inf
-    slope = fit_log_slope(np.log(rho), vals)
+    slope = fit_log_slope(_DECAY_LOG_RHO, vals)
     return math.inf if slope is None else -slope - 2.0
 
 

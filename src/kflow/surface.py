@@ -61,7 +61,6 @@ times Q2 or Q1 minus its slice value, its sharp bound (docs/derivations.md).
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +81,28 @@ __all__ = [
     "random_star_shaped",
     "slice_surface",
 ]
+
+
+class _lazy:
+    """A field formed on its first read and kept in the instance's __dict__,
+    where later reads find it before this non-data descriptor.  It is
+    functools.cached_property without the lock that Python <= 3.11 takes on
+    every first read (3.12 dropped it too): two threads reading first at once
+    may both run the formula, and the last equal result is kept.  A value
+    assigned before the first read is kept."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class GraphSurface:
@@ -147,7 +168,7 @@ class GraphSurface:
         self.lam_max = lam_max
         self.warp = warp
 
-    @cached_property
+    @_lazy
     def u(self):
         """Graph height u = r(lambda), through the inverse table."""
         return ScalarField(self.warp.r_from_rho(self.lam), self.grid)
@@ -205,7 +226,7 @@ class SurfaceGeometry:
         self.W = W
         self.D = D
 
-    @cached_property
+    @_lazy
     def speed(self):
         """Speed ds/dt = v lambda' / (lambda H) = W^2 / D of s = log lambda(u)
         under the inverse mean curvature flow du/dt = v / H."""
@@ -213,7 +234,7 @@ class SurfaceGeometry:
         speed /= self.D
         return speed
 
-    @cached_property
+    @_lazy
     def H(self):
         """Mean curvature D / (lambda W^(3/2))."""
         H = np.sqrt(self.W)
@@ -221,23 +242,23 @@ class SurfaceGeometry:
         H *= self.lam
         return np.divide(self.D, H, out=H)
 
-    @cached_property
+    @_lazy
     def h_min(self):
         return float(self.H.min())
 
-    @cached_property
+    @_lazy
     def dlam(self):
         return np.sqrt(self.dlam_sq)
 
-    @cached_property
+    @_lazy
     def ddlam(self):
         return self.lam_ddlam / self.lam
 
-    @cached_property
+    @_lazy
     def grad_phi_sq(self):
         return self.grad_s_sq / self.dlam_sq
 
-    @cached_property
+    @_lazy
     def v(self):
         return np.sqrt(1.0 + self.grad_phi_sq)
 
@@ -249,7 +270,7 @@ class SurfaceGeometry:
     def area_element(self):
         return self.lam ** (self.surface.warp.params.n - 1) * self.v
 
-    @cached_property
+    @_lazy
     def functionals(self):
         """Aggregate functional record (see the module docstring)."""
         warp = self.surface.warp

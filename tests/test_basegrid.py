@@ -15,6 +15,7 @@ import kflow
 
 from kflow.basegrid import (
     ScalarField,
+    _jacobi_diff_matrix,
     _torus_derivatives,
     beckner_report,
     differentiate,
@@ -62,6 +63,36 @@ def _product_reference(f, grid):
     fx = along_x(g, bands[0])
     fxy = along_y(fx, bands_t[0])
     return fx, along_y(g, bands_t[0]), along_x(g, bands[1]), fxy, along_y(g, bands_t[1])
+
+
+def _derivative_digest(mode, m):
+    """sha256 of a grid's stored operators and the derivatives of a rough field."""
+    grid = make_grid(mode, m, 2.0 * math.pi if mode == "torus2d" else None)
+    f = 1.0 + np.random.default_rng(m).normal(size=grid.shape)
+    d = differentiate(ScalarField(f, grid))
+    operators = [a.tobytes() for _, a in sorted(grid.aux.items()) if isinstance(a, np.ndarray)]
+    raw = b"".join(operators) + d.lap.tobytes() + d.grad_sq.tobytes() + d.quad_form.tobytes()
+    return hashlib.sha256(raw).hexdigest()
+
+
+def _digests_by_blas_threads(cases):
+    """``_derivative_digest`` of each (mode, m) case, from one process with one
+    OpenBLAS thread and one with two."""
+    code = (
+        "from test_basegrid import _derivative_digest\n"
+        f"for mode, m in {list(cases)!r}:\n"
+        "    print(_derivative_digest(mode, m))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kflow.__file__)))
+    here = os.path.dirname(os.path.abspath(__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, here, env.get("PYTHONPATH"))))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        digests.append(out.stdout.split())
+    return digests
 
 
 class TestMakeGrid:
@@ -204,42 +235,27 @@ class TestDerivatives:
     def test_torus_bytes_do_not_depend_on_blas_threads(self):
         # Every band product stays within OpenBLAS's one-thread size, so a
         # process with two BLAS threads returns the same bytes as one with one.
-        code = (
-            "import hashlib, math, numpy as np\n"
-            "from kflow.basegrid import ScalarField, differentiate, make_grid\n"
-            "for m in (64, 128, 256):\n"
-            "    grid = make_grid('torus2d', m, 2.0 * math.pi)\n"
-            "    f = 1.0 + np.random.default_rng(m).normal(size=grid.shape)\n"
-            "    d = differentiate(ScalarField(f, grid))\n"
-            "    print(hashlib.sha256(d.lap.tobytes() + d.grad_sq.tobytes()"
-            " + d.quad_form.tobytes()).hexdigest())\n"
-        )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(kflow.__file__)))
-        digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                 text=True, check=True)
-            digests.append(out.stdout.split())
-        here = []
-        for m in (64, 128, 256):
-            grid = make_grid("torus2d", m, 2.0 * math.pi)
-            f = 1.0 + np.random.default_rng(m).normal(size=grid.shape)
-            d = differentiate(ScalarField(f, grid))
-            raw = d.lap.tobytes() + d.grad_sq.tobytes() + d.quad_form.tobytes()
-            here.append(hashlib.sha256(raw).hexdigest())
-        assert digests[0] == digests[1] == here
+        cases = [("torus2d", m) for m in (64, 128, 256)]
+        one, two = _digests_by_blas_threads(cases)
+        assert one == two == [_derivative_digest(mode, m) for mode, m in cases]
+
+    def test_sphere_bytes_do_not_depend_on_blas_threads(self):
+        # The stacked operator D.D is formed by one BLAS product and each
+        # derivative by one more; their bytes are the same under one and two
+        # BLAS threads at every size.
+        cases = [("sphere_axisym", m) for m in (64, 256, 512)]
+        one, two = _digests_by_blas_threads(cases)
+        assert one == two == [_derivative_digest(mode, m) for mode, m in cases]
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_sphere_derivatives_match_reference(self, n):
-        # The sphere branch reads 1 - mu^2 from the grid; every output must be
-        # bitwise equal to these expressions.
+        # The sphere branch reads [D; D.D] and 1 - mu^2 from the grid; every
+        # output must be bitwise equal to these expressions.
         grid = make_grid("sphere_axisym", 64, n=n)
         f = 1.0 + 0.3 * np.random.default_rng(n).normal(size=grid.shape)
-        mu, dmat = grid.aux["mu"], grid.aux["D"]
-        fmu = dmat @ (f - f.sum() / f.size)
-        fmumu = dmat @ fmu
+        mu, stacked = grid.aux["mu"], grid.aux["stacked"]
+        both = stacked @ (f - f[0])
+        fmu, fmumu = both[:64], both[64:]
         one_m = 1.0 - mu**2
         f_thth = one_m * fmumu - mu * fmu
         f_tan = -mu * fmu
@@ -247,6 +263,34 @@ class TestDerivatives:
         assert np.array_equal(d.lap, f_thth + (n - 2) * f_tan)
         assert np.array_equal(d.grad_sq, one_m * fmu**2)
         assert np.array_equal(d.quad_form, one_m * fmu**2 * f_thth)
+
+    def test_sphere_stacked_operator(self):
+        # The stacked operator is [D; D.D] with D the barycentric collocation
+        # matrix; D differentiates a cubic in mu to rounding.
+        grid = make_grid("sphere_axisym", 33)
+        mu, stacked = grid.aux["mu"], grid.aux["stacked"]
+        dmat = _jacobi_diff_matrix(mu)
+        assert stacked.shape == (66, 33) and stacked.flags.c_contiguous
+        assert np.array_equal(stacked, np.concatenate((dmat, dmat @ dmat)))
+        f = mu**3 - 2.0 * mu
+        got = stacked @ f
+        assert np.max(np.abs(got[:33] - (3.0 * mu**2 - 2.0))) < 1e-12
+        assert np.max(np.abs(got[33:] - 6.0 * mu)) < 1e-9
+
+    @pytest.mark.parametrize("m", [33, 64])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_sphere_constants_give_exact_zeros(self, m, n):
+        # f - f[0] is exactly zero on a constant field, so no rounding residue
+        # of a mean shift reaches the products.
+        grid = make_grid("sphere_axisym", m, n=n)
+        rng = np.random.default_rng(1000 * m + n)
+        consts = np.concatenate((rng.uniform(-10.0, 10.0, 250),
+                                 np.exp(rng.uniform(-30.0, 30.0, 250)),
+                                 [4.2, 1.0 / 3.0, -7.1, 0.0]))
+        for c in consts:
+            d = differentiate(ScalarField.constant(grid, c))
+            for arr in (d.lap, d.grad_sq, d.quad_form):
+                assert not np.any(arr), (m, n, c)
 
     def test_outputs_are_fresh_and_contiguous(self, torus64, sphere64, sym_grid):
         # Every call returns new, unshared arrays: a second call leaves the

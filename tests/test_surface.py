@@ -15,6 +15,8 @@ from kflow.basegrid import ScalarField, differentiate
 from kflow.errors import DomainError, MeanConvexityError
 
 THETA = (2.0 * math.pi) ** 2
+# The SurfaceGeometry fields formed on their first read.
+_LAZY_FIELDS = ("speed", "H", "h_min", "dlam", "ddlam", "grad_phi_sq", "v", "functionals")
 
 
 class TestSliceClosedForms:
@@ -246,9 +248,8 @@ class TestInPlaceKernel:
 
     def test_fields_formed_on_first_read(self, kernel_surfaces):
         geom = kf.compute_geometry(kernel_surfaces[0])
-        lazy = ("speed", "H", "h_min", "dlam", "ddlam", "grad_phi_sq", "v", "functionals")
-        assert not set(lazy) & set(vars(geom))
-        for name in lazy:
+        assert not set(_LAZY_FIELDS) & set(vars(geom))
+        for name in _LAZY_FIELDS:
             assert getattr(geom, name) is getattr(geom, name), name
 
     def test_massless_ddlam_is_a_new_array(self):
@@ -265,6 +266,55 @@ class TestInPlaceKernel:
         dlam, ddlam = warp.derivatives_at(lam)
         assert ddlam is not lam and ddlam.tobytes() == lam.tobytes()
         assert dlam.tobytes() == np.sqrt(np.maximum(lam * lam - 1.0, 0.0)).tobytes()
+
+
+class TestLazyFields:
+    """Each lazily formed field runs its formula once: later reads return the
+    kept object.  A graph height given at construction is kept as given."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, cls, name, calls):
+        lazy = vars(cls)[name]
+        formula = lazy.func
+
+        def counted(obj):
+            calls[name] = calls.get(name, 0) + 1
+            return formula(obj)
+
+        monkeypatch.setattr(lazy, "func", counted)
+
+    def test_geometry_fields_formed_once(self, monkeypatch, surfaces):
+        calls = {}
+        for name in _LAZY_FIELDS:
+            self._count_calls(monkeypatch, kf.SurfaceGeometry, name, calls)
+        for surf in surfaces:
+            calls.clear()
+            geom = kf.compute_geometry(surf)
+            for name in _LAZY_FIELDS:
+                first = getattr(geom, name)
+                assert getattr(geom, name) is first, (surf.grid.mode, name)
+                assert vars(geom)[name] is first, (surf.grid.mode, name)
+            # h_min reads H, and functionals reads dlam, H and v; each formula
+            # still ran once.
+            assert calls == dict.fromkeys(_LAZY_FIELDS, 1), surf.grid.mode
+
+    def test_height_formed_once(self, monkeypatch, surfaces):
+        calls = {}
+        self._count_calls(monkeypatch, kf.GraphSurface, "u", calls)
+        surf = surfaces[1]
+        graph = kf.GraphSurface.from_log_lambda(surf.s.values.copy(), surf.grid, surf.warp)
+        assert "u" not in vars(graph)
+        u = graph.u
+        assert graph.u is u and calls == {"u": 1}
+        assert np.array_equal(u.values, surf.warp.r_from_rho(graph.lam))
+
+    def test_given_height_is_kept(self, monkeypatch, surfaces):
+        calls = {}
+        self._count_calls(monkeypatch, kf.GraphSurface, "u", calls)
+        surf = surfaces[1]
+        u = ScalarField(surf.u.values.copy(), surf.grid)
+        graph = kf.GraphSurface(u, surf.warp)
+        assert graph.u is u and calls == {}
 
 
 def _eager_record(geom):
