@@ -25,14 +25,16 @@ node and interpolating with exact-slope cubic Hermite pieces.
 
 This module is the one place that writes the closed forms of the potential,
 each in one function: 2q = 2 m rho^(2-n) and V^2 = rho^2 + kappa - 2q
-(``_v_squared_parts``, and ``v_squared``), lambda'' (``_ddlam``, and
+(``_v_squared_at``, and ``v_squared``), lambda'' (``_ddlam_at``, and
 (V^2)' = 2 lambda'' in ``_v_squared_prime``), lambda lambda'' = lambda^2 +
-(n-2) q (``_lam_ddlam``) and V = sqrt(max(V^2, 0)) (``_v``).  All but V
-also take an array of masses, ``_v_squared_parts`` also forms the 2q of
-further masses from the same power, and the massless case is handled once,
-in ``_mass_power``.  The horizon root, the warp table, the geometry kernel
-and the mass layer all read them (docs/derivations.md, "Closed forms of
-the Kottler potential").
+(n-2) q (``_lam_ddlam``) and V = sqrt(max(V^2, 0)) (``_v``).
+``_v_squared_at`` forms V^2 at several masses and 2q at further masses from
+one rho^2 + kappa and one rho^(2-n), and ``_ddlam_at`` forms lambda'' at
+several masses from one rho^(1-n), so a radial graph's base space and the
+graph share each power; a mass may be an array.  A lone zero mass, the
+massless kappa = -1 space, needs no power (``_massless``).  The horizon
+root, the warp table, the geometry kernel and the mass layer all read them
+(docs/derivations.md, "Closed forms of the Kottler potential").
 
 Radial graphs over this background are built in ``kflow.mass``.
 """
@@ -110,48 +112,58 @@ class SpaceParams:
 # power would round differently.  A mass may be an array shaped like rho.
 
 
-def _mass_power(rho, p, c, masses):
-    """c m rho^p for each mass m (a number, or an array shaped like rho), new
-    values from one rho^p.  This is the one place the massless case is
-    handled: c m = 0 (the massless kappa = -1 space) gives exact zeros, a
-    float for one radius, and needs no power."""
-    power = None
-    terms = []
-    for m in masses:
-        cm = c * m
-        if not isinstance(cm, np.ndarray) and cm == 0.0:
-            terms.append(np.zeros_like(rho) if rho.ndim else 0.0)
-            continue
-        if power is None:
-            power = rho ** p
-        terms.append(power * cm)
-    return terms
+def _massless(masses):
+    """True for a lone mass that is a number equal to 0, the massless kappa =
+    -1 space: its mass terms are exact zeros and need no power of rho."""
+    return len(masses) == 1 and not isinstance(masses[0], np.ndarray) and masses[0] == 0.0
 
 
-def _v_squared_parts(n, kappa, m, rho, *more):
-    """(V^2, 2q) with 2q = 2 m rho^(2-n) and V^2 = rho^2 + kappa - 2q at the
-    mass m, then the 2q of each further mass from the same power; each a new
-    value."""
-    two_qs = _mass_power(rho, 2 - n, 2.0, (m, *more))
+def _v_squared_at(n, kappa, rho, masses, more=()):
+    """V^2 = rho^2 + kappa - 2q at each mass of ``masses``, then 2q = 2 m
+    rho^(2-n) at each mass of ``masses`` and of ``more``: new values from one
+    rho^2 + kappa and one rho^(2-n), each 2q the product ``rho^(2-n) * (2 m)``
+    and each V^2 ``(rho^2 + kappa) - 2q``.  Among several masses a zero mass
+    gives rho^(2-n) * 0 = 0, the bits of the massless form, at every rho > 0.
+
+    The loops append rather than build comprehensions: on one radius a
+    comprehension's own frame costs as much as the mass terms it forms."""
+    masses_all = masses + more
+    if _massless(masses_all):
+        two_qs = [np.zeros_like(rho) if rho.ndim else 0.0]
+    else:
+        power = rho ** (2 - n)
+        two_qs = []
+        for m in masses_all:
+            two_qs.append(power * (2.0 * m))
+        del power  # so one mass holds two arrays at a time, as V^2 written out does
     v2 = rho**2
     v2 += kappa
-    v2 -= two_qs[0]
-    return (v2, *two_qs)
+    others = []
+    for two_q in two_qs[1:len(masses)]:
+        others.append(v2 - two_q)
+    v2 -= two_qs[0]  # in place, after the other masses have read rho^2 + kappa
+    return [v2, *others, *two_qs]
 
 
 def _lam_ddlam(n, lam, two_q):
-    """lambda lambda'' = lambda^2 + (n-2) q from the 2q of
-    ``_v_squared_parts``, formed in place in ``two_q``."""
+    """lambda lambda'' = lambda^2 + (n-2) q from the 2q of ``_v_squared_at``,
+    formed in place in ``two_q``."""
     two_q *= 0.5 * (n - 2)  # doubling is exact, so this is (n-2) q to the bit
     two_q += lam * lam
     return two_q
 
 
-def _ddlam(n, m, rho):
-    """lambda'' = rho + (n-2) m rho^(1-n) at lambda = rho, a new value; (V^2)' = 2 lambda''."""
-    (dd,) = _mass_power(rho, 1 - n, n - 2, (m,))
-    dd += rho
-    return dd
+def _ddlam_at(n, rho, masses):
+    """lambda'' = rho + (n-2) m rho^(1-n) at lambda = rho for each mass of
+    ``masses``: new values from one rho^(1-n), each ``rho^(1-n) * ((n-2) m) +
+    rho``; (V^2)' = 2 lambda''.  A massless lone mass gives lambda'' = rho."""
+    if _massless(masses):
+        return [0.0 + rho]
+    power = rho ** (1 - n)
+    values = []
+    for m in masses:  # a loop, as in ``_v_squared_at``
+        values.append(power * ((n - 2) * m) + rho)
+    return values
 
 
 def _v(params, rho):
@@ -162,12 +174,12 @@ def _v(params, rho):
 def v_squared(params, rho):
     """V^2(rho) = rho^2 + kappa - 2 m rho^(2-n); no domain restriction."""
     rho = np.asarray(rho, dtype=float)
-    return _v_squared_parts(params.n, params.kappa, params.m, rho)[0]
+    return _v_squared_at(params.n, params.kappa, rho, (params.m,))[0]
 
 
 def _v_squared_prime(params, rho):
     """(V^2)'(rho) = 2 lambda''(rho)."""
-    return 2.0 * _ddlam(params.n, params.m, np.asarray(rho, dtype=float))
+    return 2.0 * _ddlam_at(params.n, np.asarray(rho, dtype=float), (params.m,))[0]
 
 
 @lru_cache(maxsize=None)
@@ -178,7 +190,7 @@ def _horizon_radius(n, kappa, m):
     the cache makes each space pay for them once."""
 
     def phi(r):
-        return float(_v_squared_parts(n, kappa, m, np.asarray(r))[0])
+        return float(_v_squared_at(n, kappa, np.asarray(r), (m,))[0])
 
     if m < 0.0:
         # phi has an interior minimum at rho_h; the outer root lies above it.
@@ -218,7 +230,7 @@ def _horizon_radius(n, kappa, m):
         f = phi(root)
         if abs(f) <= tol:
             break
-        step = f / (2.0 * float(_ddlam(n, m, np.asarray(root))))
+        step = f / (2.0 * float(_ddlam_at(n, np.asarray(root), (m,))[0]))
         root -= step
         root = min(max(root, a), b)
     else:
@@ -286,7 +298,7 @@ class WarpTable:
         # The polished root leaves |V^2| up to ~1e-14 rho0^2 there, which the
         # square root would turn into a spurious slope of up to ~1e-7.
         self.d_lam_nodes[0] = 0.0
-        self.dd_lam_nodes = _ddlam(params.n, params.m, self.lam_nodes)
+        self.dd_lam_nodes = _ddlam_at(params.n, self.lam_nodes, (params.m,))[0]
         self.rho0 = float(self.lam_nodes[0])
         self.r_max = float(self.r_grid[-1])
         # s = log lambda above this lies beyond the table, and e^s is finite below it.
@@ -299,7 +311,7 @@ class WarpTable:
         """(lambda', lambda'') at warp values ``lam`` from the closed forms
         V(lambda) and lambda + (n-2) m lambda^(1-n); no table search."""
         lam = np.asarray(lam, dtype=float)
-        return _v(self.params, lam), _ddlam(self.params.n, self.params.m, lam)
+        return _v(self.params, lam), _ddlam_at(self.params.n, lam, (self.params.m,))[0]
 
     def dlam_interp(self, r):
         """lambda'(r) by Hermite interpolation of the nodal values (probe path)."""

@@ -10,10 +10,13 @@ the second case
     f'' = f' (d log psi / d rho - (V^2)' / V^2) / 2.
 
 Each graph carries one pointwise evaluator that forms V^2, (V^2)', psi, f'
-and f'' of a whole array of radii together, once per call: V^2 is formed
-once and shared, and each family forms its own terms (V_graph^2; the
-exponential, mtilde and U) once for psi and its log-derivative.  The shape
-operator reads all five values from one such call.
+and f'' of a whole array of radii together, once per call, in two steps.
+The psi step forms the base V^2 and the family's own V^2 terms (V_graph^2;
+the exponential, mtilde, U and the 2q numerators) from one rho^(2-n); the
+log-derivative step forms the base (V^2)' and the family's own lambda''
+from one rho^(1-n).  The shape operator reads all five values from one
+evaluator call; ``psi`` and the mass integrand make only the psi step, so
+they form no rho^(1-n) of the graph and no f''.
 
 The decay order tau, with psi = O(rho^(-tau-2)), is fitted once per graph
 from a log-log slope over 50 <= rho <= 800, and must exceed n/2.
@@ -73,7 +76,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._util import fit_log_slope, integrate_panels
-from .background import (SpaceParams, _ddlam, _v, _v_squared_parts, _v_squared_prime,
+from .background import (SpaceParams, _ddlam_at, _v, _v_squared_at, _v_squared_prime,
                          find_horizon, mass_from_horizon_area, v_squared)
 from .errors import DecayViolationError, DomainError, NonRepresentableGraphError, NumericsError
 
@@ -103,8 +106,10 @@ class RadialGraph:
     closed form; ``f_prime2`` may be None, in which case a high-order finite
     difference of f' is used where a second derivative is needed.
     ``f_prime``, ``f_prime2`` and ``psi`` must accept arrays of radii.
-    ``pointwise`` maps an array of radii to the tuple
-    (V^2, (V^2)', psi, f', f''), all formed in one pass that shares V^2.
+    ``psi_step`` maps an array of radii to (V^2, psi, the family's terms),
+    from one rho^(2-n), and ``pointwise`` maps it to the tuple
+    (V^2, (V^2)', psi, f', f''), from one ``psi_step`` call and one
+    rho^(1-n) (module docstring).
     ``decay_tau`` is the fitted decay order (psi = O(rho^(-tau-2))).
     """
 
@@ -112,6 +117,7 @@ class RadialGraph:
     f_prime: object
     f_prime2: object
     psi: object
+    psi_step: object
     pointwise: object
     rho_inner: float
     decay_tau: float
@@ -147,25 +153,31 @@ def _f_prime2_fd(fp, rho_inner, rho):
     return (fp(rho - 2 * h) - 8 * fp(rho - h) + 8 * fp(rho + h) - fp(rho + 2 * h)) / (12.0 * h)
 
 
-def _radial_graph(params, rho_inner, horizon_graph, bulk_cut, *, profile=None,
-                  dlog_psi_v2=None, f_prime=None, f_prime2=None, oracle=None):
+def _radial_graph(params, rho_inner, horizon_graph, bulk_cut, *, psi_step=None,
+                  dlog_step=None, f_prime=None, f_prime2=None, oracle=None):
     """The radial graph over ``params`` with inner radius ``rho_inner``.
 
-    Either a family gives ``profile(rho, V^2)`` = (psi, terms) and
-    ``dlog_psi_v2(rho, terms)`` = d log(psi V^2) / d rho, from which f' and
-    f'' are formed (module docstring), or ``f_prime`` (with an optional
-    ``f_prime2``) is a user profile and psi = V^2 f'^2.  The graph's
-    ``pointwise`` forms V^2 and (V^2)' once per call and passes them on, so
-    psi, f' and f'' share them and the family's own terms.  Raises
-    DecayViolationError unless the fitted decay order exceeds n/2.
+    Either a family gives its two steps, from which f' and f'' are formed
+    (module docstring):
+
+    * ``psi_step(rho)`` = (V^2, psi, terms), the base V^2 and the family's
+      own V^2 terms from one rho^(2-n);
+    * ``dlog_step(rho, terms)`` = (lambda'', d log(psi V^2) / d rho), the
+      base lambda'' = (V^2)' / 2 and the family's own lambda'' from one
+      rho^(1-n);
+
+    or ``f_prime`` (with an optional ``f_prime2``) is a user profile and
+    psi = V^2 f'^2.  The graph's ``pointwise`` makes one call of each step;
+    ``psi`` makes only the first.  Raises DecayViolationError unless the
+    fitted decay order exceeds n/2.
     """
     if f_prime is None:
         def pointwise(rho):
-            v2 = v_squared(params, rho)
-            dv2 = _v_squared_prime(params, rho)
-            psi, terms = profile(rho, v2)
+            v2, psi, terms = psi_step(rho)
+            ddlam, dlog_psi_v2 = dlog_step(rho, terms)
+            dv2 = 2.0 * ddlam
             fp = np.sqrt(np.maximum(psi, 0.0) / np.maximum(v2, 1e-300))
-            dlog_psi = dlog_psi_v2(rho, terms) - dv2 / v2
+            dlog_psi = dlog_psi_v2 - dv2 / v2
             return v2, dv2, psi, fp, fp * (0.5 * dlog_psi - 0.5 * dv2 / v2)
 
         def f_prime(rho):
@@ -174,13 +186,13 @@ def _radial_graph(params, rho_inner, horizon_graph, bulk_cut, *, profile=None,
         def f_prime2(rho):
             return pointwise(np.asarray(rho, dtype=float))[4]
     else:
-        def profile(rho, v2):  # psi and f'
+        def psi_step(rho):  # V^2, psi and f'
+            v2 = v_squared(params, rho)
             fp = np.asarray(f_prime(rho), dtype=float)
-            return v2 * fp**2, fp
+            return v2, v2 * fp**2, fp
 
         def pointwise(rho):
-            v2 = v_squared(params, rho)
-            psi, fp = profile(rho, v2)
+            v2, psi, fp = psi_step(rho)
             if f_prime2 is None:
                 fpp = _f_prime2_fd(f_prime, rho_inner, rho)
             else:
@@ -188,8 +200,7 @@ def _radial_graph(params, rho_inner, horizon_graph, bulk_cut, *, profile=None,
             return v2, _v_squared_prime(params, rho), psi, fp, fpp
 
     def psi(rho):
-        rho = np.asarray(rho, dtype=float)
-        return profile(rho, v_squared(params, rho))[0]
+        return psi_step(np.asarray(rho, dtype=float))[1]
 
     tau = _decay_order(psi)
     if not tau > params.n / 2.0:  # a NaN fit fails too
@@ -202,6 +213,7 @@ def _radial_graph(params, rho_inner, horizon_graph, bulk_cut, *, profile=None,
         f_prime=f_prime,
         f_prime2=f_prime2,
         psi=psi,
+        psi_step=psi_step,
         pointwise=pointwise,
         rho_inner=float(rho_inner),
         decay_tau=tau,
@@ -218,20 +230,20 @@ def kottler_pair_graph(params, m_graph):
         raise NonRepresentableGraphError(
             f"m_graph={m_graph} < m_base={params.m}: the radicand is negative"
         )
-    pg = replace(params, m=m_graph)
-    n, kappa = params.n, params.kappa
+    n, kappa, masses = params.n, params.kappa, (params.m, m_graph)
     dm = m_graph - params.m
 
-    def profile(rho, vb2):  # psi, and V_graph^2 for its log-derivative
-        vg2, _, two_q_dm = _v_squared_parts(n, kappa, m_graph, rho, dm)
-        return two_q_dm / (vg2 * vb2), vg2
+    def psi_step(rho):  # V^2, psi, and V_graph^2 for the log-derivative
+        vb2, vg2, _, _, two_q_dm = _v_squared_at(n, kappa, rho, masses, (dm,))
+        return vb2, two_q_dm / (vg2 * vb2), vg2
 
-    def dlog_psi_v2(rho, vg2):
-        return (2 - n) / rho - _v_squared_prime(pg, rho) / vg2
+    def dlog_step(rho, vg2):
+        ddlam, ddlam_graph = _ddlam_at(n, rho, masses)
+        return ddlam, (2 - n) / rho - 2.0 * ddlam_graph / vg2
 
-    rho_start = find_horizon(pg)
+    rho_start = find_horizon(replace(params, m=m_graph))
     return _radial_graph(params, rho_start, m_graph > params.m, rho_start + 20.0,
-                         profile=profile, dlog_psi_v2=dlog_psi_v2)
+                         psi_step=psi_step, dlog_step=dlog_step)
 
 
 def mass_profile_graph(params, m_horizon, m_total, rate=1.0):
@@ -260,23 +272,25 @@ def mass_profile_graph(params, m_horizon, m_total, rate=1.0):
         decay = np.exp(-rate * (rho - rho_i))
         return m_total - dm_tot * decay, rate * dm_tot * decay
 
-    def profile(rho, vb2):  # psi, and the terms its log-derivative reuses
+    def psi_step(rho):  # V^2, psi, and the terms the log-derivative reuses
         mt, mt_prime = mtilde_and_prime(rho)
         dm = mt - params.m
-        # U = V^2 at the mass mtilde, with 2q at dm and mtilde' from its power
-        u, _, two_q_dm, two_q_mt_prime = _v_squared_parts(n, kappa, mt, rho, dm, mt_prime)
-        return two_q_dm / (u * vb2), (mt, mt_prime, u, dm, two_q_mt_prime)
+        # U = V^2 at the mass mtilde, with 2q at dm and mtilde' from the same power
+        vb2, u, _, _, two_q_dm, two_q_mt_prime = _v_squared_at(
+            n, kappa, rho, (params.m, mt), (dm, mt_prime))
+        return vb2, two_q_dm / (u * vb2), (mt, mt_prime, u, dm, two_q_mt_prime)
 
-    def dlog_psi_v2(rho, terms):
+    def dlog_step(rho, terms):
         mt, mt_prime, u, dm, two_q_mt_prime = terms
+        ddlam, ddlam_mt = _ddlam_at(n, rho, (params.m, mt))
         # U' = (V^2)' = 2 lambda'' at the mass mtilde, minus 2 mtilde' rho^(2-n)
-        u_prime = 2.0 * _ddlam(n, mt, rho) - two_q_mt_prime
-        return mt_prime / dm + (2 - n) / rho - u_prime / u
+        u_prime = 2.0 * ddlam_mt - two_q_mt_prime
+        return ddlam, mt_prime / dm + (2 - n) / rho - u_prime / u
 
     return _radial_graph(
         params, rho_i, True, rho_i + max(45.0 / rate, 10.0),
-        profile=profile,
-        dlog_psi_v2=dlog_psi_v2,
+        psi_step=psi_step,
+        dlog_step=dlog_step,
         oracle={
             "mtilde": lambda rho: mtilde_and_prime(rho)[0],
             "mtilde_prime": lambda rho: mtilde_and_prime(rho)[1],
@@ -316,7 +330,9 @@ def mass_integrand(graph, rho):
     """Finite-radius mass m + c_n * (boundary integrand) * |N_rho|.
 
     The three displayed pieces are evaluated separately; the potential-
-    gradient pair cancels identically for radial perturbations.
+    gradient pair cancels identically for radial perturbations.  V^2 and psi
+    come from one ``graph.psi_step`` call, so f'' is never formed, and f'
+    only for a user profile, whose psi is V^2 f'^2.
     """
     params = graph.base
     rho = float(rho)
@@ -327,10 +343,11 @@ def mass_integrand(graph, rho):
             f"max(rho_inner={graph.rho_inner:.6g}, rho0={rho0:.6g})"
         )
     n = params.n
-    psi = float(graph.psi(rho))
-    v2 = float(v_squared(params, rho))
+    rho_arr = np.asarray(rho)
+    v2, psi, _ = graph.psi_step(rho_arr)
+    v2, psi = float(v2), float(psi)
     v = math.sqrt(v2)
-    dv = float(_v_squared_prime(params, rho)) / (2.0 * v)
+    dv = float(_v_squared_prime(params, rho_arr)) / (2.0 * v)
     term_div = (n - 1) * v2 * v2 * psi / rho
     term_trace = v2 * v * dv * psi
     term_grad = -(v2 * v * dv * psi)

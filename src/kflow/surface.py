@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .background import _lam_ddlam, _v_squared_parts
+from .background import _lam_ddlam, _v_squared_at
 from .basegrid import ScalarField, differentiate, low_frequency_field, sharp_constant
 from .errors import ConfigurationError, DomainError, GenerationError, MeanConvexityError
 
@@ -312,7 +312,7 @@ def compute_geometry(surface):
 
     lambda = e^s is held by the surface and V^2 = lambda^2 + kappa - 2 q,
     lambda lambda'' = lambda^2 + (n-2) q with q = m lambda^(2-n) are closed
-    forms of it (``background._v_squared_parts`` and ``_lam_ddlam``), so no
+    forms of it (``background._v_squared_at`` and ``_lam_ddlam``), so no
     table search is made; the fiber derivatives are those of s.  No square
     root is taken, and the only inverse formed is lambda^(2-n).
     The graph is mean convex where D > 0 and V^2 > 0, and MeanConvexityError
@@ -327,7 +327,7 @@ def compute_geometry(surface):
     # V^2 and lambda lambda'' are the background's closed forms of lambda.  Each
     # array is formed left to right in the operand order of its formula, in
     # place where it can be, so its bits equal those of the formula as written.
-    dlam_sq, two_q = _v_squared_parts(n, params.kappa, params.m, lam)
+    dlam_sq, two_q = _v_squared_at(n, params.kappa, lam, (params.m,))
     lam_ddlam = _lam_ddlam(n, lam, two_q)
     d = differentiate(surface.s)
     grad_sq = d.grad_sq

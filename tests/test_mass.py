@@ -526,7 +526,8 @@ def _four_graphs(params):
 
 class TestShapeOperatorPinned:
     """radial_shape_operator is bitwise equal to its formulas with every
-    input evaluated on its own, and it forms V^2 once per radius."""
+    input evaluated on its own, and it forms one rho^(2-n) and one rho^(1-n)
+    per radius."""
 
     @pytest.mark.parametrize("base", BASES)
     def test_bitwise(self, base):
@@ -544,22 +545,125 @@ class TestShapeOperatorPinned:
                     assert np.float64(got).tobytes() == np.asarray(want).tobytes()
 
     @pytest.mark.parametrize("base", BASES)
-    def test_v_squared_calls_per_scalar_call(self, base, monkeypatch):
-        # base space only for a profile graph; base and graph space for a pair
-        pair, profile = _four_graphs(kf.SpaceParams(*base))[:2]
-        calls = []
-        real = kflow.mass.v_squared
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(kflow.mass, "v_squared", counting)
-        for graph, limit in ((pair, 2), (profile, 1)):
-            for rho in (graph.rho_inner + 0.5, graph.rho_inner + 40.0):
-                calls.clear()
+    def test_powers_per_call(self, base, monkeypatch):
+        # one rho^(2-n), one rho^(1-n) and one rho^2 per radius, shared by the
+        # base space and the graph, for a scalar radius and for an array
+        params = kf.SpaceParams(*base)
+        n = params.n
+        powers = _record_powers(monkeypatch)
+        for graph in _four_graphs(params)[:2]:
+            for rho in (graph.rho_inner + 0.5, graph.rho_inner + 40.0,
+                        graph.rho_inner + np.geomspace(1e-3, 100.0, 5)):
+                powers.clear()
                 kf.radial_shape_operator(graph, rho)
-                assert 1 <= len(calls) <= limit
+                assert sorted(powers) == sorted([2 - n, 1 - n, 2])
+                powers.clear()
+                graph.psi(rho)
+                assert sorted(powers) == sorted([2 - n, 2])
+
+
+class _Radius(np.ndarray):
+    """A view of a radius that appends the exponent of each power taken of
+    it to ``log``; arrays computed from it record nothing."""
+
+    log = None
+
+    def __pow__(self, p):
+        if self.log is not None:
+            self.log.append(p)
+        return np.ndarray.__pow__(self, p)
+
+
+def _record_powers(monkeypatch):
+    """Route the radius of every ``_v_squared_at`` and ``_ddlam_at`` call,
+    from kflow.mass and from kflow.background, through a ``_Radius`` view;
+    returns the list of exponents taken."""
+    log = []
+    real_v2, real_dd = kflow.background._v_squared_at, kflow.background._ddlam_at
+
+    def radius(rho):
+        view = rho.view(_Radius)
+        view.log = log
+        return view
+
+    def v_squared_at(n, kappa, rho, *rest):
+        return real_v2(n, kappa, radius(rho), *rest)
+
+    def ddlam_at(n, rho, masses):
+        return real_dd(n, radius(rho), masses)
+
+    for module in (kflow.background, kflow.mass):
+        monkeypatch.setattr(module, "_v_squared_at", v_squared_at)
+        monkeypatch.setattr(module, "_ddlam_at", ddlam_at)
+    return log
+
+
+def _reference_mass_integrand(params, psi, rho):
+    """The finite-radius mass with V^2, (V^2)' and psi each evaluated on its own."""
+    n = params.n
+    psi_r = float(psi(rho))
+    v2 = float(v_squared(params, rho))
+    v = math.sqrt(v2)
+    dv = float(_v_squared_prime(params, rho)) / (2.0 * v)
+    term_div = (n - 1) * v2 * v2 * psi_r / rho
+    term_trace = v2 * v * dv * psi_r
+    term_grad = -(v2 * v * dv * psi_r)
+    per_area = term_div + term_trace + term_grad
+    return params.m + params.mass_constant * params.theta * rho ** (n - 1) * per_area
+
+
+class TestMassIntegrandPinned:
+    """mass_integrand and the mass_limit samples are bitwise equal to the
+    formula written out with the reference psi, on every family; a radius
+    forms one rho^(2-n) and one rho^(1-n), and a user profile's f' is called
+    once (no finite-difference f'')."""
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_bitwise(self, base, monkeypatch):
+        params = kf.SpaceParams(*base)
+        n = params.n
+        m_h, m_t, rate = params.m + 0.2, params.m + 0.55, 1.3
+        rho_i = kf.find_horizon(replace(params, m=m_h))
+        calls = []
+
+        def f_prime(r):  # psi = O(rho^(-n-2)), so the mass limit is m + 0.045
+            calls.append(1)
+            return 0.3 * np.asarray(r, float) ** (-(n + 4) / 2)
+
+        def user_psi(r):
+            return v_squared(params, r) * f_prime(r) ** 2
+
+        user = {"params": params, "rho_inner": kf.find_horizon(params) + 0.5,
+                "f_prime": f_prime}
+        cases = [
+            (kf.kottler_pair_graph(params, params.m + 0.4),
+             _reference_pair(params, params.m + 0.4)[0]),
+            (kf.mass_profile_graph(params, m_h, m_t, rate=rate),
+             _reference_profile(params, rho_i, m_t, m_h, rate)[0]),
+            (kf.graph_from_f_prime(
+                **user, f_prime2=lambda r: -0.15 * (n + 4) * np.asarray(r, float) ** (-(n + 6) / 2)),
+             user_psi),
+            (kf.graph_from_f_prime(**user), user_psi),
+        ]
+        powers = _record_powers(monkeypatch)
+        for graph, psi in cases:
+            for rho in (graph.rho_inner + 0.5, 7.5, 60.0, 150.0, 700.0):
+                if rho <= graph.rho_inner:
+                    continue
+                want = _reference_mass_integrand(params, psi, rho)
+                calls.clear()
+                powers.clear()
+                got = kf.mass_integrand(graph, rho)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                # the massless base's V^2 and (V^2)' = 2 rho need no power
+                user_graph = graph.f_prime is f_prime
+                massive = params.m != 0.0
+                assert sorted(powers) == sorted(
+                    [2] + [2 - n] * (massive or not user_graph) + [1 - n] * massive)
+                assert len(calls) == user_graph
+            est = kf.mass_limit(graph)
+            assert est.samples == tuple(
+                (r, _reference_mass_integrand(params, psi, r)) for r in (50.0, 100.0, 200.0))
 
 
 class TestNonFinite:
