@@ -418,25 +418,25 @@ def _build_nodes(params, rho_start, r_max, h_target):
     return rho_nodes, r_nodes
 
 
-def _warp_tol_problem(r_max, tol, target_nodes):
+def _warp_tol_problem(r_max, target_nodes):
     """Why a table of ``target_nodes`` nodes over [0, r_max] cannot reach the
-    relative tolerance ``tol``, or None if it can.  The node spacing is
+    relative tolerance 1e-11, or None if it can.  The node spacing is
     h = r_max / max(200, target_nodes), and exact-slope cubic Hermite errs by
     ~ h^4 |lambda''''| / 384 ~ h^4/384 relative."""
     attainable = (r_max / max(200, int(target_nodes))) ** 4 / 384.0
-    if attainable <= tol:
+    if attainable <= 1e-11:
         return None
-    return (f"tolerance {tol:g} unachievable with {target_nodes} nodes over r_max={r_max:g}; "
+    return (f"tolerance 1e-11 unachievable with {target_nodes} nodes over r_max={r_max:g}; "
             f"attainable ~{attainable:.2g}")
 
 
-def build_warp_table(params, r_max=25.0, tol=1e-11, target_nodes=4000):
-    """Tabulate lambda(r) on [0, r_max] to the requested relative tolerance."""
-    for name, value in (("r_max", r_max), ("tol", tol), ("target_nodes", target_nodes)):
+def build_warp_table(params, r_max=25.0, target_nodes=4000):
+    """Tabulate lambda(r) on [0, r_max] to relative tolerance 1e-11."""
+    for name, value in (("r_max", r_max), ("target_nodes", target_nodes)):
         # NaN fails every comparison, so test finiteness explicitly.
         if not math.isfinite(value) or value <= 0.0:
             raise DomainError(f"{name} must be positive and finite, got {value!r}")
-    problem = _warp_tol_problem(r_max, tol, target_nodes)
+    problem = _warp_tol_problem(r_max, target_nodes)
     if problem:
         raise ResolutionError(problem)
     h_target = r_max / max(200, int(target_nodes))

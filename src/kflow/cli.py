@@ -69,8 +69,20 @@ class _Key(NamedTuple):
 _POSITIVE = (lambda v: v > 0, "> 0")
 _NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
-_FILE_NAME = (lambda v: v not in ("", ".", "..") and not any(c in v for c in r'/\:*?"<>| '),
-              "nonempty, filesystem-safe and not '.' or '..'")
+
+
+def _is_file_name(v):
+    """Whether ``v`` can name one directory: no separator or reserved
+    character, not '.' or '..', and 1 to 255 bytes in UTF-8."""
+    try:
+        size = len(v.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate
+        return False
+    return 0 < size <= 255 and v not in (".", "..") and not any(c in v for c in r'/\:*?"<>| ')
+
+
+_FILE_NAME = (_is_file_name, "nonempty, filesystem-safe, at most 255 UTF-8 bytes and not "
+                             "'.' or '..'")
 _ALWAYS = (lambda raw: True, "")
 _INCREASING = (lambda v: len(v) >= 3 and all(b > a for a, b in zip(v, v[1:])),
                "strictly increasing with at least 3 points")
@@ -107,8 +119,6 @@ def _parameter_keys(func, value_range=None):
     }
 
 
-_WARP_PARAMETERS = inspect.signature(build_warp_table).parameters
-
 # The scenario table: every key a scenario may hold, with its type, default,
 # range and required-ness.  The parser and the runners both read it.
 _TABLE = {
@@ -124,7 +134,6 @@ _TABLE = {
         "slice_lambda": _Key(_REAL),
         "base_lambda": _Key(_REAL),
         "amplitude": _Key(_REAL, 0.0, _NONNEGATIVE),
-        "seed": _Key(int, range=_NONNEGATIVE),
     }, required=_if_present("flow")),
     "flow": _Key(_parameter_keys(FlowConfig)),
     "mass": _Key({
@@ -135,27 +144,24 @@ _TABLE = {
         "rate": _Key(_REAL, inspect.signature(mass_profile_graph).parameters["rate"].default),
         "rho_schedule": _Key(_REALS, list(DEFAULT_RHO_SCHEDULE), _INCREASING),
         "expect_mass": _Key(_REAL, required=_if_check("mass_value")),
-        "tol": _Key(_REAL, 1e-6, _POSITIVE),
     }),
     "slice_check": _Key({
         "lambdas": _Key(_REALS, [1.5, 2.0, 4.0]),
-        "tol_rel": _Key(_REAL, 1e-8, _POSITIVE),
     }),
     "inequalities": _Key({
         "count": _Key(int, 20, _AT_LEAST_ONE),
         "amplitude": _Key(_REAL, 0.1, _NONNEGATIVE),
         "base_lambda": _Key(_REAL, 2.0),
-        "tol_rel": _Key(_REAL, 1e-7, _POSITIVE),
     }),
     "beckner": _Key({
         "count": _Key(int, 100, _AT_LEAST_ONE),
         "amplitude": _Key(_REAL, 0.2, _NONNEGATIVE),
-        "tol_rel": _Key(_REAL, 1e-8, _POSITIVE),
     }),
-    # A scenario without a warp section records these two of the table's
-    # settings in its normalized form.
-    "warp": _Key(_parameter_keys(build_warp_table, _POSITIVE),
-                 {key: _WARP_PARAMETERS[key].default for key in ("r_max", "target_nodes")}),
+    # A scenario without a warp section records the table's settings in its
+    # normalized form.
+    "warp": _Key(_parameter_keys(build_warp_table, _POSITIVE), {
+        key: p.default for key, p in inspect.signature(build_warp_table).parameters.items()
+        if key != "params"}),
 }
 
 
@@ -257,13 +263,11 @@ def scenario_from_dict(raw):
     if problem:
         problems.append(f"scenario.space.theta: {problem}")
     warp = raw.get("warp", {})
-    settings = {key: _WARP_PARAMETERS[key].default for key in ("r_max", "tol", "target_nodes")}
-    settings.update(_settings("warp", warp))
-    problem = _warp_tol_problem(**settings)
+    problem = _warp_tol_problem(**{**_TABLE["warp"].default, **_settings("warp", warp)})
     if problem:
-        # The defaults pass, so the scenario sets a key that fails: the
-        # tolerance if it sets one, else the node count or the range.
-        key = next(key for key in ("tol", "target_nodes", "r_max") if key in warp)
+        # The defaults pass, so the scenario sets a key that fails: the node
+        # count if it sets one, else the range.
+        key = next(key for key in ("target_nodes", "r_max") if key in warp)
         problems.append(f"scenario.warp.{key}: {problem}")
     surface = raw.get("surface")
     if surface is not None and ("slice_lambda" in surface) == ("base_lambda" in surface):
@@ -357,10 +361,8 @@ def _inside_inner_radius(mass, params, rho0):
             for i, x in enumerate(cfg["rho_schedule"]) if rho0 < x <= rho_inner]
 
 
-def _grid(scn, params, resolution=None):
-    cfg = _settings("grid", scn.grid)
-    res = cfg["resolution"] if resolution is None else resolution
-    mode = cfg["mode"]
+def _grid(grid, params):
+    mode, res = grid["mode"], grid["resolution"]
     if mode == "torus2d":
         return make_grid(mode, res, math.sqrt(params.theta))
     return make_grid(mode, res, params.theta, n=params.n, kappa=params.kappa)
@@ -371,9 +373,7 @@ def _initial_surface(scn, grid, warp, seed):
     if "slice_lambda" in cfg:
         return slice_surface(grid, warp, lam_value=cfg["slice_lambda"])
     base_r = warp.r_from_rho(cfg["base_lambda"])
-    return random_star_shaped(
-        grid, warp, seed=cfg.get("seed", seed), amplitude=cfg["amplitude"], base_r=base_r,
-    )
+    return random_star_shaped(grid, warp, seed=seed, amplitude=cfg["amplitude"], base_r=base_r)
 
 
 def _json_default(obj):
@@ -445,7 +445,6 @@ def _run_mass_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
     payload = {
         **est.as_dict(),
         "expect_mass": cfg.get("expect_mass"),
-        "tol": cfg["tol"],
         "identity": identity.as_dict() if identity else None,
         "identity_residual": identity.residual if identity else None,
         "not_evaluated": {} if identity else {
@@ -474,7 +473,7 @@ def _run_slice_check(scn, out_dir, params, grid, warp, seed, quiet):
         })
     worst = max(abs(row[key]) / row["scale"] for row in rows
                 for key in ("minkowski", "weighted_volume", "heintze_karcher", "divergence"))
-    payload = {"slices": rows, "worst_relative": worst, "tol_rel": cfg["tol_rel"]}
+    payload = {"slices": rows, "worst_relative": worst}
     return _finish(scn, out_dir, "slice_check.json", "slice_check", payload,
                    f"worst {worst:.3g}", quiet)
 
@@ -495,7 +494,7 @@ def _run_inequalities(scn, out_dir, params, grid, warp, seed, quiet):
         }
         rows.append({"seed": seed + k, **deficits, "scale": scale})
     worst = min(row[key] / row["scale"] for row in rows for key in deficits)
-    payload = {"ensemble": rows, "worst_relative": worst, "tol_rel": cfg["tol_rel"]}
+    payload = {"ensemble": rows, "worst_relative": worst}
     return _finish(scn, out_dir, "inequalities.json", "inequalities", payload,
                    f"worst {worst:.3g}", quiet)
 
@@ -509,13 +508,8 @@ def _run_beckner(scn, out_dir, params, grid, warp, seed, quiet):
         deficits.append(rep["sharp"])
         relative.append(rep["sharp"] / max(rep["scale"], 1e-300))
     worst = min(relative)
-    payload = {
-        "mode": grid.mode,
-        "count": cfg["count"],
-        "worst_relative": worst,
-        "deficits": deficits,
-        "tol_rel": cfg["tol_rel"],
-    }
+    payload = {"mode": grid.mode, "count": cfg["count"], "worst_relative": worst,
+               "deficits": deficits}
     return _finish(scn, out_dir, "beckner.json", "beckner", payload, f"worst {worst:.3g}",
                    quiet)
 
@@ -552,24 +546,29 @@ def run_scenario(scn, out_root, *, seed=None, resolution=None, quiet=False, dump
                 f"scenario {scn.name!r} has no section for command {only!r}"
             )
         raise ConfigurationError(f"scenario {scn.name}: no pipeline section present")
+    # The scenario as run: the flags override its seed and grid resolution.
+    record = scn.to_dict()
+    if seed is not None:
+        record["seed"] = int(seed)
+    if resolution is not None and scn.grid is not None:
+        record["grid"] = dict(scn.grid, resolution=resolution)
     params = SpaceParams(**_settings("space", scn.space))
     warp = grid = None
     if dump_warp or any(needs_warp for _, _, needs_warp in sections):
         warp = build_warp_table(params, **_settings("warp", scn.warp))
-        problems = _beyond_table(scn.to_dict(), warp)
+        problems = _beyond_table(record, warp)
         if problems:
             raise ConfigurationError(problems)
     if any(attr != "mass" for attr, _, _ in sections):
-        grid = _grid(scn, params, resolution)
+        grid = _grid(record["grid"], params)
     out_dir = os.path.join(out_root, scn.name)
     os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "scenario.normalized.json"), scn.to_dict())
-    eff_seed = scn.seed if seed is None else int(seed)
+    _write_json(os.path.join(out_dir, "scenario.normalized.json"), record)
     if dump_warp:
         warp.to_csv(os.path.join(out_dir, "warp.csv"))
     code = 0
     for _, runner, _ in sections:
-        code = max(code, runner(scn, out_dir, params, grid, warp, eff_seed, quiet))
+        code = max(code, runner(scn, out_dir, params, grid, warp, record["seed"], quiet))
     return code
 
 
@@ -579,6 +578,20 @@ def shipped_scenarios():
     return sorted(
         os.path.join(here, name) for name in os.listdir(here) if name.endswith(".json")
     )
+
+
+def _run_file(path, out_root, **options):
+    """Parse and run one scenario file; return its name (the file's stem if it
+    does not parse) and exit code.  An error, also one making or writing the
+    output, prints ``error: [name] ...`` and exits 1."""
+    name = os.path.splitext(os.path.basename(path))[0]
+    try:
+        scn = parse_scenario(path)
+        name = scn.name
+        return name, run_scenario(scn, out_root, **options)
+    except (KFlowError, OSError) as exc:
+        print(f"error: [{name}] {exc}", file=sys.stderr)
+        return name, 1
 
 
 def main(argv=None):
@@ -594,29 +607,16 @@ def main(argv=None):
 
     options = dict(seed=args.seed, resolution=args.resolution, quiet=args.quiet,
                    dump_warp=args.dump_warp)
-    if args.command == "all":
-        codes = {}
-        for path in shipped_scenarios():
-            name = os.path.splitext(os.path.basename(path))[0]
-            try:
-                scn = parse_scenario(path)
-                name = scn.name
-                codes[name] = run_scenario(scn, args.out, **options)
-            except KFlowError as exc:
-                print(f"error: [{name}] {exc}", file=sys.stderr)
-                codes[name] = 1
-        if not args.quiet:
-            for name in sorted(codes):
-                print(f"{name}: {'pass' if codes[name] == 0 else 'FAIL'}")
-        return max(codes.values()) if codes else 1
-
-    try:
+    if args.command != "all":
         if not args.config:
-            raise ConfigurationError(f"--config is required for {args.command!r}")
-        return run_scenario(parse_scenario(args.config), args.out, only=args.command, **options)
-    except KFlowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            print(f"error: --config is required for {args.command!r}", file=sys.stderr)
+            return 1
+        return _run_file(args.config, args.out, only=args.command, **options)[1]
+    codes = dict(_run_file(path, args.out, **options) for path in shipped_scenarios())
+    if not args.quiet:
+        for name in sorted(codes):
+            print(f"{name}: {'pass' if codes[name] == 0 else 'FAIL'}")
+    return max(codes.values()) if codes else 1
 
 
 if __name__ == "__main__":

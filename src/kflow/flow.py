@@ -56,7 +56,7 @@ always reported as a signed diagnostic, never asserted.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -102,7 +102,6 @@ class FlowConfig:
     dt_max: float = 0.005
     h_floor: float = None
     record_interval: float = 0.25
-    integrator: str = "rk2_adaptive"
 
     def __post_init__(self):
         for name in ("t_end", "dt_max", "record_interval", "h_floor"):
@@ -114,8 +113,6 @@ class FlowConfig:
                 raise DomainError(f"{name} must be positive and finite, got {value!r}")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise DomainError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety!r}")
-        if self.integrator != "rk2_adaptive":
-            raise DomainError(f"unknown integrator {self.integrator!r}")
 
     def resolved_h_floor(self, n):
         return self.h_floor if self.h_floor is not None else 1e-4 * (n - 1)
@@ -192,14 +189,7 @@ class FlowTrace:
             "rejected_steps": self.rejected_steps,
             "n_steps": len(self.dt_history),
             "breakdown": self.breakdown,
-            "config": {
-                "t_end": self.config.t_end,
-                "cfl_safety": self.config.cfl_safety,
-                "dt_max": self.config.dt_max,
-                "h_floor": self.config.h_floor,
-                "record_interval": self.config.record_interval,
-                "integrator": self.config.integrator,
-            },
+            "config": asdict(self.config),
         }
 
 

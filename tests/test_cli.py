@@ -1,6 +1,7 @@
 """Scenario parsing, pipeline exit codes, artifact determinism."""
 
 import copy
+import errno
 import functools
 import json
 import math
@@ -57,7 +58,7 @@ UNEVALUATED = [
     pytest.param("flow", {"checks": ["grad_decay", "area_law"]},
                  "grad_decay", "late samples", id="grad_decay-slice"),
     # Started at lambda = 2, J - K stays positive: no record pair has J <= K.
-    pytest.param("flow", {"surface": {"base_lambda": 2.0, "amplitude": 0.05, "seed": 7},
+    pytest.param("flow", {"seed": 7, "surface": {"base_lambda": 2.0, "amplitude": 0.05},
                           "checks": ["q2_monotone", "area_law"]},
                  "q2_monotone", "J <= K", id="q2_monotone-outside-regime"),
     pytest.param("beckner", {"grid": {"mode": "torus2d", "resolution": 16},
@@ -71,6 +72,7 @@ UNEVALUATED = [
 
 SHIPPED = [json.loads(pathlib.Path(path).read_text()) for path in cli.shipped_scenarios()]
 ENERGY_PROFILE = next(cfg for cfg in SHIPPED if cfg["name"] == "energy-profile-mass")
+PERTURBED_FLOW = next(cfg for cfg in SHIPPED if cfg["name"] == "perturbed-flow")
 SYMMETRIC_SLICE = next(cfg for cfg in SHIPPED if cfg["name"] == "symmetric-slice")
 # The src/ directory that holds the kflow package under test.
 SRC_ROOT = pathlib.Path(cli.__file__).resolve().parents[1]
@@ -158,6 +160,7 @@ class TestParsing:
         ("mass", "rho_schedule", [50, None], "scenario.mass.rho_schedule[1]"),
         ("mass", "rho_schedule", [50, math.nan], "scenario.mass.rho_schedule[1]"),
         (None, "seed", -1, "scenario.seed"),
+        # Removed: the surface takes the scenario seed.
         ("surface", "seed", -1, "scenario.surface.seed"),
         ("grid", "resolution", 0, "scenario.grid.resolution"),
         # A section that would pass without evaluating anything.
@@ -165,20 +168,22 @@ class TestParsing:
         ("inequalities", "count", 0, "scenario.inequalities.count"),
         ("beckner", "count", 0, "scenario.beckner.count"),
         ("beckner", "count", -3, "scenario.beckner.count"),
-        # Scalar reals must be finite; tolerances must be positive.
-        ("mass", "tol", math.inf, "scenario.mass.tol"),
+        # Scalar reals must be finite.
         ("mass", "expect_mass", math.nan, "scenario.mass.expect_mass"),
         ("space", "m", -math.inf, "scenario.space.m"),
         ("surface", "amplitude", math.nan, "scenario.surface.amplitude"),
+        # Removed keys are unknown, whatever their value: the gate tolerances
+        # are fixed in CHECKS and the warp table's tolerance is fixed.
+        ("mass", "tol", math.inf, "scenario.mass.tol"),
         ("mass", "tol", 0.0, "scenario.mass.tol"),
         ("slice_check", "tol_rel", -1e-8, "scenario.slice_check.tol_rel"),
         ("inequalities", "tol_rel", 0, "scenario.inequalities.tol_rel"),
         ("beckner", "tol_rel", 0.0, "scenario.beckner.tol_rel"),
         ("warp", "tol", -1e-11, "scenario.warp.tol"),
+        ("warp", "tol", 1e-20, "scenario.warp.tol"),
         # Values the libraries reject fail at parse time, under their section.
         ("flow", "dt_max", -1, "scenario.flow"),
         ("flow", "cfl_safety", 2, "scenario.flow"),
-        ("flow", "integrator", "rk4", "scenario.flow"),
         ("grid", "mode", "cube", "scenario.grid.mode"),
         ("mass", "kind", "nope", "scenario.mass.kind"),
         ("space", "n", 2, "scenario.space"),
@@ -204,11 +209,14 @@ class TestParsing:
         ("beckner", "amplitude", -0.2, "scenario.beckner.amplitude"),
         ("grid", "resolution", 4, "scenario.grid.resolution"),
         # A warp table the h^4/384 bound says cannot reach its tolerance.
-        ("warp", "tol", 1e-20, "scenario.warp.tol"),
         ("warp", "target_nodes", 3, "scenario.warp.target_nodes"),
         # A name is a directory under --out, so "." and ".." would write outside it.
         (None, "name", "..", "scenario.name"),
         (None, "name", ".", "scenario.name"),
+        # A directory name has at most 255 bytes, and a lone surrogate has no
+        # UTF-8 bytes at all.
+        pytest.param(None, "name", "\u00e9" * 128, "scenario.name", id="name-256-bytes"),
+        pytest.param(None, "name", "\ud800", "scenario.name", id="name-lone-surrogate"),
     ])
     def test_bad_value_names_key(self, tmp_path, section, key, value, where):
         cfg = json.loads(json.dumps(SMALL_FLOW))
@@ -221,6 +229,8 @@ class TestParsing:
         with pytest.raises(ConfigurationError) as err:
             cli.parse_scenario(write_config(tmp_path, cfg))
         assert any(p.startswith(where + ":") for p in err.value.problems), err.value.problems
+        if key not in (cli._TABLE if section is None else cli._TABLE[section].type):
+            assert f"{where}: unknown key" in err.value.problems
 
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(cfg=mutated_scenarios())
@@ -378,6 +388,40 @@ class TestMain:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_seed_flag_reaches_surface_and_record(self, tmp_path):
+        # The initial surface takes the one scenario seed, which --seed
+        # overrides; the normalized record is the scenario as run.
+        cfg = copy.deepcopy(PERTURBED_FLOW)
+        cfg["flow"]["t_end"] = 0.1
+        cfg["checks"] = ["area_law"]
+        path = write_config(tmp_path, cfg)
+        runs = {"default": [], "7": ["--seed", "7"], "8": ["--seed", "8"],
+                "coarse": ["--resolution", "32"]}
+        trace, record = {}, {}
+        for run, flags in runs.items():
+            code = cli.main(["flow", "--config", path, "--out", str(tmp_path / run), "--quiet",
+                             *flags])
+            assert code == 0
+            base = tmp_path / run / "perturbed-flow"
+            trace[run] = (base / "trace.csv").read_bytes()
+            record[run] = json.loads((base / "scenario.normalized.json").read_text())
+        assert trace["7"] == trace["default"] != trace["8"]
+        assert record["7"] == record["default"] == json.loads(
+            json.dumps(cli.parse_scenario(path).to_dict()))
+        assert record["8"] == dict(record["default"], seed=8)
+        assert record["coarse"] == dict(record["default"],
+                                        grid={"mode": "torus2d", "resolution": 32})
+
+    def test_output_name_too_long_is_error(self, tmp_path, capsys):
+        # Each component of the output path is at most 255 bytes.
+        out = tmp_path / ("d" * 300)
+        code = cli.main(["mass", "--config", write_config(tmp_path, MINIMAL_MASS),
+                         "--out", str(out), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [t-mass] ")
+        assert f"[Errno {errno.ENAMETOOLONG}]" in err
+
     @pytest.mark.parametrize("resolution", [2, 64])
     def test_symmetric_grid_resolution_other_than_one_is_error(self, tmp_path, capsys,
                                                                resolution):
@@ -427,12 +471,14 @@ class TestMain:
         assert "t_end" in capsys.readouterr().err
 
     def test_main_non_finite_warp_tol_is_error(self, tmp_path, capsys):
+        # The warp table's tolerance is fixed, so any warp.tol is unknown.
         cfg = json.loads(json.dumps(SMALL_FLOW))
         cfg["warp"] = {"tol": math.nan}
         code = cli.main(["flow", "--config", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 1
-        assert "tol" in capsys.readouterr().err
+        assert "scenario.warp.tol: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, section, key, value", [
         ("slice-check", "slice_check", "lambdas", []),
@@ -445,6 +491,13 @@ class TestMain:
         ("check-inequalities", "inequalities", "amplitude", -0.1),
         ("beckner", "beckner", "amplitude", -0.2),
         ("flow", "grid", "resolution", 4),
+        # Removed keys: a gate tolerance that would pass any run, a second
+        # seed and a second integrator.
+        ("slice-check", "slice_check", "tol_rel", 1e300),
+        ("check-inequalities", "inequalities", "tol_rel", 1e300),
+        ("beckner", "beckner", "tol_rel", 1e300),
+        ("flow", "surface", "seed", 7),
+        ("flow", "flow", "integrator", "rk2_adaptive"),
     ])
     def test_main_vacuous_or_non_finite_is_error(self, tmp_path, capsys, command, section,
                                                  key, value):
@@ -454,7 +507,10 @@ class TestMain:
         code = cli.main([command, "--config", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 1
-        assert f"scenario.{section}.{key}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"scenario.{section}.{key}" in err
+        if key not in cli._TABLE[section].type:
+            assert f"scenario.{section}.{key}: unknown key" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, section, key", [
@@ -487,11 +543,14 @@ class TestMain:
          "scenario.space.theta"),
         ("flow", {"space": {"n": 4, "kappa": 1, "m": 1.0, "theta": 4.0 * math.pi},
                   "grid": SPHERE16}, "scenario.space.theta"),
-        # A warp table the h^4/384 bound says cannot reach its tolerance.
+        # The warp table's tolerance is fixed, so warp.tol is an unknown key.
         ("flow", {"warp": {"tol": 1e-20}}, "scenario.warp.tol"),
+        # A warp table the h^4/384 bound says cannot reach its tolerance.
         ("mass", {"warp": {"target_nodes": 3}}, "scenario.warp.target_nodes"),
         # A table that ends at lambda = 1.7688, below the slice's lambda = 2.
         ("flow", {"warp": {"r_max": 1.0}}, "scenario.surface.slice_lambda"),
+        # 1000 nodes over r_max = 25 reach ~1e-9, not the table's 1e-11.
+        ("flow", {"warp": {"target_nodes": 1000}}, "scenario.warp.target_nodes"),
     ])
     def test_main_unbuildable_grid_or_table_is_error(self, tmp_path, capsys, command, changes,
                                                     where):
@@ -654,6 +713,16 @@ class TestAllCommand:
         assert "t-mass: pass" in out
         assert "c-broken: FAIL" in out
 
+    def test_all_output_below_a_file_fails_every_scenario(self, tmp_path, capsys):
+        # Every scenario fails to make its directory, and each is reported.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = cli.main(["all", "--out", str(blocker / "out")])
+        assert code == 1
+        out, err = capsys.readouterr()
+        for cfg in SHIPPED:
+            assert f"error: [{cfg['name']}] [Errno {errno.ENOTDIR}]" in err
+            assert f"{cfg['name']}: FAIL" in out
 
     def test_all_dump_warp(self, tmp_path, monkeypatch):
         slices = dict(SMALL_FLOW, name="t-slices", slice_check={"lambdas": [2.0]},

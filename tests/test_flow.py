@@ -198,8 +198,6 @@ class TestStability:
             kf.FlowConfig(t_end=-1.0)
         with pytest.raises(DomainError):
             kf.FlowConfig(t_end=1.0, cfl_safety=1.5)
-        with pytest.raises(DomainError):
-            kf.FlowConfig(t_end=1.0, integrator="euler")
 
     @pytest.mark.parametrize(
         "field, value",
