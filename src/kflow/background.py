@@ -27,9 +27,10 @@ This module is the one place that writes the closed forms of the potential,
 each in one function: 2q = 2 m rho^(2-n) and V^2 = rho^2 + kappa - 2q
 (``_v_squared_at``, and ``v_squared``), lambda'' (``_ddlam_at``, and
 (V^2)' = 2 lambda'' in ``_v_squared_prime``), lambda lambda'' = lambda^2 +
-(n-2) q (``_lam_ddlam``) and V = sqrt(max(V^2, 0)) (``_v``).
+(n-2) q (``_lam_ddlam``, from a lambda^2 that ``_v_squared_at`` reads
+too) and V = sqrt(max(V^2, 0)) (``_v``).
 ``_v_squared_at`` forms V^2 at several masses and 2q at further masses from
-one rho^2 + kappa and one rho^(2-n), and ``_ddlam_at`` forms lambda'' at
+one rho^2 and one rho^(2-n), and ``_ddlam_at`` forms lambda'' at
 several masses from one rho^(1-n), so a radial graph's base space and the
 graph share each power; a mass may be an array.  A lone zero mass, the
 massless kappa = -1 space, needs no power (``_massless``).  The horizon
@@ -118,13 +119,18 @@ def _massless(masses):
     return len(masses) == 1 and not isinstance(masses[0], np.ndarray) and masses[0] == 0.0
 
 
-def _v_squared_at(n, kappa, rho, masses, more=()):
+def _v_squared_at(n, kappa, rho, masses, more=(), rho_sq=None):
     """V^2 = rho^2 + kappa - 2q at each mass of ``masses``, then 2q = 2 m
     rho^(2-n) at each mass of ``masses`` and of ``more``: new values from one
-    rho^2 + kappa and one rho^(2-n), each 2q the product ``rho^(2-n) * (2 m)``
-    and each V^2 ``(rho^2 + kappa) - 2q``.  Among several masses a zero mass
-    gives rho^(2-n) * 0 = 0, the bits of the massless form, at every rho > 0.
+    rho^2 and one rho^(2-n), each 2q the product ``rho^(2-n) * (2 m)`` and
+    each V^2 ``(rho^2 + kappa) - 2q``.  ``rho_sq`` is rho^2 when the caller
+    holds it for another closed form (``_lam_ddlam``); it is read, not
+    changed.  At kappa = 0 the sum is rho^2 itself, whose bits adding 0 would
+    not change (rho^2 is never -0).  Among several masses a zero mass gives
+    rho^(2-n) * 0 = 0, the bits of the massless form, at every rho > 0.
 
+    The first V^2 is formed in the array of rho^2 + kappa unless that is the
+    caller's rho^2, so one mass makes no more arrays than V^2 written out.
     The loops append rather than build comprehensions: on one radius a
     comprehension's own frame costs as much as the mass terms it forms."""
     masses_all = masses + more
@@ -136,20 +142,27 @@ def _v_squared_at(n, kappa, rho, masses, more=()):
         for m in masses_all:
             two_qs.append(power * (2.0 * m))
         del power  # so one mass holds two arrays at a time, as V^2 written out does
-    v2 = rho**2
-    v2 += kappa
+    if rho_sq is None:
+        v2 = rho**2
+        if kappa:
+            v2 += kappa
+    else:
+        v2 = rho_sq + kappa if kappa else rho_sq
     others = []
     for two_q in two_qs[1:len(masses)]:
         others.append(v2 - two_q)
-    v2 -= two_qs[0]  # in place, after the other masses have read rho^2 + kappa
+    if v2 is rho_sq:
+        v2 = rho_sq - two_qs[0]  # the caller's rho^2 is read, not changed
+    else:
+        v2 -= two_qs[0]  # in place, after the other masses have read rho^2 + kappa
     return [v2, *others, *two_qs]
 
 
-def _lam_ddlam(n, lam, two_q):
-    """lambda lambda'' = lambda^2 + (n-2) q from the 2q of ``_v_squared_at``,
-    formed in place in ``two_q``."""
+def _lam_ddlam(n, lam_sq, two_q):
+    """lambda lambda'' = lambda^2 + (n-2) q from lambda^2 and the 2q of
+    ``_v_squared_at``, formed in place in ``two_q``."""
     two_q *= 0.5 * (n - 2)  # doubling is exact, so this is (n-2) q to the bit
-    two_q += lam * lam
+    two_q += lam_sq
     return two_q
 
 

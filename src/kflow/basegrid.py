@@ -207,7 +207,10 @@ def make_grid(mode, resolution, theta_or_L=None, *, n=3, kappa=None):
             coords=(ax, ax.copy()),
             quad_weights=w,
             dx_min=L / resolution,
-            aux={"L": L, "dx": L / resolution, "bands": bands, "bands_t": bands_t},
+            # The cross term's 2 is folded into a doubled d/dx band: doubling
+            # is exact, so its products are twice the d/dx band's, bit for bit.
+            aux={"L": L, "dx": L / resolution, "bands": bands, "bands_t": bands_t,
+                 "cross_band": 2.0 * bands[0]},
         )
 
     if mode == "sphere_axisym":
@@ -280,33 +283,31 @@ def _tiles(padded, b, axis):
     return np.ndarray(shape, buffer=padded, strides=strides)
 
 
-def _along_y(g, bands_t):
-    """Each band applied along axis 1 of the periodic m x m ``g``: each column
-    tile of its wrap-padded copy times band^T, into that tile's m x b block."""
-    m, b = g.shape[0], bands_t.shape[2]
-    tiles = _tiles(np.concatenate((g[:, -2:], g, g[:, :2]), axis=1), b, 1)
-    outs = [np.empty((m, m)) for _ in bands_t]
-    for band_t, out in zip(bands_t, outs):
-        np.matmul(tiles, band_t, out=out.reshape(m, m // b, b).transpose(1, 0, 2))
-    return outs
-
-
 def _torus_derivatives(f, aux):
-    """fx, fy, fxx, fxy, fyy of a periodic m x m field by the 4th-order band
-    products of ``make_grid``, as new C-contiguous arrays; fxy is d/dy of fx.
-    The products act on f less its first entry, which is exact for a constant
-    field, so constants give exact zeros (docs/derivations.md)."""
+    """fx, fy, fxx, 2 fxy, fyy of a periodic m x m field by the 4th-order band
+    products of ``make_grid``; fxy is d/dx of fy, and comes doubled, by the
+    stored band 2 d/dx, for the cross term of ``quad_form``.  fy is a view of
+    the row-padded buffer, the others new C-contiguous arrays.  The products
+    act on f less its first entry, which is exact for a constant field, so
+    constants give exact zeros (docs/derivations.md)."""
     m = f.shape[0]
-    bands = aux["bands"]
+    bands, b = aux["bands"], aux["bands"].shape[1]
     padded = np.empty((m + 4, m))
     g = np.subtract(f, f[0, 0], out=padded[2:-2])
     padded[:2] = g[-2:]
     padded[-2:] = g[:2]
-    tiles = _tiles(padded, bands.shape[1], 0)
-    fx, fxx = (np.matmul(band, tiles).reshape(m, m) for band in bands)
-    fy, fyy = _along_y(g, aux["bands_t"])
-    (fxy,) = _along_y(fx, aux["bands_t"][:1])
-    return fx, fy, fxx, fxy, fyy
+    rows = _tiles(padded, b, 0)
+    fx, fxx = (np.matmul(band, rows).reshape(m, m) for band in bands)
+    # Each column tile of the column-padded g times band^T fills that tile's
+    # m x b block; fy goes straight into the spent rows of g.
+    cols = _tiles(np.concatenate((g[:, -2:], g, g[:, :2]), axis=1), b, 1)
+    fy, fyy = g, np.empty((m, m))
+    for band_t, out in zip(aux["bands_t"], (fy, fyy)):
+        np.matmul(cols, band_t, out=out.reshape(m, m // b, b).transpose(1, 0, 2))
+    padded[:2] = fy[-2:]
+    padded[-2:] = fy[:2]
+    fxy2 = np.matmul(aux["cross_band"], rows).reshape(m, m)
+    return fx, fy, fxx, fxy2, fyy
 
 
 class Derivatives:
@@ -328,14 +329,13 @@ def differentiate(field):
     grid = field.grid
     f = field.values
     if grid.mode == "torus2d":
-        fx, fy, fxx, fxy, fyy = _torus_derivatives(f, grid.aux)
-        # fx^2 fxx + 2 fx fy fxy + fy^2 fyy and fx^2 + fy^2, left to right.
+        fx, fy, fxx, fxy2, fyy = _torus_derivatives(f, grid.aux)
+        # fx^2 fxx + fx fy (2 fxy) + fy^2 fyy and fx^2 + fy^2, left to right.
         fx_sq = fx * fx
         fy_sq = fy * fy
         quad_form = fx_sq * fxx
-        term = np.multiply(fx, 2.0)
-        term *= fy
-        term *= fxy
+        term = fx * fy
+        term *= fxy2
         quad_form += term
         quad_form += np.multiply(fy_sq, fyy, out=term)
         return Derivatives(np.add(fxx, fyy, out=fxx), np.add(fx_sq, fy_sq, out=fx_sq), quad_form)

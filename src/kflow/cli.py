@@ -436,10 +436,9 @@ def _run_flow_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
 def _run_mass_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
     cfg = _settings("mass", scn.mass)
     graph = _mass_graph(params, cfg)
-    schedule = cfg["rho_schedule"]
-    est = mass_limit(graph, schedule)
+    est = mass_limit(graph, cfg["rho_schedule"])
     # The identity holds for graphs whose inner boundary is a horizon.
-    identity = mass_identity_check(graph, schedule) if graph.horizon_graph else None
+    identity = mass_identity_check(graph, estimate=est) if graph.horizon_graph else None
     sigma_area = graph.rho_inner ** (params.n - 1) * params.theta
     rho_probe = np.linspace(graph.rho_inner + 1e-4, graph.rho_inner + 20.0, 60)
     payload = {
@@ -533,7 +532,7 @@ def run_scenario(scn, out_root, *, seed=None, resolution=None, quiet=False, dump
         raise ConfigurationError(f"--seed: must be >= 0, got {seed}")
     if resolution is not None:
         problem = (resolution_problem(scn.grid["mode"], resolution) if scn.grid
-                   else None if resolution >= 1 else f"must be >= 1, got {resolution}")
+                   else "the scenario has no grid")
         if problem:
             raise ConfigurationError(f"--resolution: {problem}")
     sections = [
@@ -550,7 +549,7 @@ def run_scenario(scn, out_root, *, seed=None, resolution=None, quiet=False, dump
     record = scn.to_dict()
     if seed is not None:
         record["seed"] = int(seed)
-    if resolution is not None and scn.grid is not None:
+    if resolution is not None:
         record["grid"] = dict(scn.grid, resolution=resolution)
     params = SpaceParams(**_settings("space", scn.space))
     warp = grid = None

@@ -25,12 +25,16 @@ rejected and retried at dt/2.
 
 Each step takes dt = min(dt_max, stable_dt, t_next - t), with t_next the
 next record time.  Since v >= 1 (W >= V^2 holds exactly in floating point),
-cfl_safety dx^2 (min lambda min H)^2 / 2 bounds stable_dt from below up to
-rounding.  min lambda is formed by the surface's range check, and min H is
-formed once per accepted step, for this test and the floor test; it is the
-only read of H on the step path.  While that bound exceeds dt_max
-(1 + 1e-9), stable_dt cannot bind and is not formed; otherwise it is
-formed, so the step sequence is the same as if it were formed on every step.
+cfl_safety dx^2 m^2 / 2 bounds stable_dt from below up to rounding, for m
+both min(lambda H) and min lambda min H.  min lambda H is bounded below
+without H, by min D / (max W)^(3/2) shrunk by 1e-9 relative (the
+geometry's ``lam_h_bound``; min D is formed by the mean-convexity test),
+and over lambda_max (formed by the range check) that bounds min H.  The
+pre-test and the floor test try this bound first, and form H (one square
+root, three products and a min) only where it fails; records form H
+anyway.  While a bound exceeds dt_max (1 + 1e-9), stable_dt cannot bind
+and is not formed; otherwise it is formed, so the step sequence is the
+same as if it were formed on every step.
 The trace counts the steps set by each bound (``dt_bounds``: a step equal to
 dt_max up to rounding counts as dt_max even when the record time coincides)
 and the times stable_dt was formed (``stable_dt_evals``); neither enters
@@ -268,8 +272,10 @@ def run_flow(surface0, config):
     trace = FlowTrace(params=params, config=config)
     trace.samples.append(_sample(0.0, geom, 0.0))
 
-    # v >= 1, so cfl_scale (min lambda min H)^2 bounds stable_dt from below;
-    # while it clears dt_max (with a margin for rounding) stable_dt cannot bind.
+    # v >= 1, so cfl_scale (min lambda H)^2, and below it cfl_scale (min lambda
+    # min H)^2, bound stable_dt from below; while either clears dt_max (with a
+    # margin for rounding) stable_dt cannot bind.  min lambda H is bounded below
+    # without H (lam_h_bound), so H is formed only where that bound fails.
     cfl_scale = config.cfl_safety * surface0.grid.dx_min**2 / 2.0
     dt_max_margin = config.dt_max * (1.0 + 1e-9)
     surface = surface0
@@ -279,7 +285,8 @@ def run_flow(surface0, config):
     while t < config.t_end - eps:
         t_next = min(k_rec * config.record_interval, config.t_end)
         dt = min(config.dt_max, t_next - t)
-        if not cfl_scale * (surface.lam_min * geom.h_min) ** 2 > dt_max_margin:
+        if (not cfl_scale * geom.lam_h_bound**2 > dt_max_margin
+                and not cfl_scale * (surface.lam_min * geom.h_min) ** 2 > dt_max_margin):
             dt = min(dt, stable_dt(geom, config.cfl_safety))
             trace.stable_dt_evals += 1
         while True:
@@ -298,7 +305,7 @@ def run_flow(surface0, config):
         trace.dt_bounds[_dt_bound(dt, config.dt_max, t_next - t)] += 1
         t += dt
         trace.dt_history.append(dt)
-        if geom.h_min <= h_floor:
+        if not geom.lam_h_bound / surface.lam_max > h_floor and geom.h_min <= h_floor:
             trace.breakdown = {
                 "t": t,
                 "reason": f"H_min={geom.h_min:.6g} at/below floor {h_floor:.6g}",

@@ -527,8 +527,12 @@ class IdentityReport:
         }
 
 
-def mass_identity_check(graph, rho_schedule=DEFAULT_RHO_SCHEDULE):
-    """Total mass versus base mass + interior energy + horizon flux."""
+def mass_identity_check(graph, rho_schedule=DEFAULT_RHO_SCHEDULE, *, estimate=None):
+    """Total mass versus base mass + interior energy + horizon flux.
+
+    The total mass is ``mass_limit(graph, rho_schedule)``; a caller that
+    already holds that estimate passes it as ``estimate``, and the schedule
+    is then not read."""
     if not graph.horizon_graph:
         raise DomainError("mass identity check needs a horizon-type inner boundary")
     params = graph.base
@@ -539,7 +543,9 @@ def mass_identity_check(graph, rho_schedule=DEFAULT_RHO_SCHEDULE):
     flux = v_i * h_sigma * rho_i ** (n - 1) * params.theta
     boundary = params.mass_constant * flux
     bulk = _bulk_energy_integral(graph)
-    lhs = mass_limit(graph, rho_schedule).mass
+    if estimate is None:
+        estimate = mass_limit(graph, rho_schedule)
+    lhs = estimate.mass
     rhs = params.m + bulk + boundary
     return IdentityReport(
         lhs_mass=lhs,

@@ -33,7 +33,8 @@ q = m lambda^(2-n), v^2 = W / V^2 and the c |grad s|^2 terms collapse, so
 V^2, W and D and tests mean convexity as D > 0, with V^2 > 0: where V^2
 rounds to <= 0, next to the horizon, H is NaN and the graph is rejected.
 Every other field is formed on its first read: a flow's midpoint stage
-forms only the speed W^2 / D, its full stage also H, once, for min H; p
+forms only the speed W^2 / D, its full stage also max W, for a lower bound
+on min H, and H only where that bound does not settle a test; p
 and the area element are formed when read, and the aggregate functional
 record below on its first read, which a flow makes only at its record
 times.  The graph height u is formed only where it is read, through the
@@ -209,15 +210,17 @@ class SurfaceGeometry:
     is what an RK2 midpoint stage reads.  Every other field is formed on its
     first read and then kept: ``dlam`` and ``ddlam`` are lambda' and lambda'';
     ``grad_phi_sq`` = |grad phi|^2 = |grad s|^2 / V^2, ``v`` =
-    sqrt(1 + |grad phi|^2), ``H`` = D / (lambda W^(3/2)) the mean curvature and
-    ``h_min`` = min H, which is > 0.  The support function ``p`` = lambda'' / v
-    and ``area_element`` = lambda^(n-1) v (the density of the area measure
-    against d mu_ghat) are formed on each read; ``functionals``, the
+    sqrt(1 + |grad phi|^2), ``H`` = D / (lambda W^(3/2)) the mean curvature,
+    ``h_min`` = min H, which is > 0, and ``lam_h_bound``, a lower bound on
+    min lambda H from ``d_min`` = min D and max W that forms no H.  The
+    support function ``p`` = lambda'' / v and ``area_element`` =
+    lambda^(n-1) v (the density of the area measure against d mu_ghat) are
+    formed on each read; ``functionals``, the
     aggregate record, is formed on the first read and then kept, so a flow
     pays for it only at record times.
     """
 
-    def __init__(self, surface, dlam_sq, lam_ddlam, grad_s_sq, W, D):
+    def __init__(self, surface, dlam_sq, lam_ddlam, grad_s_sq, W, D, d_min):
         self.surface = surface
         self.lam = surface.lam
         self.dlam_sq = dlam_sq
@@ -225,6 +228,7 @@ class SurfaceGeometry:
         self.grad_s_sq = grad_s_sq
         self.W = W
         self.D = D
+        self.d_min = d_min
 
     @_lazy
     def speed(self):
@@ -245,6 +249,15 @@ class SurfaceGeometry:
     @_lazy
     def h_min(self):
         return float(self.H.min())
+
+    @_lazy
+    def lam_h_bound(self):
+        """A lower bound on min lambda H without H: lambda H = D / W^(3/2) >=
+        min D / (max W)^(3/2) at every node, shrunk by 1e-9 relative, far more
+        than the few roundings by which the formed H or the bound may stray.
+        Over lambda_max it bounds min H from below."""
+        w_max = float(self.W.max())
+        return float(self.d_min) / (w_max * math.sqrt(w_max)) * (1.0 - 1e-9)
 
     @_lazy
     def dlam(self):
@@ -327,8 +340,9 @@ def compute_geometry(surface):
     # V^2 and lambda lambda'' are the background's closed forms of lambda.  Each
     # array is formed left to right in the operand order of its formula, in
     # place where it can be, so its bits equal those of the formula as written.
-    dlam_sq, two_q = _v_squared_at(n, params.kappa, lam, (params.m,))
-    lam_ddlam = _lam_ddlam(n, lam, two_q)
+    lam_sq = lam * lam
+    dlam_sq, two_q = _v_squared_at(n, params.kappa, lam, (params.m,), rho_sq=lam_sq)
+    lam_ddlam = _lam_ddlam(n, lam_sq, two_q)
     d = differentiate(surface.s)
     grad_sq = d.grad_sq
     # W = V^2 + |grad s|^2 = v^2 V^2
@@ -341,9 +355,9 @@ def compute_geometry(surface):
     D += np.multiply(lam_ddlam, grad_sq, out=d.lap)
     D += d.quad_form
 
-    geom = SurfaceGeometry(surface, dlam_sq, lam_ddlam, grad_sq, W, D)
+    geom = SurfaceGeometry(surface, dlam_sq, lam_ddlam, grad_sq, W, D, D.min())
     # NaN fails the comparisons, so a NaN D is a mean-convexity failure too.
-    if not (D.min() > 0.0 and dlam_sq.min() > 0.0):
+    if not (geom.d_min > 0.0 and dlam_sq.min() > 0.0):
         near_horizon = ~(dlam_sq > 0.0)
         bad = np.argwhere(near_horizon | ~(D > 0.0))
         h_min = math.nan if near_horizon.any() else geom.h_min

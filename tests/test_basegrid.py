@@ -47,7 +47,8 @@ def _roll_d2(f, axis, dx):
 
 
 def _product_reference(f, grid):
-    """fx, fy, fxx, fxy, fyy as the band products written out tile by tile."""
+    """fx, fy, fxx, 2 fxy, fyy as the band products written out tile by tile;
+    2 fxy is d/dx of fy by the doubled band."""
     bands, bands_t = grid.aux["bands"], grid.aux["bands_t"]
     b, m = bands.shape[1], f.shape[0]
     g = f - f[0, 0]
@@ -60,9 +61,9 @@ def _product_reference(f, grid):
         p = np.concatenate((a[:, -2:], a, a[:, :2]), axis=1)
         return np.concatenate([p[:, k * b:k * b + b + 4] @ band_t for k in range(m // b)], axis=1)
 
-    fx = along_x(g, bands[0])
-    fxy = along_y(fx, bands_t[0])
-    return fx, along_y(g, bands_t[0]), along_x(g, bands[1]), fxy, along_y(g, bands_t[1])
+    fy = along_y(g, bands_t[0])
+    fxy2 = along_x(fy, 2.0 * bands[0])
+    return along_x(g, bands[0]), fy, along_x(g, bands[1]), fxy2, along_y(g, bands_t[1])
 
 
 def _derivative_digest(mode, m):
@@ -195,10 +196,16 @@ class TestDerivatives:
         pert = low_frequency_field(torus64, seed=9, amplitude=1.0)
         f = ScalarField(pert, torus64)
         d = differentiate(f)
-        # quad_form must match its definition from the stencil derivatives
-        fx, fy, fxx, fxy, fyy = _torus_derivatives(f.values, torus64.aux)
-        expect = fx**2 * fxx + 2 * fx * fy * fxy + fy**2 * fyy
+        # quad_form must match its definition from the stencil derivatives;
+        # the kernel returns the cross derivative doubled, as 2 fxy.
+        fx, fy, fxx, fxy2, fyy = _torus_derivatives(f.values, torus64.aux)
+        expect = fx**2 * fxx + fx * fy * fxy2 + fy**2 * fyy
         assert np.max(np.abs(d.quad_form - expect)) == 0.0
+        # The stencils commute: d/dx of fy is d/dy of fx, up to the rounding
+        # of a difference quotient of fx.
+        dx = torus64.aux["dx"]
+        fyx = _roll_d1(fx, 1, dx)
+        assert np.max(np.abs(fxy2 - 2.0 * fyx)) <= 1e-13 * np.max(np.abs(fx)) / dx
 
     def test_torus_stencils_match_roll_reference(self, torus64):
         # The bands hold the stencil weights: (1, -8, 0, 8, -1) / (12 dx) and
@@ -211,6 +218,7 @@ class TestDerivatives:
             expect[1, r, r:r + 5] = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * dx * dx)
         assert np.array_equal(bands, expect)
         assert np.array_equal(torus64.aux["bands_t"], bands.transpose(0, 2, 1))
+        assert np.array_equal(torus64.aux["cross_band"], 2.0 * bands[0])
         # Each derivative is bitwise the tile-by-tile product, and agrees with
         # the stencil formulas on np.roll neighbours to rounding, also on a
         # rough field where any misplaced neighbour or tile would show.
@@ -221,16 +229,16 @@ class TestDerivatives:
             got = _torus_derivatives(f, grid.aux)
             for a, want in zip(got, _product_reference(f, grid)):
                 assert a.tobytes() == want.tobytes(), m
-            fx = _roll_d1(f, 0, dx)
-            rolled = (fx, _roll_d1(f, 1, dx), _roll_d2(f, 0, dx), _roll_d1(fx, 1, dx),
+            fy = _roll_d1(f, 1, dx)
+            rolled = (_roll_d1(f, 0, dx), fy, _roll_d2(f, 0, dx), 2.0 * _roll_d1(fy, 0, dx),
                       _roll_d2(f, 1, dx))
             for a, want in zip(got, rolled):
                 assert np.max(np.abs(a - want)) <= 1e-14 * np.max(np.abs(want)), m
-            fx, fy, fxx, fxy, fyy = got
+            fx, fy, fxx, fxy2, fyy = got
             d = differentiate(ScalarField(f, grid))
             assert np.array_equal(d.lap, fxx + fyy)
             assert np.array_equal(d.grad_sq, fx**2 + fy**2)
-            assert np.array_equal(d.quad_form, fx**2 * fxx + 2.0 * fx * fy * fxy + fy**2 * fyy)
+            assert np.array_equal(d.quad_form, fx**2 * fxx + fx * fy * fxy2 + fy**2 * fyy)
 
     def test_torus_bytes_do_not_depend_on_blas_threads(self):
         # Every band product stays within OpenBLAS's one-thread size, so a

@@ -443,6 +443,42 @@ class TestMain:
         assert "--resolution" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_resolution_flag_without_grid_is_error(self, tmp_path, capsys):
+        # A scenario without a grid section has no resolution to override.
+        path = next(p for p in cli.shipped_scenarios() if pathlib.Path(p).stem == "kottler-mass")
+        code = cli.main(["mass", "--config", path, "--out", str(tmp_path / "o"), "--quiet",
+                         "--resolution", "5"])
+        assert code == 1
+        assert ("error: [kottler-mass] --resolution: the scenario has no grid"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["kottler-mass", "energy-profile-mass"])
+    def test_mass_run_forms_mass_limit_once(self, tmp_path, monkeypatch, name):
+        # The identity reads the estimate the mass section already holds, and
+        # mass.json holds the identity formed with its own mass_limit call.
+        path = next(p for p in cli.shipped_scenarios() if pathlib.Path(p).stem == name)
+        calls = []
+        real = kf.mass.mass_limit
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kf.mass, "mass_limit", counting)
+        monkeypatch.setattr(cli, "mass_limit", counting)
+        code = cli.main(["mass", "--config", path, "--out", str(tmp_path), "--quiet"])
+        assert code == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        scn = cli.parse_scenario(path)
+        cfg = cli._settings("mass", scn.mass)
+        graph = cli._mass_graph(kf.SpaceParams(**scn.space), cfg)
+        own = kf.mass_identity_check(graph, cfg["rho_schedule"])
+        payload = json.loads((tmp_path / name / "mass.json").read_text())
+        assert payload["identity"] == own.as_dict()
+        assert payload["identity_residual"] == own.residual
+
     def test_python_m_kflow_help(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(SRC_ROOT), *filter(None, [os.environ.get("PYTHONPATH")])]))
@@ -712,6 +748,25 @@ class TestAllCommand:
         assert "t-bad: FAIL" in out
         assert "t-mass: pass" in out
         assert "c-broken: FAIL" in out
+
+    def test_all_reports_resolution_without_grid_per_scenario(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # --resolution fails each scenario without a grid; the others run at it.
+        slices = dict(SMALL_FLOW, name="t-slices", slice_check={"lambdas": [2.0]},
+                      checks=["slice_equality"])
+        del slices["flow"]
+        paths = [write_config(tmp_path, MINIMAL_MASS, "a.json"),
+                 write_config(tmp_path, slices, "b.json")]
+        monkeypatch.setattr(cli, "shipped_scenarios", lambda: paths)
+        code = cli.main(["all", "--out", str(tmp_path / "all"), "--resolution", "16"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert "error: [t-mass] --resolution: the scenario has no grid" in err
+        assert "t-mass: FAIL" in out and "t-slices: pass" in out
+        assert not (tmp_path / "all" / "t-mass").exists()
+        record = json.loads((tmp_path / "all" / "t-slices" / "scenario.normalized.json")
+                            .read_text())
+        assert record["grid"] == {"mode": "torus2d", "resolution": 16}
 
     def test_all_output_below_a_file_fails_every_scenario(self, tmp_path, capsys):
         # Every scenario fails to make its directory, and each is reported.

@@ -71,6 +71,7 @@ class TestFlowStep:
         assert err.value.surface is not None
         assert err.value.surface is not slice_flat
         assert "floor" in err.value.trace.breakdown["reason"]
+        assert err.value.trace.breakdown["t"] == 0.005
 
     def test_large_step_rejected_signal(self, torus64, warp_flat):
         surf = kf.random_star_shaped(torus64, warp_flat, seed=2, amplitude=0.1,
@@ -160,7 +161,7 @@ class TestRunFlow:
         with pytest.raises(FlowBreakdownError) as err:
             kf.run_flow(surf, kf.FlowConfig(t_end=2.0, h_floor=5.0))
         assert err.value.trace is not None
-        assert err.value.trace.breakdown is not None
+        assert err.value.trace.breakdown["t"] == 0.005  # H = 1.87 on this slice
         assert err.value.surface is not None
 
     def test_symmetry_preservation(self, torus64, warp_flat):
@@ -259,10 +260,10 @@ def _stable_dt_loop(surface, config):
 
 
 class TestStepBounds:
-    """run_flow forms stable_dt only when its lower bound
-    cfl_safety dx^2 (min lambda min H)^2 / 2 does not clear dt_max; the step
-    sequence is that of forming it every time, and the trace counts which
-    bound set each step."""
+    """run_flow forms stable_dt only when neither lower bound
+    cfl_safety dx^2 m^2 / 2, m = lam_h_bound or min lambda min H, clears
+    dt_max; the step sequence is that of forming it every time, and the
+    trace counts which bound set each step."""
 
     @pytest.fixture(scope="class")
     def flows(self, torus64, warp_flat, sphere64, warp_sphere):
@@ -298,6 +299,80 @@ class TestStepBounds:
         trace = kf.run_flow(flows["sphere_axisym"], kf.FlowConfig(t_end=0.25))
         assert set(trace.as_dict()) == {"columns", "samples", "extra", "rejected_steps",
                                         "n_steps", "breakdown", "config"}
+
+
+def _count_h(monkeypatch):
+    """Count each time a geometry forms its mean curvature array H."""
+    formed = []
+    lazy_h = kf.SurfaceGeometry.__dict__["H"]
+    form = lazy_h.func
+
+    def counting(geom):
+        formed.append(geom)
+        return form(geom)
+
+    monkeypatch.setattr(lazy_h, "func", counting)
+    return formed
+
+
+class TestMinHBound:
+    """run_flow reads min H only where its lower bound min D / (max W)^(3/2)
+    of min lambda H fails the CFL pre-test or the floor test; records form
+    H, and every step, bound count and stable_dt evaluation is as when H was
+    formed on every step."""
+
+    def test_capped_torus_forms_h_only_at_records(self, torus64, warp_flat, monkeypatch):
+        # The benchmark's torus start: lambda_0 = 2, dt_max = 0.005, records
+        # every 0.25 to t = 10.
+        surf = kf.random_star_shaped(torus64, warp_flat, seed=7, amplitude=0.05,
+                                     base_r=warp_flat.r_from_rho(2.0))
+        formed = _count_h(monkeypatch)
+        trace = kf.run_flow(surf, kf.FlowConfig(t_end=10.0, dt_max=0.005,
+                                                record_interval=0.25))
+        assert len(trace.dt_history) == 2000 and trace.stable_dt_evals == 0
+        assert len(trace.samples) == 41
+        assert len(formed) == 41
+        assert [s.h_min for s in trace.samples] == [g.h_min for g in formed]
+
+    def test_shipped_start_steps_unchanged(self, torus64, warp_flat, monkeypatch):
+        # The shipped perturbed-flow start, lambda_0 = 1.1 with records every
+        # 0.05, has CFL-bound steps: there the bound fails and H is formed.
+        surf = kf.random_star_shaped(torus64, warp_flat, seed=7, amplitude=0.05,
+                                     base_r=warp_flat.r_from_rho(1.1))
+        config = kf.FlowConfig(t_end=10.0, dt_max=0.005, record_interval=0.05)
+        formed = _count_h(monkeypatch)
+        trace = kf.run_flow(surf, config)
+        assert trace.dt_history == _stable_dt_loop(surf, config)
+        assert len(trace.dt_history) == 2124
+        assert trace.dt_bounds == {"cfl": 218, "dt_max": 1895, "record": 11}
+        assert trace.stable_dt_evals == 228
+        assert len(trace.samples) < len(formed) < len(trace.dt_history)
+
+    def test_floor_at_h_up_to_rounding_trips(self, slice_flat):
+        # On a slice D and W are the same at every node, so the bound over
+        # lambda_max equals min H up to rounding and the 1e-9 shrink.  A floor
+        # at min H after the first step, or one ulp above, still trips there;
+        # one ulp below it never trips, as H grows along a slice flow.
+        geom = kf.compute_geometry(slice_flat)
+        surface, geom = kf.flow_step(slice_flat, geom, 0.005)
+        h_min = geom.h_min
+        bound = geom.lam_h_bound / surface.lam_max
+        assert bound < h_min and h_min - bound <= 2e-9 * h_min
+        for h_floor in (h_min, np.nextafter(h_min, math.inf)):
+            with pytest.raises(FlowBreakdownError) as err:
+                kf.run_flow(slice_flat, kf.FlowConfig(t_end=0.05, h_floor=h_floor))
+            assert err.value.trace.breakdown["t"] == 0.005
+        below = np.nextafter(h_min, -math.inf)
+        trace = kf.run_flow(slice_flat, kf.FlowConfig(t_end=0.05, h_floor=below))
+        assert trace.breakdown is None and len(trace.dt_history) == 10
+
+    def test_bound_is_below_min_h(self, torus64, warp_flat):
+        for seed, amplitude in ((1, 0.05), (2, 0.2), (3, 0.4)):
+            surf = kf.random_star_shaped(torus64, warp_flat, seed=seed, amplitude=amplitude,
+                                         base_r=warp_flat.r_from_rho(1.2))
+            geom = kf.compute_geometry(surf)
+            assert 0.0 < geom.lam_h_bound <= float(np.min(surf.lam * geom.H))
+            assert geom.lam_h_bound / surf.lam_max <= geom.h_min
 
 
 class TestMonotonicityReport:
