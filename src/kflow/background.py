@@ -405,30 +405,65 @@ class WarpTable:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("r,lambda\n")
             for r, lam in zip(self.r_grid, self.lam_nodes):
-                fh.write(f"{r!r},{lam!r}\n")
+                fh.write(f"{float(r)!r},{float(lam)!r}\n")
+
+
+# Panels per quadrature block.  A block's 1024 x 10 Gauss nodes fill 80 KiB
+# arrays, below glibc's 128 KiB mmap threshold, so the integrand's
+# temporaries reuse heap memory rather than being mapped and faulted afresh.
+_BLOCK = 1024
+
+
+def _panel_family(fun, rho_of, edges, r_start, r_max):
+    """r and rho at ``edges[1:]``, as lists of blocks of ``_BLOCK`` panels,
+    up to the first block whose last r reaches ``r_max``; no later block is
+    evaluated.  The panel integrals of ``fun`` run on from ``r_start`` as one
+    sequential sum carried across blocks, so every r has the bits of
+    ``r_start + cumsum`` over the whole family."""
+    r_blocks, rho_blocks = [], []
+    carried = 0.0
+    for k in range(0, len(edges) - 1, _BLOCK):
+        piece = edges[k:k + _BLOCK + 1]
+        sums = np.cumsum(np.concatenate(([carried], panel_integrals(fun, piece))))
+        carried = sums[-1]
+        r_blocks.append(r_start + sums[1:])
+        rho_blocks.append(rho_of(piece[1:]))
+        if r_blocks[-1][-1] >= r_max:
+            break
+    return r_blocks, rho_blocks
 
 
 def _build_nodes(params, rho_start, r_max, h_target):
     """rho ladder from the horizon rho_start plus cumulative r by panel
-    quadrature of 1/V, with rho = rho_start + xi^2 next to the horizon."""
+    quadrature of 1/V, evaluated only until r reaches ``r_max``.
+
+    Next to the horizon rho = rho_start + xi^2 on uniform xi panels; beyond
+    rho_c = rho_start + max(1, rho_start / 4) rho = rho_c e^sigma on uniform
+    sigma panels, with rho formed once per Gauss node.  Each family is
+    integrated in blocks of ``_BLOCK`` panels (``_panel_family``), and the far
+    family is not evaluated when the near one already reaches ``r_max``."""
     rho_c = rho_start + max(1.0, 0.25 * rho_start)
     pp = float(_v_squared_prime(params, rho_start))
     xi_c = math.sqrt(rho_c - rho_start)
     n_a = int(np.clip(math.ceil(xi_c / (0.1 * h_target * math.sqrt(pp))), 64, 80000))
     xi_edges = xi_c * np.linspace(0.0, 1.0, n_a + 1)
-    r_inc = panel_integrals(lambda xi: 2.0 * xi / _v(params, rho_start + xi**2), xi_edges)
-    rho_a = rho_start + xi_edges**2
-    r_a = np.concatenate([[0.0], np.cumsum(r_inc)])
+    near = lambda xi: 2.0 * xi / _v(params, rho_start + xi**2)
+    r_blocks, rho_blocks = _panel_family(near, lambda xi: rho_start + xi**2, xi_edges, 0.0, r_max)
+    r_nodes, rho_nodes = [np.zeros(1), *r_blocks], [np.array([rho_start]), *rho_blocks]
+    r_a = r_nodes[-1][-1]
+    if r_a < r_max:
+        d_sigma = 0.8 * h_target
+        n_b = int(math.ceil(((r_max - r_a) * 1.3 + 2.0) / d_sigma))
+        rho_of = lambda s: rho_c * np.exp(s)
 
-    d_sigma = 0.8 * h_target
-    n_b = int(math.ceil(((r_max - r_a[-1]) * 1.3 + 2.0) / d_sigma))
-    sig_edges = d_sigma * np.arange(n_b + 1)
-    rho_of = lambda s: rho_c * np.exp(s)
-    r_inc_b = panel_integrals(lambda s: rho_of(s) / _v(params, rho_of(s)), sig_edges)
+        def far(s):
+            rho = rho_of(s)
+            return rho / _v(params, rho)
 
-    rho_nodes = np.concatenate([rho_a, rho_of(sig_edges[1:])])
-    r_nodes = np.concatenate([r_a, r_a[-1] + np.cumsum(r_inc_b)])
-    return rho_nodes, r_nodes
+        r_blocks, rho_blocks = _panel_family(far, rho_of, d_sigma * np.arange(n_b + 1), r_a, r_max)
+        r_nodes += r_blocks
+        rho_nodes += rho_blocks
+    return np.concatenate(rho_nodes), np.concatenate(r_nodes)
 
 
 def _warp_tol_problem(r_max, target_nodes):
@@ -444,7 +479,11 @@ def _warp_tol_problem(r_max, target_nodes):
 
 
 def build_warp_table(params, r_max=25.0, target_nodes=4000):
-    """Tabulate lambda(r) on [0, r_max] to relative tolerance 1e-11."""
+    """Tabulate lambda(r) on [0, r_max] to relative tolerance 1e-11.
+
+    The nodes run from the horizon to the first one at or beyond ``r_max``;
+    the quadrature behind them stops with the block that reaches it
+    (``_build_nodes``)."""
     for name, value in (("r_max", r_max), ("target_nodes", target_nodes)):
         # NaN fails every comparison, so test finiteness explicitly.
         if not math.isfinite(value) or value <= 0.0:

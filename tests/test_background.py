@@ -1,6 +1,8 @@
 """Background geometry: horizon, potential, warp table and its lookups."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +11,82 @@ from hypothesis import strategies as st
 
 import kflow as kf
 from kflow import _util
-from kflow.background import _v_squared_prime, v_squared
+from kflow.background import _v, _v_squared_prime, v_squared
 from kflow.errors import (
     DomainError,
     InvalidDimensionError,
     NoHorizonError,
     ResolutionError,
 )
+from test_basegrid import _digests_by_blas_threads
+
+FOUR_PI = 4.0 * math.pi
+
+# (n, kappa, m, build_warp_table keywords): the four benchmark spaces, the
+# massless kappa = -1 space, n = 5 and 7, kappa = -1 masses just above the
+# critical one (long near-horizon families), tables that end inside the
+# near-horizon family (r_max 0.5, 1.2) and a fine table.
+WARP_CASES = [
+    (3, 0, 0.5, {}),
+    (3, 1, 1.0, {}),
+    (4, 1, 1.0, {}),
+    (3, -1, 0.5, {}),
+    (3, -1, 0.0, {}),
+    (5, 1, 1.0, {}),
+    (7, 0, 0.5, {}),
+    (3, -1, kf.critical_mass(3) + 1e-3, {}),
+    (3, -1, kf.critical_mass(3) + 1e-6, {}),
+    (4, -1, kf.critical_mass(4) + 1e-3, {}),
+    (4, -1, kf.critical_mass(4) + 1e-6, {}),
+    (3, 0, 0.5, {"r_max": 0.5}),
+    (3, 0, 0.5, {"r_max": 1.2}),
+    (3, 0, 0.5, {"target_nodes": 20000}),
+]
+
+
+def _one_array_table(params, r_max=25.0, target_nodes=4000):
+    """The warp table as one array per panel family: every panel of both
+    families evaluated at once, then cut after the first node at or beyond
+    r_max.  The reference the block build must equal bit for bit."""
+    h_target = r_max / max(200, int(target_nodes))
+    rho_start = kf.find_horizon(params)
+    rho_c = rho_start + max(1.0, 0.25 * rho_start)
+    pp = float(_v_squared_prime(params, rho_start))
+    xi_c = math.sqrt(rho_c - rho_start)
+    n_a = int(np.clip(math.ceil(xi_c / (0.1 * h_target * math.sqrt(pp))), 64, 80000))
+    xi_edges = xi_c * np.linspace(0.0, 1.0, n_a + 1)
+    r_inc = _util.panel_integrals(lambda xi: 2.0 * xi / _v(params, rho_start + xi**2), xi_edges)
+    rho_a = rho_start + xi_edges**2
+    r_a = np.concatenate([[0.0], np.cumsum(r_inc)])
+    d_sigma = 0.8 * h_target
+    n_b = int(math.ceil(((r_max - r_a[-1]) * 1.3 + 2.0) / d_sigma))
+    sig_edges = d_sigma * np.arange(n_b + 1)
+    rho_of = lambda s: rho_c * np.exp(s)
+    r_inc_b = _util.panel_integrals(lambda s: rho_of(s) / _v(params, rho_of(s)), sig_edges)
+    rho_nodes = np.concatenate([rho_a, rho_of(sig_edges[1:])])
+    r_nodes = np.concatenate([r_a, r_a[-1] + np.cumsum(r_inc_b)])
+    stop = min(int(np.searchsorted(r_nodes, r_max)) + 1, len(r_nodes))
+    return kf.WarpTable(params, r_nodes[:stop], rho_nodes[:stop])
+
+
+def _warp_digest(case):
+    """sha256 of the r, lambda and lambda' nodes of ``WARP_CASES[case]``'s table."""
+    n, kappa, m, kw = WARP_CASES[case]
+    warp = kf.build_warp_table(kf.SpaceParams(n, kappa, m, FOUR_PI), **kw)
+    raw = warp.r_grid.tobytes() + warp.lam_nodes.tobytes() + warp.d_lam_nodes.tobytes()
+    return hashlib.sha256(raw).hexdigest()
+
+
+def _traced_peak(params, **kw):
+    """tracemalloc's peak, in bytes, over one table build after a first one
+    has filled the horizon and Gauss-rule caches."""
+    kf.build_warp_table(params, **kw)
+    tracemalloc.start()
+    try:
+        kf.build_warp_table(params, **kw)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCriticalMass:
@@ -254,6 +325,35 @@ class TestWarpTable:
         lines = path.read_text().splitlines()
         assert lines[0] == "r,lambda"
         assert len(lines) == len(warp_flat.r_grid) + 1
+        # Every row is two numbers that read back to the nodes bit for bit.
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert rows[:, 0].tobytes() == warp_flat.r_grid.tobytes()
+        assert rows[:, 1].tobytes() == warp_flat.lam_nodes.tobytes()
+
+    @pytest.mark.parametrize("case", range(len(WARP_CASES)))
+    def test_block_build_equals_one_array_build(self, case):
+        # Blocks of panels, a sum carried across them and the stop at r_max
+        # leave every node with the bits of the one-array build.
+        n, kappa, m, kw = WARP_CASES[case]
+        params = kf.SpaceParams(n, kappa, m, FOUR_PI)
+        got = kf.build_warp_table(params, **kw)
+        want = _one_array_table(params, **kw)
+        assert got.r_grid.tobytes() == want.r_grid.tobytes()
+        assert got.lam_nodes.tobytes() == want.lam_nodes.tobytes()
+        assert got.d_lam_nodes.tobytes() == want.d_lam_nodes.tobytes()
+
+    def test_block_build_bytes_do_not_depend_on_blas_threads(self):
+        # Each block's panel sums are one BLAS matvec; a process with two
+        # OpenBLAS threads builds every table with the bytes of one with one.
+        cases = [(case,) for case in range(len(WARP_CASES))]
+        one, two = _digests_by_blas_threads(cases, "test_background._warp_digest")
+        assert one == two == [_warp_digest(*case) for case in cases]
+
+    @pytest.mark.parametrize("r_max,bound_mb", [(25.0, 1.0), (0.5, 2.0)])
+    def test_build_memory(self, params_flat, r_max, bound_mb):
+        # A block's arrays are 80 KiB, and nothing past r_max is evaluated, so
+        # a build's traced peak stays far below the whole-family arrays'.
+        assert _traced_peak(params_flat, r_max=r_max) < bound_mb * 1e6
 
     @settings(max_examples=20, deadline=None)
     @given(

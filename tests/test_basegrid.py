@@ -76,13 +76,15 @@ def _derivative_digest(mode, m):
     return hashlib.sha256(raw).hexdigest()
 
 
-def _digests_by_blas_threads(cases):
-    """``_derivative_digest`` of each (mode, m) case, from one process with one
-    OpenBLAS thread and one with two."""
+def _digests_by_blas_threads(cases, digest="test_basegrid._derivative_digest"):
+    """``digest(*case)`` for each case, from one process with one OpenBLAS
+    thread and one with two.  ``digest`` names a function as
+    ``test_module.function``; the tests directory is on the path."""
+    module, name = digest.rsplit(".", 1)
     code = (
-        "from test_basegrid import _derivative_digest\n"
-        f"for mode, m in {list(cases)!r}:\n"
-        "    print(_derivative_digest(mode, m))\n"
+        f"from {module} import {name} as digest\n"
+        f"for case in {list(cases)!r}:\n"
+        "    print(digest(*case))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(kflow.__file__)))
     here = os.path.dirname(os.path.abspath(__file__))
