@@ -1,17 +1,65 @@
-"""Small numerical helpers: panel quadrature, Hermite tables, slope fits."""
+"""Small numerical helpers: panel quadrature, Hermite tables, slope fits.
 
-from functools import lru_cache
+The Gauss-Legendre rules are tabulated for the two orders the package uses:
+10 points per warp-table panel and 12 per bulk-energy panel.  Each node and
+weight is written as the round-tripping ``repr`` of the float64 that
+``scipy.special.roots_legendre`` returns (scipy 1.17), so every integral
+keeps those bits without loading ``scipy.special``; numpy's ``leggauss``
+differs from them by up to 3.8e-14 relative in the weights.
+"""
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import DomainError
 
 
-@lru_cache(maxsize=8)
+def _read_only(values):
+    a = np.array(values)
+    a.flags.writeable = False
+    return a
+
+
+# order -> (nodes, weights), both read-only: every caller shares them.
+_GL_RULES = {
+    10: (
+        _read_only([
+            -0.9739065285171717, -0.8650633666889844, -0.6794095682990244,
+            -0.4333953941292472, -0.14887433898163116, 0.14887433898163116,
+            0.4333953941292472, 0.6794095682990244, 0.8650633666889844,
+            0.9739065285171717,
+        ]),
+        _read_only([
+            0.06667134430868714, 0.14945134915058053, 0.21908636251598224,
+            0.26926671930999674, 0.2955242247147533, 0.2955242247147533,
+            0.26926671930999674, 0.21908636251598224, 0.14945134915058053,
+            0.06667134430868714,
+        ]),
+    ),
+    12: (
+        _read_only([
+            -0.9815606342467192, -0.9041172563704749, -0.7699026741943047,
+            -0.5873179542866175, -0.36783149899818013, -0.12523340851146897,
+            0.12523340851146897, 0.36783149899818013, 0.5873179542866175,
+            0.7699026741943047, 0.9041172563704749, 0.9815606342467192,
+        ]),
+        _read_only([
+            0.04717533638651319, 0.10693932599531782, 0.16007832854334608,
+            0.20316742672306573, 0.2334925365383547, 0.2491470458134026,
+            0.2491470458134026, 0.2334925365383547, 0.20316742672306573,
+            0.16007832854334608, 0.10693932599531782, 0.04717533638651319,
+        ]),
+    ),
+}
+
+
 def _gl_rule(order):
-    x, w = roots_legendre(order)
-    return np.asarray(x), np.asarray(w)
+    """The tabulated ``order``-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    try:
+        return _GL_RULES[order]
+    except KeyError:
+        raise ValueError(
+            f"no {order}-point Gauss-Legendre rule; tabulated orders: {sorted(_GL_RULES)}"
+        ) from None
 
 
 def panel_integrals(fun, edges, order=10):

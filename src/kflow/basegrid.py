@@ -17,7 +17,9 @@ Three modes cover the fibers that appear over a Kottler background:
   the pole regularity f'(0) = f'(pi) = 0.  The collocation d/dmu and its
   square D.D are stored once, stacked as one (2m, m) matrix, so a single
   product with f less its first entry gives both derivatives; constants
-  give exact zeros (docs/derivations.md).
+  give exact zeros (docs/derivations.md).  The nodes come from
+  ``scipy.special.roots_jacobi``: a process loads ``scipy.special`` when it
+  builds its first sphere grid, and the other modes never load it.
 * ``symmetric`` -- a single homogeneous node of weight theta (any kappa,
   any n >= 3); all derivatives vanish.  This carries the kappa = -1 runs,
   where no constructive 2-D discretization of a higher-genus hyperbolic
@@ -38,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import ConfigurationError, DomainError
 
@@ -220,6 +221,8 @@ def make_grid(mode, resolution, theta_or_L=None, *, n=3, kappa=None):
         problem = theta_or_L is not None and _sphere_area_problem(n, theta_or_L)
         if problem:
             raise ConfigurationError(f"grid: {problem}")
+        from scipy.special import roots_jacobi  # loaded by the first sphere grid only
+
         a = (n - 3) / 2.0
         mu, wmu = roots_jacobi(resolution, a, a)
         transverse = sphere_area(n - 2)

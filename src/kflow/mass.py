@@ -444,9 +444,10 @@ def radial_shape_operator(graph, rho):
     params = graph.base
     rho = np.asarray(rho, dtype=float)
     scalar = rho.ndim == 0  # np.ndim of a float raises and catches an AttributeError
-    # NaN fails both comparisons, so it is rejected with the out-of-range values.
-    inside = (rho > graph.rho_inner) & (rho < math.inf)
-    if not inside.all():
+    # A NaN propagates through min and max and fails both comparisons, so it is
+    # rejected with the out-of-range values; an empty array has nothing to check.
+    if rho.size and not (rho.min() > graph.rho_inner and rho.max() < math.inf):
+        inside = (rho > graph.rho_inner) & (rho < math.inf)
         raise DomainError(
             f"rho={float(rho[~inside][0]):.6g} not in (rho_inner={graph.rho_inner:.6g}, oo)"
         )

@@ -442,6 +442,40 @@ class TestHermiteEval:
                 assert str(got.value) == str(want.value)
 
 
+class TestGaussLegendre:
+    """The tabulated Gauss-Legendre rules are scipy's to the bit, and no caller
+    can change them for the rest of the process."""
+
+    @pytest.mark.parametrize("order", [10, 12])
+    def test_rules_are_scipys_bits(self, order):
+        from scipy.special import roots_legendre
+
+        x, w = _util._gl_rule(order)
+        want_x, want_w = roots_legendre(order)
+        assert x.dtype == want_x.dtype and w.dtype == want_w.dtype
+        assert x.tobytes() == want_x.tobytes()
+        assert w.tobytes() == want_w.tobytes()
+
+    def test_untabulated_order_named(self):
+        with pytest.raises(ValueError, match=r"8-point.*tabulated orders: \[10, 12\]"):
+            _util._gl_rule(8)
+        with pytest.raises(ValueError, match=r"tabulated orders: \[10, 12\]"):
+            _util.panel_integrals(np.cos, [0.0, 1.0], order=11)
+
+    @pytest.mark.parametrize("order", [10, 12])
+    def test_rules_read_only(self, order):
+        edges = np.linspace(0.0, 2.0, 5)
+        before = _util.panel_integrals(np.exp, edges, order=order)
+        for table in _util._gl_rule(order):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+            with pytest.raises(ValueError):
+                table *= 2.0
+        after = _util.panel_integrals(np.exp, edges, order=order)
+        assert after.tobytes() == before.tobytes()
+        np.testing.assert_allclose(after.sum(), math.expm1(2.0), rtol=1e-14)
+
+
 class TestFitLogSlope:
     """fit_log_slope is the least-squares slope of log y against x, as np.polyfit
     gives it, in both its uses: against log rho (decay exponents) and against

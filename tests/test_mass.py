@@ -236,6 +236,20 @@ class TestArrayPath:
             with pytest.raises(DomainError):
                 kf.radial_shape_operator(graph, rho[:1] - 2.0)
 
+    def test_domain_error_names_first_bad_radius(self, graphs):
+        for graph in graphs:
+            rho = np.array([graph.rho_inner + 1.0, graph.rho_inner - 0.25, math.nan, 0.0])
+            with pytest.raises(DomainError, match=f"rho={graph.rho_inner - 0.25:.6g} "):
+                kf.radial_shape_operator(graph, rho)
+            with pytest.raises(DomainError, match="rho=nan "):
+                kf.radial_shape_operator(graph, rho[[0, 2, 1]])
+
+    def test_empty_radii_give_empty_fields(self, graphs):
+        for graph in graphs:
+            rec = kf.radial_shape_operator(graph, np.empty((0, 12)))
+            for field in (rec.kappa_rad, rec.kappa_tan, rec.s2):
+                assert field.shape == (0, 12)
+
     def test_one_shape_call_per_panel_integral(self, pair_flat, family_flat, monkeypatch):
         shape_calls, panel_calls = [], []
         shape_op, panels = kflow.mass.radial_shape_operator, kflow.mass.integrate_panels
