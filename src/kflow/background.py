@@ -19,9 +19,10 @@ metric reads dr^2 + lambda(r)^2 ghat, where lambda inverts r(rho) and
     lambda(r)   ~ const * e^r   as r -> oo.
 
 The first-order relation lambda'^2 = kappa + lambda^2 - 2 m lambda^(2-n) is
-the energy integral of the second-order one; the tabulation below keeps it
-satisfied to ~1e-13 relative by storing closed-form derivatives at every
-node and interpolating with exact-slope cubic Hermite pieces.
+the energy integral of the second-order one; the tabulation below, over
+0 <= r <= 25 at node spacing 25/4000, keeps it satisfied to ~1e-13 relative
+by storing closed-form derivatives at every node and interpolating with
+exact-slope cubic Hermite pieces.
 
 This module is the one place that writes the closed forms of the potential,
 each in one function: 2q = 2 m rho^(2-n) and V^2 = rho^2 + kappa - 2q
@@ -466,32 +467,23 @@ def _build_nodes(params, rho_start, r_max, h_target):
     return np.concatenate(rho_nodes), np.concatenate(r_nodes)
 
 
-def _warp_tol_problem(r_max, target_nodes):
-    """Why a table of ``target_nodes`` nodes over [0, r_max] cannot reach the
-    relative tolerance 1e-11, or None if it can.  The node spacing is
-    h = r_max / max(200, target_nodes), and exact-slope cubic Hermite errs by
-    ~ h^4 |lambda''''| / 384 ~ h^4/384 relative."""
-    attainable = (r_max / max(200, int(target_nodes))) ** 4 / 384.0
-    if attainable <= 1e-11:
-        return None
-    return (f"tolerance 1e-11 unachievable with {target_nodes} nodes over r_max={r_max:g}; "
-            f"attainable ~{attainable:.2g}")
+# The table's range and node spacing.  Exact-slope cubic Hermite errs by
+# ~ h^4 |lambda''''| / 384 ~ h^4/384 relative, 4e-12 at this spacing, within
+# the table's tolerance 1e-11.
+_R_MAX = 25.0
+_SPACING = _R_MAX / 4000
 
 
-def build_warp_table(params, r_max=25.0, target_nodes=4000):
-    """Tabulate lambda(r) on [0, r_max] to relative tolerance 1e-11.
+def build_warp_table(params):
+    """Tabulate lambda(r) on [0, 25] at node spacing 25/4000, to relative
+    tolerance 1e-11."""
+    return _warp_table(params, _R_MAX, _SPACING)
 
-    The nodes run from the horizon to the first one at or beyond ``r_max``;
-    the quadrature behind them stops with the block that reaches it
-    (``_build_nodes``)."""
-    for name, value in (("r_max", r_max), ("target_nodes", target_nodes)):
-        # NaN fails every comparison, so test finiteness explicitly.
-        if not math.isfinite(value) or value <= 0.0:
-            raise DomainError(f"{name} must be positive and finite, got {value!r}")
-    problem = _warp_tol_problem(r_max, target_nodes)
-    if problem:
-        raise ResolutionError(problem)
-    h_target = r_max / max(200, int(target_nodes))
+
+def _warp_table(params, r_max, h_target):
+    """The table at node spacing ``h_target`` from the horizon to the first
+    node at or beyond ``r_max``; the quadrature behind it stops with the
+    block that reaches ``r_max`` (``_build_nodes``)."""
     rho0 = find_horizon(params)
     if _v_squared_prime(params, rho0) <= 1e-8:
         raise ResolutionError(

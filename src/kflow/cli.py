@@ -19,14 +19,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import plots
-from .background import SpaceParams, _warp_tol_problem, build_warp_table, find_horizon
+from .background import SpaceParams, build_warp_table, find_horizon
 from .basegrid import (MODES, ScalarField, _sphere_area_problem, beckner_report,
                        low_frequency_field, make_grid, resolution_problem)
 from .checks import CHECKS, judge
 from .errors import ConfigurationError, FlowBreakdownError, KFlowError
 from .flow import FlowConfig, monotonicity_report, run_flow
 from .mass import (
-    DEFAULT_RHO_SCHEDULE,
+    RHO_SCHEDULE,
     kottler_pair_graph,
     mass_identity_check,
     mass_limit,
@@ -54,10 +54,10 @@ _REALS = "a nonempty list of finite real numbers"
 class _Key(NamedTuple):
     """One scenario key.
 
-    ``default`` is used when the key is absent; None leaves it absent, so a
-    library default applies.  ``range`` is a ``(test, text)`` pair, read as
-    "must be <text>".  ``required`` is a ``(test, reason)`` pair on the whole
-    scenario, or None for an optional key.
+    ``default`` is used when the key is absent; None leaves it absent.
+    ``range`` is a ``(test, text)`` pair, read as "must be <text>".
+    ``required`` is a ``(test, reason)`` pair on the whole scenario, or None
+    for an optional key.
     """
 
     type: object
@@ -66,7 +66,6 @@ class _Key(NamedTuple):
     required: tuple = None
 
 
-_POSITIVE = (lambda v: v > 0, "> 0")
 _NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 
@@ -84,8 +83,6 @@ def _is_file_name(v):
 _FILE_NAME = (_is_file_name, "nonempty, filesystem-safe, at most 255 UTF-8 bytes and not "
                              "'.' or '..'")
 _ALWAYS = (lambda raw: True, "")
-_INCREASING = (lambda v: len(v) >= 3 and all(b > a for a, b in zip(v, v[1:])),
-               "strictly increasing with at least 3 points")
 
 
 def _one_of(values):
@@ -107,15 +104,15 @@ def _if_check(check):
             f" ({check} is enabled)")
 
 
-def _parameter_keys(func, value_range=None):
+def _parameter_keys(func):
     """Keys of a section passed to ``func`` as keyword arguments: one per
-    parameter, typed by its annotation or default, required without a default.
-    The library applies its own defaults."""
-    types = {int: int, float: _REAL, str: str}
+    parameter, typed by its annotation, with the parameter's default, and
+    required without one."""
+    types = {int: int, float: _REAL}
     return {
-        name: _Key(types[p.annotation if p.annotation is not p.empty else type(p.default)],
-                   range=value_range, required=_ALWAYS if p.default is p.empty else None)
-        for name, p in inspect.signature(func).parameters.items() if name != "params"
+        name: _Key(types[p.annotation], None if p.default is p.empty else p.default,
+                   required=_ALWAYS if p.default is p.empty else None)
+        for name, p in inspect.signature(func).parameters.items()
     }
 
 
@@ -142,7 +139,6 @@ _TABLE = {
         "m_horizon": _Key(_REAL, required=_if_mass_kind("mass_profile")),
         "m_total": _Key(_REAL, required=_if_mass_kind("mass_profile")),
         "rate": _Key(_REAL, inspect.signature(mass_profile_graph).parameters["rate"].default),
-        "rho_schedule": _Key(_REALS, list(DEFAULT_RHO_SCHEDULE), _INCREASING),
         "expect_mass": _Key(_REAL, required=_if_check("mass_value")),
     }),
     "slice_check": _Key({
@@ -157,29 +153,29 @@ _TABLE = {
         "count": _Key(int, 100, _AT_LEAST_ONE),
         "amplitude": _Key(_REAL, 0.2, _NONNEGATIVE),
     }),
-    # A scenario without a warp section records the table's settings in its
-    # normalized form.
-    "warp": _Key(_parameter_keys(build_warp_table, _POSITIVE), {
-        key: p.default for key, p in inspect.signature(build_warp_table).parameters.items()
-        if key != "params"}),
 }
 
 
 class Scenario:
-    """A parsed scenario: one attribute per top-level key of the table."""
+    """A parsed scenario: one attribute per top-level key of the table, each
+    present section with its defaults filled in (``_settings``)."""
 
     def __init__(self, raw):
         for key, spec in _TABLE.items():
-            setattr(self, key, copy.deepcopy(raw.get(key, spec.default)))
+            value = raw.get(key, spec.default)
+            if isinstance(spec.type, dict) and value is not None:
+                value = _settings(key, value)
+            setattr(self, key, copy.deepcopy(value))
 
     def to_dict(self):
         return {key: getattr(self, key) for key in _TABLE if getattr(self, key) is not None}
 
 
 def _settings(section, given):
-    """A scenario section as the runners and library constructors read it: the
-    table's defaults filled in, and reals as float, so an int-valued input
-    writes the same artifacts as the equal float."""
+    """A scenario section as the runners, the library constructors and the
+    normalized record read it: the table's defaults filled in, and reals as
+    float, so an int-valued input writes the same artifacts as the equal
+    float."""
     settings = {}
     for key, spec in _TABLE[section].type.items():
         value = given.get(key, spec.default)
@@ -245,78 +241,70 @@ def scenario_from_dict(raw):
     _check(raw, _TABLE, "scenario", problems, raw)
     if problems:
         raise ConfigurationError(problems)
+    scn = Scenario(raw)
 
     # Rules that relate keys to each other, then the library's own checks.
-    kappa = raw["space"]["kappa"]
-    mode = (raw.get("grid") or {}).get("mode")
+    n, kappa = scn.space["n"], scn.space["kappa"]
+    mode = scn.grid["mode"] if scn.grid else None
     if mode == "torus2d" and kappa != 0:
         problems.append(f"scenario.grid.mode: torus2d requires kappa=0, got kappa={kappa}")
+    if mode == "torus2d" and n != 3:
+        problems.append(f"scenario.grid.mode: torus2d requires n=3, got n={n}")
     if mode == "sphere_axisym" and kappa != 1:
         problems.append(f"scenario.grid.mode: sphere_axisym requires kappa=+1, got kappa={kappa}")
-    problem = None if mode is None else resolution_problem(mode, raw["grid"]["resolution"])
+    problem = mode and resolution_problem(mode, scn.grid["resolution"])
     if problem:
         problems.append(f"scenario.grid.resolution: {problem}")
     # The sphere's quadrature weights sum to |S^(n-1)|, so no other fiber area fits it.
-    n = raw["space"]["n"]
-    problem = mode == "sphere_axisym" and n >= 3 and _sphere_area_problem(
-        n, raw["space"]["theta"])
+    problem = mode == "sphere_axisym" and n >= 3 and _sphere_area_problem(n, scn.space["theta"])
     if problem:
         problems.append(f"scenario.space.theta: {problem}")
-    warp = raw.get("warp", {})
-    problem = _warp_tol_problem(**{**_TABLE["warp"].default, **_settings("warp", warp)})
-    if problem:
-        # The defaults pass, so the scenario sets a key that fails: the node
-        # count if it sets one, else the range.
-        key = next(key for key in ("target_nodes", "r_max") if key in warp)
-        problems.append(f"scenario.warp.{key}: {problem}")
-    surface = raw.get("surface")
+    surface = scn.surface
     if surface is not None and ("slice_lambda" in surface) == ("base_lambda" in surface):
         problems.append(
             "scenario.surface: give exactly one of slice_lambda or base_lambda(+amplitude)"
         )
-    for check in raw.get("checks", []):
+    for check in scn.checks:
         # A check may be any JSON value, and a list is not a valid dict key.
         row = CHECKS.get(check) if isinstance(check, str) else None
         if row is None:
             problems.append(f"scenario.checks: unknown check {check!r}")
-        elif raw.get(row.section) is None:
+        elif getattr(scn, row.section) is None:
             problems.append(f"scenario.checks: {check!r} needs a {row.section} section")
     try:
-        params = SpaceParams(**_settings("space", raw["space"]))
+        params = SpaceParams(**scn.space)
         rho0 = find_horizon(params)
     except KFlowError as exc:
         problems.append(f"scenario.space: {exc}")
     else:
-        problems.extend(_inside_horizon(raw, rho0))
-        if raw.get("mass") is not None:
-            problems.extend(_inside_inner_radius(raw["mass"], params, rho0))
-    if raw.get("flow") is not None:
+        problems.extend(f"{at}: must be > the horizon radius rho0 = {rho0:.12g}, got {x!r}"
+                        for at, x in _warp_factors(scn) if x <= rho0)
+        if scn.mass is not None:
+            problems.extend(_mass_graph_problems(scn.mass, params))
+    if scn.flow is not None:
         try:
-            FlowConfig(**_settings("flow", raw["flow"]))
+            FlowConfig(**scn.flow)
         except KFlowError as exc:
             problems.append(f"scenario.flow: {exc}")
     if problems:
         raise ConfigurationError(problems)
-    return Scenario(raw)
+    return scn
 
 
 # Keys whose values are warp factors lambda (radii rho of the background),
 # which must lie beyond the horizon radius rho0 of the scenario's space.
-_BEYOND_HORIZON = (
+_WARP_FACTORS = (
     ("surface", "slice_lambda"),
     ("surface", "base_lambda"),
     ("inequalities", "base_lambda"),
     ("slice_check", "lambdas"),
-    ("mass", "rho_schedule"),
 )
 
 
-def _warp_factors(raw, keys):
+def _warp_factors(scn):
     """(path, value) of each warp-factor value the scenario gives or defaults to."""
-    for section, key in keys:
-        if raw.get(section) is None:
-            continue
-        value = _settings(section, raw[section]).get(key)
+    for section, key in _WARP_FACTORS:
+        value = (getattr(scn, section) or {}).get(key)
         where = f"scenario.{section}.{key}"
         if isinstance(value, list):
             yield from ((f"{where}[{i}]", x) for i, x in enumerate(value))
@@ -324,21 +312,11 @@ def _warp_factors(raw, keys):
             yield where, value
 
 
-def _inside_horizon(raw, rho0):
-    """A problem for each warp-factor value (defaults included) at or below rho0."""
-    return [f"{at}: must be > the horizon radius rho0 = {rho0:.12g}, got {x!r}"
-            for at, x in _warp_factors(raw, _BEYOND_HORIZON) if x <= rho0]
-
-
-def _beyond_table(raw, warp):
-    """A problem for each surface warp factor above the table's largest, which
-    ``scenario.warp.r_max`` sets; ``mass.rho_schedule`` radii need no table."""
+def _beyond_table(scn, warp):
+    """A problem for each warp factor above the table's largest."""
     lam_max = warp.lam_nodes[-1]
-    r_max = _settings("warp", raw.get("warp") or {})["r_max"]
-    keys = [entry for entry in _BEYOND_HORIZON if entry != ("mass", "rho_schedule")]
     return [f"{at}: {x!r} is outside tabulated range ({warp.rho0:.12g}, {lam_max:.12g}] "
-            f"of the warp table that scenario.warp.r_max = {r_max:g} sets"
-            for at, x in _warp_factors(raw, keys) if x > lam_max]
+            "of the warp table" for at, x in _warp_factors(scn) if x > lam_max]
 
 
 def _mass_graph(params, cfg):
@@ -348,17 +326,17 @@ def _mass_graph(params, cfg):
     return mass_profile_graph(params, cfg["m_horizon"], cfg["m_total"], rate=cfg["rate"])
 
 
-def _inside_inner_radius(mass, params, rho0):
-    """A problem for each rho_schedule radius beyond rho0 but at or inside the
-    graph's inner radius; the graph is built to find that radius."""
-    cfg = _settings("mass", mass)
+def _mass_graph_problems(cfg, params):
+    """A problem if the graph a mass section describes cannot be built, or
+    reaches the radii at which its mass is sampled."""
     try:
         rho_inner = _mass_graph(params, cfg).rho_inner
     except KFlowError as exc:
         return [f"scenario.mass: {exc}"]
-    return [f"scenario.mass.rho_schedule[{i}]: must be > the graph's inner radius "
-            f"rho_inner = {rho_inner:.12g}, got {x!r}"
-            for i, x in enumerate(cfg["rho_schedule"]) if rho0 < x <= rho_inner]
+    if rho_inner < RHO_SCHEDULE[0]:
+        return []
+    return [f"scenario.mass: the graph's inner radius rho_inner = {rho_inner:.12g} must be "
+            f"< {RHO_SCHEDULE[0]:g}, the first radius of the mass samples"]
 
 
 def _grid(grid, params):
@@ -369,7 +347,7 @@ def _grid(grid, params):
 
 
 def _initial_surface(scn, grid, warp, seed):
-    cfg = _settings("surface", scn.surface)
+    cfg = scn.surface
     if "slice_lambda" in cfg:
         return slice_surface(grid, warp, lam_value=cfg["slice_lambda"])
     base_r = warp.r_from_rho(cfg["base_lambda"])
@@ -411,7 +389,7 @@ def _finish(scn, out_dir, artifact, section, payload, detail, quiet):
 def _run_flow_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
     surface = _initial_surface(scn, grid, warp, seed)
     try:
-        trace = run_flow(surface, FlowConfig(**_settings("flow", scn.flow)))
+        trace = run_flow(surface, FlowConfig(**scn.flow))
     except FlowBreakdownError as exc:
         trace = exc.trace
         if trace is not None:
@@ -434,9 +412,9 @@ def _run_flow_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
 
 
 def _run_mass_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
-    cfg = _settings("mass", scn.mass)
+    cfg = scn.mass
     graph = _mass_graph(params, cfg)
-    est = mass_limit(graph, cfg["rho_schedule"])
+    est = mass_limit(graph)
     # The identity holds for graphs whose inner boundary is a horizon.
     identity = mass_identity_check(graph, estimate=est) if graph.horizon_graph else None
     sigma_area = graph.rho_inner ** (params.n - 1) * params.theta
@@ -457,49 +435,49 @@ def _run_mass_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
                    quiet)
 
 
+# The inequality deficits a slice check and an ensemble report for each surface.
+_DEFICITS = {
+    "minkowski": minkowski_deficit,
+    "weighted_volume": weighted_volume_deficit,
+    "heintze_karcher": heintze_karcher_deficit,
+}
+
+
+def _deficits(geom):
+    """Each deficit of ``_DEFICITS`` and the scale they are judged against."""
+    return {**{key: deficit(geom) for key, deficit in _DEFICITS.items()},
+            "scale": deficit_scale(geom)}
+
+
 def _run_slice_check(scn, out_dir, params, grid, warp, seed, quiet):
-    cfg = _settings("slice_check", scn.slice_check)
     rows = []
-    for lam in cfg["lambdas"]:
+    for lam in scn.slice_check["lambdas"]:
         geom = compute_geometry(slice_surface(grid, warp, lam_value=lam))
-        rows.append({
-            "lambda": lam,
-            "minkowski": minkowski_deficit(geom),
-            "weighted_volume": weighted_volume_deficit(geom),
-            "heintze_karcher": heintze_karcher_deficit(geom),
-            "divergence": divergence_identity_residual(geom),
-            "scale": deficit_scale(geom),
-        })
+        rows.append({"lambda": lam, **_deficits(geom),
+                     "divergence": divergence_identity_residual(geom)})
     worst = max(abs(row[key]) / row["scale"] for row in rows
-                for key in ("minkowski", "weighted_volume", "heintze_karcher", "divergence"))
+                for key in (*_DEFICITS, "divergence"))
     payload = {"slices": rows, "worst_relative": worst}
     return _finish(scn, out_dir, "slice_check.json", "slice_check", payload,
                    f"worst {worst:.3g}", quiet)
 
 
 def _run_inequalities(scn, out_dir, params, grid, warp, seed, quiet):
-    cfg = _settings("inequalities", scn.inequalities)
+    cfg = scn.inequalities
     base_r = warp.r_from_rho(cfg["base_lambda"])
     rows = []
     for k in range(cfg["count"]):
         surf = random_star_shaped(grid, warp, seed=seed + k, amplitude=cfg["amplitude"],
                                   base_r=base_r)
-        geom = compute_geometry(surf)
-        scale = deficit_scale(geom)
-        deficits = {
-            "minkowski": minkowski_deficit(geom),
-            "weighted_volume": weighted_volume_deficit(geom),
-            "heintze_karcher": heintze_karcher_deficit(geom),
-        }
-        rows.append({"seed": seed + k, **deficits, "scale": scale})
-    worst = min(row[key] / row["scale"] for row in rows for key in deficits)
+        rows.append({"seed": seed + k, **_deficits(compute_geometry(surf))})
+    worst = min(row[key] / row["scale"] for row in rows for key in _DEFICITS)
     payload = {"ensemble": rows, "worst_relative": worst}
     return _finish(scn, out_dir, "inequalities.json", "inequalities", payload,
                    f"worst {worst:.3g}", quiet)
 
 
 def _run_beckner(scn, out_dir, params, grid, warp, seed, quiet):
-    cfg = _settings("beckner", scn.beckner)
+    cfg = scn.beckner
     deficits, relative = [], []
     for k in range(cfg["count"]):
         pert = low_frequency_field(grid, seed + k, cfg["amplitude"])
@@ -551,11 +529,11 @@ def run_scenario(scn, out_root, *, seed=None, resolution=None, quiet=False, dump
         record["seed"] = int(seed)
     if resolution is not None:
         record["grid"] = dict(scn.grid, resolution=resolution)
-    params = SpaceParams(**_settings("space", scn.space))
+    params = SpaceParams(**scn.space)
     warp = grid = None
     if dump_warp or any(needs_warp for _, _, needs_warp in sections):
-        warp = build_warp_table(params, **_settings("warp", scn.warp))
-        problems = _beyond_table(record, warp)
+        warp = build_warp_table(params)
+        problems = _beyond_table(scn, warp)
         if problems:
             raise ConfigurationError(problems)
     if any(attr != "mass" for attr, _, _ in sections):

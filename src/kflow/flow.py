@@ -10,22 +10,23 @@ below integrates exactly up to rounding; the area obeys
 
 Scheme: explicit midpoint (RK2) in s with an adaptive step bounded by
 
-    dt <= cfl_safety * dx^2 * min_nodes (v^2 lambda^2 H^2) / (2 e_max),
+    dt <= CFL_SAFETY * dx^2 * min_nodes (v^2 lambda^2 H^2) / (2 e_max),
 
 where v lambda H = D / (V W), so v^2 lambda^2 H^2 = D^2 / (V^2 W^2), and
 e_max is the largest eigenvalue of gtil^ij, the coefficient matrix of phi_ij
 in the quasilinear graph equation (its eigenvalues are 1 and 1/v^2 in
 orthonormal fiber coordinates, so e_max = 1; s is a pointwise function of u,
-so the bound is the same in s as in u), and additionally by ``dt_max``,
-a configured cap on the step.  The parabolic bound grows like
+so the bound is the same in s as in u), CFL_SAFETY = 0.2, and additionally
+by ``dt_max``, a configured cap on the step.  The parabolic bound grows like
 e^(2t/(n-1)), but the area law does not need the cap: uncapped, a perturbed
 64^2 torus flow keeps an area-law residual of 3.9e-8 (1e-5 gate).  Steps whose
 candidate update loses mean convexity, finiteness or the tabulated range are
-rejected and retried at dt/2.
+rejected and retried at dt/2.  An accepted step whose min H is at or below
+the floor H_FLOOR (n-1) = 1e-4 (n-1) ends the run as a breakdown.
 
 Each step takes dt = min(dt_max, stable_dt, t_next - t), with t_next the
 next record time.  Since v >= 1 (W >= V^2 holds exactly in floating point),
-cfl_safety dx^2 m^2 / 2 bounds stable_dt from below up to rounding, for m
+CFL_SAFETY dx^2 m^2 / 2 bounds stable_dt from below up to rounding, for m
 both min(lambda H) and min lambda min H.  min lambda H is bounded below
 without H, by min D / (max W)^(3/2) shrunk by 1e-9 relative (the
 geometry's ``lam_h_bound``; min D is formed by the mean-convexity test),
@@ -99,27 +100,24 @@ CSV_COLUMNS = (
 )
 
 
+# The safety factor of the parabolic step bound, and the mean-curvature floor
+# in units of n-1, the limit of H on large slices (module docstring).
+CFL_SAFETY = 0.2
+H_FLOOR = 1e-4
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     t_end: float
-    cfl_safety: float = 0.2
     dt_max: float = 0.005
-    h_floor: float = None
     record_interval: float = 0.25
 
     def __post_init__(self):
-        for name in ("t_end", "dt_max", "record_interval", "h_floor"):
+        for name in ("t_end", "dt_max", "record_interval"):
             value = getattr(self, name)
-            if name == "h_floor" and value is None:
-                continue
             # NaN fails every comparison, so test finiteness explicitly.
             if not math.isfinite(value) or value <= 0.0:
                 raise DomainError(f"{name} must be positive and finite, got {value!r}")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise DomainError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety!r}")
-
-    def resolved_h_floor(self, n):
-        return self.h_floor if self.h_floor is not None else 1e-4 * (n - 1)
 
 
 @dataclass(frozen=True)
@@ -228,8 +226,8 @@ def _dt_bound(dt, dt_max, to_record):
     return "cfl"
 
 
-def stable_dt(geom, cfl_safety):
-    """Parabolic step bound cfl_safety dx^2 min(v^2 lambda^2 H^2) / 2, with
+def stable_dt(geom):
+    """Parabolic step bound CFL_SAFETY dx^2 min(v^2 lambda^2 H^2) / 2, with
     v^2 lambda^2 H^2 = D^2 / (V^2 W^2); the fiber-stencil eigenvalue bound
     e_max is 1."""
     grid = geom.surface.grid
@@ -238,7 +236,7 @@ def stable_dt(geom, cfl_safety):
     coeff = geom.D / geom.W
     coeff *= coeff
     coeff /= geom.dlam_sq
-    return cfl_safety * grid.dx_min**2 * float(coeff.min()) / 2.0
+    return CFL_SAFETY * grid.dx_min**2 * float(coeff.min()) / 2.0
 
 
 def flow_step(surface, geometry, dt):
@@ -268,7 +266,7 @@ def run_flow(surface0, config):
     """
     geom = compute_geometry(surface0)
     params = surface0.warp.params
-    h_floor = config.resolved_h_floor(params.n)
+    h_floor = H_FLOOR * (params.n - 1)
     trace = FlowTrace(params=params, config=config)
     trace.samples.append(_sample(0.0, geom, 0.0))
 
@@ -276,7 +274,7 @@ def run_flow(surface0, config):
     # min H)^2, bound stable_dt from below; while either clears dt_max (with a
     # margin for rounding) stable_dt cannot bind.  min lambda H is bounded below
     # without H (lam_h_bound), so H is formed only where that bound fails.
-    cfl_scale = config.cfl_safety * surface0.grid.dx_min**2 / 2.0
+    cfl_scale = CFL_SAFETY * surface0.grid.dx_min**2 / 2.0
     dt_max_margin = config.dt_max * (1.0 + 1e-9)
     surface = surface0
     t = 0.0
@@ -287,7 +285,7 @@ def run_flow(surface0, config):
         dt = min(config.dt_max, t_next - t)
         if (not cfl_scale * geom.lam_h_bound**2 > dt_max_margin
                 and not cfl_scale * (surface.lam_min * geom.h_min) ** 2 > dt_max_margin):
-            dt = min(dt, stable_dt(geom, config.cfl_safety))
+            dt = min(dt, stable_dt(geom))
             trace.stable_dt_evals += 1
         while True:
             try:

@@ -42,9 +42,10 @@ so the mass evaluated against the mass-m base at finite radius is
            = m + (1/2) rho^(n-2) V^4 psi,       c_n = 1/(2 (n-1) theta),
 
 with m(rho) -> total mass as rho -> oo.  Generic admissible profiles leave a
-rho^-2 error term, removed here by Richardson extrapolation after a
-decay-validation fit; for the exact Kottler-over-Kottler profile even that
-term cancels and the samples converge at O(rho^-n).
+rho^-2 error term, removed here by Richardson extrapolation of the samples
+at rho = 50, 100, 200 (``RHO_SCHEDULE``) after a decay-validation fit; for
+the exact Kottler-over-Kottler profile even that term cancels and the
+samples converge at O(rho^-n).
 
 The shape operator of the graph has one radial and n-1 equal tangential
 principal curvatures,
@@ -95,7 +96,8 @@ __all__ = [
     "penrose_deficit",
 ]
 
-DEFAULT_RHO_SCHEDULE = (50.0, 100.0, 200.0)
+# The radii of the finite-radius mass samples that mass_limit extrapolates.
+RHO_SCHEDULE = (50.0, 100.0, 200.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,22 +302,14 @@ def mass_profile_graph(params, m_horizon, m_total, rate=1.0):
     )
 
 
-def graph_from_f_prime(params, f_prime, rho_inner, decay_tau=None, f_prime2=None):
-    """Wrap a user profile f'(rho).
-
-    The decay order is fitted from the profile itself; a stated ``decay_tau``
-    at or below n/2 is rejected outright, and the fitted value must clear
-    n/2 regardless of what was stated.
-    """
+def graph_from_f_prime(params, f_prime, rho_inner, f_prime2=None):
+    """Wrap a user profile f'(rho); its decay order is fitted from the
+    profile itself and must exceed n/2."""
     rho0 = find_horizon(params)
     if not rho0 <= rho_inner < math.inf:  # inside the horizon V^2 < 0
         raise DomainError(
             f"rho_inner={rho_inner!r} must be finite and at or beyond "
             f"the horizon radius {rho0:.12g}"
-        )
-    if decay_tau is not None and not decay_tau > params.n / 2.0:
-        raise DecayViolationError(
-            f"stated decay order tau={decay_tau} is not > n/2 = {params.n / 2.0}"
         )
     return _radial_graph(params, rho_inner, False, max(4.0 * rho_inner, 200.0),
                          f_prime=f_prime, f_prime2=f_prime2)
@@ -369,8 +363,9 @@ class MassEstimate:
         }
 
 
-def mass_limit(graph, rho_schedule=DEFAULT_RHO_SCHEDULE):
-    """Richardson extrapolation of the finite-radius mass in rho^-2.
+def mass_limit(graph):
+    """Richardson extrapolation of the finite-radius mass in rho^-2, from
+    samples at the radii RHO_SCHEDULE.
 
     The leading error of generic admissible profiles is O(rho^-2); the
     extrapolation ladder removes rho^-2, rho^-4, ... successively.  Samples
@@ -378,13 +373,9 @@ def mass_limit(graph, rho_schedule=DEFAULT_RHO_SCHEDULE):
     decay-violation error, as does a fitted error slope shallower than
     rho^-1.5 (checked only when the errors are above rounding).
     """
-    sched = [float(r) for r in rho_schedule]
-    increasing = all(a < b for a, b in zip(sched, sched[1:]))
-    if len(sched) < 3 or not increasing or not math.isfinite(sched[-1]):
-        raise DomainError("rho_schedule must be finite and increasing with at least 3 points")
-    samples = [(r, mass_integrand(graph, r)) for r in sched]
+    samples = [(r, mass_integrand(graph, r)) for r in RHO_SCHEDULE]
     vals = np.array([s[1] for s in samples])
-    rhos = np.array(sched)
+    rhos = np.array(RHO_SCHEDULE)
 
     scale = max(1.0, float(np.max(np.abs(vals))))
     incs = np.abs(np.diff(vals))
@@ -528,12 +519,11 @@ class IdentityReport:
         }
 
 
-def mass_identity_check(graph, rho_schedule=DEFAULT_RHO_SCHEDULE, *, estimate=None):
+def mass_identity_check(graph, *, estimate=None):
     """Total mass versus base mass + interior energy + horizon flux.
 
-    The total mass is ``mass_limit(graph, rho_schedule)``; a caller that
-    already holds that estimate passes it as ``estimate``, and the schedule
-    is then not read."""
+    The total mass is ``mass_limit(graph)``; a caller that already holds
+    that estimate passes it as ``estimate``."""
     if not graph.horizon_graph:
         raise DomainError("mass identity check needs a horizon-type inner boundary")
     params = graph.base
@@ -545,7 +535,7 @@ def mass_identity_check(graph, rho_schedule=DEFAULT_RHO_SCHEDULE, *, estimate=No
     boundary = params.mass_constant * flux
     bulk = _bulk_energy_integral(graph)
     if estimate is None:
-        estimate = mass_limit(graph, rho_schedule)
+        estimate = mass_limit(graph)
     lhs = estimate.mass
     rhs = params.m + bulk + boundary
     return IdentityReport(

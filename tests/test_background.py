@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import kflow as kf
 from kflow import _util
-from kflow.background import _v, _v_squared_prime, v_squared
+from kflow.background import _R_MAX, _SPACING, _v, _v_squared_prime, _warp_table, v_squared
 from kflow.errors import (
     DomainError,
     InvalidDimensionError,
@@ -22,33 +22,34 @@ from test_basegrid import _digests_by_blas_threads
 
 FOUR_PI = 4.0 * math.pi
 
-# (n, kappa, m, build_warp_table keywords): the four benchmark spaces, the
+# (n, kappa, m, range and node spacing): the four benchmark spaces, the
 # massless kappa = -1 space, n = 5 and 7, kappa = -1 masses just above the
-# critical one (long near-horizon families), tables that end inside the
-# near-horizon family (r_max 0.5, 1.2) and a fine table.
+# critical one (long near-horizon families) with the shipped table, tables
+# that end inside the near-horizon family (r_max 0.5, 1.2, at 4000 nodes) and
+# a table of 20 000 nodes.
+SHIPPED_TABLE = (_R_MAX, _SPACING)
 WARP_CASES = [
-    (3, 0, 0.5, {}),
-    (3, 1, 1.0, {}),
-    (4, 1, 1.0, {}),
-    (3, -1, 0.5, {}),
-    (3, -1, 0.0, {}),
-    (5, 1, 1.0, {}),
-    (7, 0, 0.5, {}),
-    (3, -1, kf.critical_mass(3) + 1e-3, {}),
-    (3, -1, kf.critical_mass(3) + 1e-6, {}),
-    (4, -1, kf.critical_mass(4) + 1e-3, {}),
-    (4, -1, kf.critical_mass(4) + 1e-6, {}),
-    (3, 0, 0.5, {"r_max": 0.5}),
-    (3, 0, 0.5, {"r_max": 1.2}),
-    (3, 0, 0.5, {"target_nodes": 20000}),
+    (3, 0, 0.5, SHIPPED_TABLE),
+    (3, 1, 1.0, SHIPPED_TABLE),
+    (4, 1, 1.0, SHIPPED_TABLE),
+    (3, -1, 0.5, SHIPPED_TABLE),
+    (3, -1, 0.0, SHIPPED_TABLE),
+    (5, 1, 1.0, SHIPPED_TABLE),
+    (7, 0, 0.5, SHIPPED_TABLE),
+    (3, -1, kf.critical_mass(3) + 1e-3, SHIPPED_TABLE),
+    (3, -1, kf.critical_mass(3) + 1e-6, SHIPPED_TABLE),
+    (4, -1, kf.critical_mass(4) + 1e-3, SHIPPED_TABLE),
+    (4, -1, kf.critical_mass(4) + 1e-6, SHIPPED_TABLE),
+    (3, 0, 0.5, (0.5, 0.5 / 4000)),
+    (3, 0, 0.5, (1.2, 1.2 / 4000)),
+    (3, 0, 0.5, (25.0, 25.0 / 20000)),
 ]
 
 
-def _one_array_table(params, r_max=25.0, target_nodes=4000):
+def _one_array_table(params, r_max, h_target):
     """The warp table as one array per panel family: every panel of both
     families evaluated at once, then cut after the first node at or beyond
     r_max.  The reference the block build must equal bit for bit."""
-    h_target = r_max / max(200, int(target_nodes))
     rho_start = kf.find_horizon(params)
     rho_c = rho_start + max(1.0, 0.25 * rho_start)
     pp = float(_v_squared_prime(params, rho_start))
@@ -71,19 +72,19 @@ def _one_array_table(params, r_max=25.0, target_nodes=4000):
 
 def _warp_digest(case):
     """sha256 of the r, lambda and lambda' nodes of ``WARP_CASES[case]``'s table."""
-    n, kappa, m, kw = WARP_CASES[case]
-    warp = kf.build_warp_table(kf.SpaceParams(n, kappa, m, FOUR_PI), **kw)
+    n, kappa, m, table = WARP_CASES[case]
+    warp = _warp_table(kf.SpaceParams(n, kappa, m, FOUR_PI), *table)
     raw = warp.r_grid.tobytes() + warp.lam_nodes.tobytes() + warp.d_lam_nodes.tobytes()
     return hashlib.sha256(raw).hexdigest()
 
 
-def _traced_peak(params, **kw):
+def _traced_peak(params, *table):
     """tracemalloc's peak, in bytes, over one table build after a first one
     has filled the horizon and Gauss-rule caches."""
-    kf.build_warp_table(params, **kw)
+    _warp_table(params, *table)
     tracemalloc.start()
     try:
-        kf.build_warp_table(params, **kw)
+        _warp_table(params, *table)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -214,7 +215,7 @@ class TestOneForm:
     @pytest.mark.parametrize("n, kappa, m", ONE_FORM_SPACES)
     def test_sites_agree_bitwise(self, n, kappa, m):
         params = kf.SpaceParams(n, kappa, m, 4.0 * math.pi)
-        warp = kf.build_warp_table(params, r_max=5.0, target_nodes=1000)
+        warp = kf.build_warp_table(params)
         lam = np.linspace(warp.rho0, 40.0, 100_001)[1:]
         v2 = v_squared(params, lam)
         half_prime = 0.5 * _v_squared_prime(params, lam)
@@ -291,15 +292,20 @@ class TestWarpTable:
         with pytest.raises(DomainError, match="outside tabulated range"):
             warp_flat.r_from_rho(rho)
 
-    def test_resolution_error(self, params_flat):
-        with pytest.raises(ResolutionError):
-            kf.build_warp_table(params_flat, r_max=25.0, target_nodes=1000)
-
     @pytest.mark.parametrize("field", ["r_max", "target_nodes"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_settings_must_be_positive_and_finite(self, params_flat, field, value):
-        with pytest.raises(DomainError, match=field):
+        # The table's range and node count are constants: no value is taken.
+        with pytest.raises(TypeError, match=field):
             kf.build_warp_table(params_flat, **{field: value})
+
+    def test_shipped_table(self, params_flat, warp_flat):
+        # r <= 25 at spacing 25/4000: the first node at or beyond r = 25 ends
+        # the table, and the shipped build is the private builder's.
+        assert warp_flat.r_grid[-2] < 25.0 <= warp_flat.r_max
+        want = _warp_table(params_flat, 25.0, 25.0 / 4000)
+        assert warp_flat.r_grid.tobytes() == want.r_grid.tobytes()
+        assert warp_flat.lam_nodes.tobytes() == want.lam_nodes.tobytes()
 
     def test_critical_mass_table_rejected(self):
         p = kf.SpaceParams(3, -1, kf.critical_mass(3), 1.0)
@@ -334,10 +340,10 @@ class TestWarpTable:
     def test_block_build_equals_one_array_build(self, case):
         # Blocks of panels, a sum carried across them and the stop at r_max
         # leave every node with the bits of the one-array build.
-        n, kappa, m, kw = WARP_CASES[case]
+        n, kappa, m, table = WARP_CASES[case]
         params = kf.SpaceParams(n, kappa, m, FOUR_PI)
-        got = kf.build_warp_table(params, **kw)
-        want = _one_array_table(params, **kw)
+        got = _warp_table(params, *table)
+        want = _one_array_table(params, *table)
         assert got.r_grid.tobytes() == want.r_grid.tobytes()
         assert got.lam_nodes.tobytes() == want.lam_nodes.tobytes()
         assert got.d_lam_nodes.tobytes() == want.d_lam_nodes.tobytes()
@@ -353,7 +359,7 @@ class TestWarpTable:
     def test_build_memory(self, params_flat, r_max, bound_mb):
         # A block's arrays are 80 KiB, and nothing past r_max is evaluated, so
         # a build's traced peak stays far below the whole-family arrays'.
-        assert _traced_peak(params_flat, r_max=r_max) < bound_mb * 1e6
+        assert _traced_peak(params_flat, r_max, r_max / 4000) < bound_mb * 1e6
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -369,7 +375,7 @@ class TestWarpTable:
         if kappa < 0 and m < 0.9 * kf.critical_mass(n):
             m = 0.9 * kf.critical_mass(n)
         p = kf.SpaceParams(n, kappa, m, 1.0)
-        w = kf.build_warp_table(p, r_max=8.0, target_nodes=1500)
+        w = kf.build_warp_table(p)
         assert w.identity_residual() < 1e-10
         assert w.convexity_margin() >= -1e-12
 

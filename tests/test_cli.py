@@ -115,7 +115,8 @@ class TestParsing:
     def test_minimal_fills_defaults(self, tmp_path):
         scn = cli.parse_scenario(write_config(tmp_path, MINIMAL_MASS))
         assert scn.seed == 0
-        assert scn.warp["r_max"] == 25.0
+        assert scn.mass == {"kind": "kottler_pair", "m_graph": 1.0, "rate": 1.0,
+                            "expect_mass": 1.0}
         assert scn.grid is None
 
     def test_unknown_key_lists_path(self, tmp_path):
@@ -130,6 +131,18 @@ class TestParsing:
         with pytest.raises(ConfigurationError) as err:
             cli.parse_scenario(write_config(tmp_path, bad))
         assert any("scenario.flow.steps" in p for p in err.value.problems)
+
+    def test_normalized_record_fills_defaults(self, tmp_path):
+        # The record is the scenario as run: an empty beckner section and a
+        # kottler_pair mass section are written with every default filled in.
+        cfg = {"name": "t-record", "space": {"n": 3, "kappa": 1, "m": 0.5, "theta": 4 * math.pi},
+               "grid": SPHERE16, "beckner": {}, "mass": {"m_graph": 1.0}}
+        code = cli.main(["beckner", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path), "--quiet"])
+        assert code == 0
+        record = json.loads((tmp_path / "t-record" / "scenario.normalized.json").read_text())
+        assert record["beckner"] == {"count": 100, "amplitude": 0.2}
+        assert record["mass"] == {"kind": "kottler_pair", "m_graph": 1.0, "rate": 1.0}
 
     def test_torus_needs_kappa_zero(self, tmp_path):
         bad = json.loads(json.dumps(SMALL_FLOW))
@@ -157,8 +170,11 @@ class TestParsing:
         ("slice_check", "lambdas", [2.0, True], "scenario.slice_check.lambdas[1]"),
         ("slice_check", "lambdas", [math.inf], "scenario.slice_check.lambdas[0]"),
         ("slice_check", "lambdas", 2.0, "scenario.slice_check.lambdas"),
-        ("mass", "rho_schedule", [50, None], "scenario.mass.rho_schedule[1]"),
-        ("mass", "rho_schedule", [50, math.nan], "scenario.mass.rho_schedule[1]"),
+        # Removed: the mass sample radii are fixed (mass.RHO_SCHEDULE).
+        pytest.param("mass", "rho_schedule", [50, None], "scenario.mass.rho_schedule",
+                     id="mass-rho_schedule-value4-scenario.mass.rho_schedule[1]"),
+        pytest.param("mass", "rho_schedule", [50, math.nan], "scenario.mass.rho_schedule",
+                     id="mass-rho_schedule-value5-scenario.mass.rho_schedule[1]"),
         (None, "seed", -1, "scenario.seed"),
         # Removed: the surface takes the scenario seed.
         ("surface", "seed", -1, "scenario.surface.seed"),
@@ -173,17 +189,21 @@ class TestParsing:
         ("space", "m", -math.inf, "scenario.space.m"),
         ("surface", "amplitude", math.nan, "scenario.surface.amplitude"),
         # Removed keys are unknown, whatever their value: the gate tolerances
-        # are fixed in CHECKS and the warp table's tolerance is fixed.
+        # are fixed in CHECKS, and the warp table, whose tolerance, range and
+        # node count are fixed, has no section.
         ("mass", "tol", math.inf, "scenario.mass.tol"),
         ("mass", "tol", 0.0, "scenario.mass.tol"),
         ("slice_check", "tol_rel", -1e-8, "scenario.slice_check.tol_rel"),
         ("inequalities", "tol_rel", 0, "scenario.inequalities.tol_rel"),
         ("beckner", "tol_rel", 0.0, "scenario.beckner.tol_rel"),
-        ("warp", "tol", -1e-11, "scenario.warp.tol"),
-        ("warp", "tol", 1e-20, "scenario.warp.tol"),
+        pytest.param("warp", "tol", -1e-11, "scenario.warp",
+                     id="warp-tol--1e-11-scenario.warp.tol"),
+        pytest.param("warp", "tol", 1e-20, "scenario.warp", id="warp-tol-1e-20-scenario.warp.tol"),
         # Values the libraries reject fail at parse time, under their section.
         ("flow", "dt_max", -1, "scenario.flow"),
-        ("flow", "cfl_safety", 2, "scenario.flow"),
+        # Removed: the step bound's safety factor is fixed (flow.CFL_SAFETY).
+        pytest.param("flow", "cfl_safety", 2, "scenario.flow.cfl_safety",
+                     id="flow-cfl_safety-2-scenario.flow"),
         ("grid", "mode", "cube", "scenario.grid.mode"),
         ("mass", "kind", "nope", "scenario.mass.kind"),
         ("space", "n", 2, "scenario.space"),
@@ -197,8 +217,9 @@ class TestParsing:
         ("surface", "base_lambda", 0.5, "scenario.surface.base_lambda"),
         ("inequalities", "base_lambda", -2.0, "scenario.inequalities.base_lambda"),
         ("slice_check", "lambdas", [2.0, 0.999], "scenario.slice_check.lambdas[1]"),
-        ("mass", "rho_schedule", [0.5, 100, 200], "scenario.mass.rho_schedule[0]"),
-        # A radius schedule must be strictly increasing with at least 3 points.
+        # Removed: a radius schedule of any value is an unknown key.
+        pytest.param("mass", "rho_schedule", [0.5, 100, 200], "scenario.mass.rho_schedule",
+                     id="mass-rho_schedule-value36-scenario.mass.rho_schedule[0]"),
         ("mass", "rho_schedule", [50, 50, 200], "scenario.mass.rho_schedule"),
         ("mass", "rho_schedule", [100, 50, 200], "scenario.mass.rho_schedule"),
         ("mass", "rho_schedule", [50, 100], "scenario.mass.rho_schedule"),
@@ -208,8 +229,9 @@ class TestParsing:
         ("inequalities", "amplitude", -0.1, "scenario.inequalities.amplitude"),
         ("beckner", "amplitude", -0.2, "scenario.beckner.amplitude"),
         ("grid", "resolution", 4, "scenario.grid.resolution"),
-        # A warp table the h^4/384 bound says cannot reach its tolerance.
-        ("warp", "target_nodes", 3, "scenario.warp.target_nodes"),
+        # Removed: the warp table's node count is fixed.
+        pytest.param("warp", "target_nodes", 3, "scenario.warp",
+                     id="warp-target_nodes-3-scenario.warp.target_nodes"),
         # A name is a directory under --out, so "." and ".." would write outside it.
         (None, "name", "..", "scenario.name"),
         (None, "name", ".", "scenario.name"),
@@ -229,7 +251,8 @@ class TestParsing:
         with pytest.raises(ConfigurationError) as err:
             cli.parse_scenario(write_config(tmp_path, cfg))
         assert any(p.startswith(where + ":") for p in err.value.problems), err.value.problems
-        if key not in (cli._TABLE if section is None else cli._TABLE[section].type):
+        known = cli._TABLE if section is None else getattr(cli._TABLE.get(section), "type", {})
+        if key not in known:
             assert f"{where}: unknown key" in err.value.problems
 
     @settings(derandomize=True, deadline=None, max_examples=400)
@@ -288,10 +311,9 @@ class TestRunScenario:
         scn = cli.parse_scenario(write_config(tmp_path, bad))
         assert cli.run_scenario(scn, str(tmp_path / "out"), quiet=True) == 2
 
-    def test_breakdown_exit_2_with_report(self, tmp_path):
-        cfg = json.loads(json.dumps(SMALL_FLOW))
-        cfg["flow"]["h_floor"] = 10.0  # unreachable floor trips immediately
-        scn = cli.parse_scenario(write_config(tmp_path, cfg))
+    def test_breakdown_exit_2_with_report(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kf.flow, "H_FLOOR", 5.0)  # a floor of 10 trips immediately
+        scn = cli.parse_scenario(write_config(tmp_path, SMALL_FLOW))
         code = cli.run_scenario(scn, str(tmp_path / "out"), quiet=True)
         assert code == 2
         report = json.loads((tmp_path / "out" / "t-flow" / "report.json").read_text())
@@ -472,9 +494,8 @@ class TestMain:
         assert len(calls) == 1
         monkeypatch.undo()
         scn = cli.parse_scenario(path)
-        cfg = cli._settings("mass", scn.mass)
-        graph = cli._mass_graph(kf.SpaceParams(**scn.space), cfg)
-        own = kf.mass_identity_check(graph, cfg["rho_schedule"])
+        graph = cli._mass_graph(kf.SpaceParams(**scn.space), scn.mass)
+        own = kf.mass_identity_check(graph)
         payload = json.loads((tmp_path / name / "mass.json").read_text())
         assert payload["identity"] == own.as_dict()
         assert payload["identity_residual"] == own.residual
@@ -507,13 +528,13 @@ class TestMain:
         assert "t_end" in capsys.readouterr().err
 
     def test_main_non_finite_warp_tol_is_error(self, tmp_path, capsys):
-        # The warp table's tolerance is fixed, so any warp.tol is unknown.
+        # The warp table is fixed, so a warp section of any content is unknown.
         cfg = json.loads(json.dumps(SMALL_FLOW))
         cfg["warp"] = {"tol": math.nan}
         code = cli.main(["flow", "--config", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 1
-        assert "scenario.warp.tol: unknown key" in capsys.readouterr().err
+        assert "scenario.warp: unknown key" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, section, key, value", [
@@ -579,28 +600,42 @@ class TestMain:
          "scenario.space.theta"),
         ("flow", {"space": {"n": 4, "kappa": 1, "m": 1.0, "theta": 4.0 * math.pi},
                   "grid": SPHERE16}, "scenario.space.theta"),
-        # The warp table's tolerance is fixed, so warp.tol is an unknown key.
-        ("flow", {"warp": {"tol": 1e-20}}, "scenario.warp.tol"),
-        # A warp table the h^4/384 bound says cannot reach its tolerance.
-        ("mass", {"warp": {"target_nodes": 3}}, "scenario.warp.target_nodes"),
-        # A table that ends at lambda = 1.7688, below the slice's lambda = 2.
-        ("flow", {"warp": {"r_max": 1.0}}, "scenario.surface.slice_lambda"),
-        # 1000 nodes over r_max = 25 reach ~1e-9, not the table's 1e-11.
-        ("flow", {"warp": {"target_nodes": 1000}}, "scenario.warp.target_nodes"),
+        # The warp table's tolerance, range and node count are fixed, so a
+        # warp section is unknown, whatever it holds.
+        pytest.param("flow", {"warp": {"tol": 1e-20}}, "scenario.warp",
+                     id="flow-changes2-scenario.warp.tol"),
+        pytest.param("mass", {"warp": {"target_nodes": 3}}, "scenario.warp",
+                     id="mass-changes3-scenario.warp.target_nodes"),
+        pytest.param("flow", {"warp": {"r_max": 1.0}}, "scenario.warp",
+                     id="flow-changes4-scenario.surface.slice_lambda"),
+        pytest.param("flow", {"warp": {"target_nodes": 1000}}, "scenario.warp",
+                     id="flow-changes5-scenario.warp.target_nodes"),
     ])
     def test_main_unbuildable_grid_or_table_is_error(self, tmp_path, capsys, command, changes,
                                                     where):
-        # Each of these used to parse and write the output directory: the
-        # sphere flows ran with quadrature weights of the wrong total area, and
-        # the table failed at run time naming no key (a mass run, which builds
-        # no table, passed).
+        # Each fails at parse, before any output exists: a sphere flow would
+        # run with quadrature weights of the wrong total area.
         cfg = dict(SMALL_FLOW, mass=dict(MINIMAL_MASS["mass"]), checks=[], **changes)
         code = cli.main([command, "--config", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 1
         err = capsys.readouterr().err
         assert f"{where}: " in err
-        assert "scenario.warp.r_max" in err or "r_max" not in changes.get("warp", {})
+        assert "scenario.warp: unknown key" in err or "warp" not in changes
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ARTIFACTS)
+    def test_main_torus_needs_n_3(self, tmp_path, capsys, command):
+        # A torus grid is the 2-D fiber of n = 3, so at n = 4 every command
+        # fails at parse, naming the key, before any output exists.
+        cfg = dict(SMALL_FLOW, space=dict(SMALL_FLOW["space"], n=4),
+                   grid={"mode": "torus2d", "resolution": 16}, mass=dict(MINIMAL_MASS["mass"]),
+                   slice_check={"lambdas": [2.0]}, inequalities={"count": 2},
+                   beckner={"count": 2}, checks=[])
+        code = cli.main([command, "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        assert "scenario.grid.mode: torus2d requires n=3, got n=4" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_main_check_without_its_section_is_error(self, tmp_path, capsys):
@@ -620,8 +655,13 @@ class TestMain:
         ("check-inequalities", "inequalities", "base_lambda", 0.9,
          "scenario.inequalities.base_lambda"),
         ("slice-check", "slice_check", "lambdas", [1.5, 0.5], "scenario.slice_check.lambdas[1]"),
-        ("mass", "mass", "rho_schedule", [0.0, 100.0, 200.0], "scenario.mass.rho_schedule[0]"),
-        ("mass", "mass", "rho_schedule", [200.0, 100.0, 50.0], "scenario.mass.rho_schedule"),
+        # The mass sample radii are fixed, so a schedule is an unknown key.
+        pytest.param("mass", "mass", "rho_schedule", [0.0, 100.0, 200.0],
+                     "scenario.mass.rho_schedule",
+                     id="mass-mass-rho_schedule-value4-scenario.mass.rho_schedule[0]"),
+        pytest.param("mass", "mass", "rho_schedule", [200.0, 100.0, 50.0],
+                     "scenario.mass.rho_schedule",
+                     id="mass-mass-rho_schedule-value5-scenario.mass.rho_schedule"),
     ])
     def test_main_inside_horizon_is_error(self, tmp_path, capsys, command, section, key, value,
                                           where):
@@ -635,22 +675,27 @@ class TestMain:
         code = cli.main([command, "--config", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 1
-        assert f"{where}: must be" in capsys.readouterr().err
+        known = key in cli._TABLE[section].type
+        assert f"{where}: {'must be' if known else 'unknown key'}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("mass, where", [
-        ({"m_graph": 1.0, "rho_schedule": [1.1, 100.0, 200.0]},
-         "scenario.mass.rho_schedule[0]: must be"),
-        ({"kind": "mass_profile", "m_horizon": 0.75, "m_total": 1.0,
-          "rho_schedule": [1.1, 100.0, 200.0]}, "scenario.mass.rho_schedule[0]: must be"),
+        # The mass sample radii are fixed, so a schedule is an unknown key.
+        pytest.param({"m_graph": 1.0, "rho_schedule": [1.1, 100.0, 200.0]},
+                     "scenario.mass.rho_schedule: unknown key",
+                     id="mass0-scenario.mass.rho_schedule[0]: must be"),
+        pytest.param({"kind": "mass_profile", "m_horizon": 0.75, "m_total": 1.0,
+                      "rho_schedule": [1.1, 100.0, 200.0]},
+                     "scenario.mass.rho_schedule: unknown key",
+                     id="mass1-scenario.mass.rho_schedule[0]: must be"),
         ({"kind": "mass_profile", "m_horizon": 0.4, "m_total": 1.0}, "scenario.mass: need base m"),
+        # rho_inner = (2 m_graph)^(1/3) = 58.5 reaches the first sample radius 50.
+        ({"m_graph": 1e5}, "scenario.mass: the graph's inner radius rho_inner = 58.48"),
     ])
     def test_main_inside_inner_radius_is_error(self, tmp_path, capsys, mass, where):
-        # The graph's inner radius rho_inner lies beyond rho0 (1.26 for
-        # m_graph = 1 and 1.14 for m_horizon = 0.75, over m = 0.5 where
-        # rho0 = 1).  The graph is built at parse time, so a schedule radius
-        # in between, or a graph that cannot be built, fails before any
-        # output exists.
+        # The graph is built at parse time, so a graph that cannot be built,
+        # or whose inner radius reaches the mass sample radii, fails before
+        # any output exists.
         cfg = dict(MINIMAL_MASS, mass=dict(MINIMAL_MASS["mass"], **mass), checks=[])
         code = cli.main(["mass", "--config", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o"), "--quiet"])
@@ -728,6 +773,20 @@ class TestAllCommand:
             assert all(a["passed"] for a in artifacts), cfg["name"]
         pairs = json.loads((out / "perturbed-flow" / "report.json").read_text())
         assert pairs["q2_samples_in_regime"] >= 7
+
+    def test_all_records_rerun_identically(self, shipped_run, tmp_path):
+        # Each written record parses again, to itself, and runs to the same bytes.
+        _, out = shipped_run
+        for cfg in SHIPPED:
+            base, again = out / cfg["name"], tmp_path / cfg["name"]
+            path = base / "scenario.normalized.json"
+            scn = cli.parse_scenario(str(path))
+            assert json.loads(json.dumps(scn.to_dict())) == json.loads(path.read_text())
+            assert cli.run_scenario(scn, str(tmp_path), quiet=True) == 0
+            files = sorted(p.relative_to(base) for p in base.rglob("*") if p.is_file())
+            assert files == sorted(p.relative_to(again) for p in again.rglob("*") if p.is_file())
+            for rel in files:
+                assert (base / rel).read_bytes() == (again / rel).read_bytes(), (cfg["name"], rel)
 
     def test_all_isolates_a_failing_scenario(self, tmp_path, monkeypatch, capsys):
         bad = json.loads(json.dumps(SMALL_FLOW))

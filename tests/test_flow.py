@@ -1,7 +1,7 @@
 """Flow integrator and monitors."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,12 @@ MONITORS = ("q1_monotone", "barrier", "area_law", "p_balance", "q2_monotone", "f
 
 def verdicts(rep, enabled=MONITORS):
     return judge("flow", rep.as_dict(), enabled)
+
+
+def set_floor(monkeypatch, h_floor):
+    """Make run_flow's mean-curvature floor H_FLOOR (n-1) equal ``h_floor`` at
+    n = 3; halving and doubling are exact."""
+    monkeypatch.setattr(kf.flow, "H_FLOOR", h_floor / 2)
 
 
 class TestFlowStep:
@@ -64,10 +70,11 @@ class TestFlowStep:
         assert out_geom.surface is out
         assert np.ptp(out.u.values) == 0.0
 
-    def test_breakdown_floor(self, slice_flat):
+    def test_breakdown_floor(self, slice_flat, monkeypatch):
         # H = n-1 = 2 on the slice, so a floor of 10 trips after the first step
+        set_floor(monkeypatch, 10.0)
         with pytest.raises(FlowBreakdownError) as err:
-            kf.run_flow(slice_flat, kf.FlowConfig(t_end=1.0, h_floor=10.0))
+            kf.run_flow(slice_flat, kf.FlowConfig(t_end=1.0))
         assert err.value.surface is not None
         assert err.value.surface is not slice_flat
         assert "floor" in err.value.trace.breakdown["reason"]
@@ -156,10 +163,11 @@ class TestRunFlow:
         assert t1.column("area").tolist() == t2.column("area").tolist()
         assert t1.column("Q1").tolist() == t2.column("Q1").tolist()
 
-    def test_breakdown_carries_partial_trace(self, torus64, warp_flat):
+    def test_breakdown_carries_partial_trace(self, torus64, warp_flat, monkeypatch):
         surf = kf.slice_surface(torus64, warp_flat, lam_value=2.0)
+        set_floor(monkeypatch, 5.0)
         with pytest.raises(FlowBreakdownError) as err:
-            kf.run_flow(surf, kf.FlowConfig(t_end=2.0, h_floor=5.0))
+            kf.run_flow(surf, kf.FlowConfig(t_end=2.0))
         assert err.value.trace is not None
         assert err.value.trace.breakdown["t"] == 0.005  # H = 1.87 on this slice
         assert err.value.surface is not None
@@ -186,19 +194,17 @@ class TestRunFlow:
 class TestStability:
     def test_stable_dt_positive(self, slice_flat):
         geom = kf.compute_geometry(slice_flat)
-        dt = kf.stable_dt(geom, 0.2)
+        dt = kf.stable_dt(geom)
         assert 0.001 < dt < 0.1
 
     def test_symmetric_unbounded(self, sym_grid, warp_hyp_sym):
         surf = kf.slice_surface(sym_grid, warp_hyp_sym, lam_value=2.0)
         geom = kf.compute_geometry(surf)
-        assert kf.stable_dt(geom, 0.2) == math.inf
+        assert kf.stable_dt(geom) == math.inf
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
             kf.FlowConfig(t_end=-1.0)
-        with pytest.raises(DomainError):
-            kf.FlowConfig(t_end=1.0, cfl_safety=1.5)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -211,8 +217,11 @@ class TestStability:
         ],
     )
     def test_config_rejects_non_finite(self, field, value):
+        # The floor is the constant flow.H_FLOOR, so an h_floor of any value
+        # is an unknown keyword.
+        known = field in {f.name for f in fields(kf.FlowConfig)}
         kwargs = {"t_end": 1.0, field: value}
-        with pytest.raises(DomainError, match=field):
+        with pytest.raises(DomainError if known else TypeError, match=field):
             kf.FlowConfig(**kwargs)
 
 
@@ -245,7 +254,7 @@ def _stable_dt_loop(surface, config):
     eps = 1e-12 * max(1.0, config.t_end)
     while t < config.t_end - eps:
         t_next = min(k_rec * config.record_interval, config.t_end)
-        dt = min(config.dt_max, kf.stable_dt(geom, config.cfl_safety), t_next - t)
+        dt = min(config.dt_max, kf.stable_dt(geom), t_next - t)
         while True:
             try:
                 surface, geom = kf.flow_step(surface, geom, dt)
@@ -261,7 +270,7 @@ def _stable_dt_loop(surface, config):
 
 class TestStepBounds:
     """run_flow forms stable_dt only when neither lower bound
-    cfl_safety dx^2 m^2 / 2, m = lam_h_bound or min lambda min H, clears
+    CFL_SAFETY dx^2 m^2 / 2, m = lam_h_bound or min lambda min H, clears
     dt_max; the step sequence is that of forming it every time, and the
     trace counts which bound set each step."""
 
@@ -348,7 +357,7 @@ class TestMinHBound:
         assert trace.stable_dt_evals == 228
         assert len(trace.samples) < len(formed) < len(trace.dt_history)
 
-    def test_floor_at_h_up_to_rounding_trips(self, slice_flat):
+    def test_floor_at_h_up_to_rounding_trips(self, slice_flat, monkeypatch):
         # On a slice D and W are the same at every node, so the bound over
         # lambda_max equals min H up to rounding and the 1e-9 shrink.  A floor
         # at min H after the first step, or one ulp above, still trips there;
@@ -359,11 +368,12 @@ class TestMinHBound:
         bound = geom.lam_h_bound / surface.lam_max
         assert bound < h_min and h_min - bound <= 2e-9 * h_min
         for h_floor in (h_min, np.nextafter(h_min, math.inf)):
+            set_floor(monkeypatch, h_floor)
             with pytest.raises(FlowBreakdownError) as err:
-                kf.run_flow(slice_flat, kf.FlowConfig(t_end=0.05, h_floor=h_floor))
+                kf.run_flow(slice_flat, kf.FlowConfig(t_end=0.05))
             assert err.value.trace.breakdown["t"] == 0.005
-        below = np.nextafter(h_min, -math.inf)
-        trace = kf.run_flow(slice_flat, kf.FlowConfig(t_end=0.05, h_floor=below))
+        set_floor(monkeypatch, np.nextafter(h_min, -math.inf))
+        trace = kf.run_flow(slice_flat, kf.FlowConfig(t_end=0.05))
         assert trace.breakdown is None and len(trace.dt_history) == 10
 
     def test_bound_is_below_min_h(self, torus64, warp_flat):

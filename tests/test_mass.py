@@ -123,18 +123,7 @@ class TestMassLimit:
         est = kf.mass_limit(zero)
         assert est.mass == pytest.approx(base_flat.m, abs=1e-13)
 
-    def test_schedule_validation(self, pair_flat):
-        with pytest.raises(DomainError):
-            kf.mass_limit(pair_flat, [50.0, 100.0])
-        with pytest.raises(DomainError):
-            kf.mass_limit(pair_flat, [100.0, 50.0, 200.0])
-
     def test_slow_decay_rejected_at_construction(self, base_flat):
-        # stated tau below n/2
-        with pytest.raises(DecayViolationError):
-            kf.graph_from_f_prime(
-                base_flat, lambda r: np.asarray(r, float) ** -1.6, rho_inner=2.0, decay_tau=1.2
-            )
         # psi ~ rho^-3 => fitted tau = 1.0 < 1.5, caught by the fit
         with pytest.raises(DecayViolationError):
             kf.graph_from_f_prime(
@@ -687,9 +676,11 @@ class TestNonFinite:
     @pytest.mark.parametrize("sched", [[50.0, 100.0, math.inf], [50.0, math.nan, 200.0],
                                        [math.nan, 100.0, 200.0], [50.0, 100.0, 200.0, math.nan]])
     def test_mass_limit_schedule(self, pair_flat, sched):
-        with pytest.raises(DomainError):
+        # The sample radii are the constant mass.RHO_SCHEDULE, so a schedule
+        # of any value is an unknown argument.
+        with pytest.raises(TypeError):
             kf.mass_limit(pair_flat, sched)
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             kf.mass_identity_check(pair_flat, sched)
 
     @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
@@ -718,9 +709,6 @@ class TestNonFinite:
                                       rho_inner=rho_inner)
 
     def test_nan_decay_order(self, base_flat):
-        with pytest.raises(DecayViolationError):
-            kf.graph_from_f_prime(base_flat, lambda r: np.asarray(r, float) ** -3.5,
-                                  rho_inner=2.0, decay_tau=math.nan)
         with pytest.raises(DecayViolationError):
             kf.graph_from_f_prime(base_flat, lambda r: np.full(np.shape(r), math.nan),
                                   rho_inner=2.0)

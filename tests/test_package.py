@@ -2,7 +2,9 @@
 package re-exports, resolves; only a sphere grid loads scipy.special."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
@@ -11,6 +13,7 @@ import sys
 import pytest
 
 import kflow
+from kflow import cli
 
 SRC = pathlib.Path(kflow.__file__).parent
 MODULES = sorted(
@@ -73,3 +76,38 @@ def test_only_sphere_grids_load_scipy_special():
     done = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def _leaf_keys(table, prefix=""):
+    for key, spec in table.items():
+        if isinstance(spec.type, dict):
+            yield from _leaf_keys(spec.type, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_settable_surface():
+    """Every value a scenario or a library entry point lets a caller set; a
+    new setting shows up as a diff to this test."""
+    assert sorted(_leaf_keys(cli._TABLE)) == sorted([
+        "name", "seed", "checks",
+        "space.n", "space.kappa", "space.m", "space.theta",
+        "grid.mode", "grid.resolution",
+        "surface.slice_lambda", "surface.base_lambda", "surface.amplitude",
+        "flow.t_end", "flow.dt_max", "flow.record_interval",
+        "mass.kind", "mass.m_graph", "mass.m_horizon", "mass.m_total", "mass.rate",
+        "mass.expect_mass",
+        "slice_check.lambdas",
+        "inequalities.count", "inequalities.amplitude", "inequalities.base_lambda",
+        "beckner.count", "beckner.amplitude",
+    ])
+    assert [f.name for f in dataclasses.fields(kflow.FlowConfig)] == [
+        "t_end", "dt_max", "record_interval"]
+    signatures = {
+        kflow.build_warp_table: "(params)",
+        kflow.mass_limit: "(graph)",
+        kflow.mass_identity_check: "(graph, *, estimate=None)",
+        kflow.graph_from_f_prime: "(params, f_prime, rho_inner, f_prime2=None)",
+    }
+    for func, signature in signatures.items():
+        assert str(inspect.signature(func)) == signature, func.__name__

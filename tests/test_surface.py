@@ -72,7 +72,7 @@ class TestHyperbolicSliceLimit:
         # kappa=1, m -> 0: H = (n-1) sqrt(lambda^2+1)/lambda = 2 coth(r),
         # approaching n-1 = 2 on large slices.
         p = kf.SpaceParams(3, 1, 1e-10, 4 * math.pi)
-        w = kf.build_warp_table(p, r_max=12.0, target_nodes=2500)
+        w = kf.build_warp_table(p)
         g = kf.make_grid("sphere_axisym", 32)
         for lam in (1.0, 2.0, 20.0, 1000.0):
             geom = kf.compute_geometry(kf.slice_surface(g, w, lam_value=lam))
@@ -256,7 +256,7 @@ class TestInPlaceKernel:
         # At m = 0, lambda'' = lambda; the kernel still returns its own array,
         # so an in-place write to one cannot change the other.
         params = kf.SpaceParams(3, -1, 0.0, 4.0 * math.pi)
-        warp = kf.build_warp_table(params, r_max=8.0, target_nodes=1500)
+        warp = kf.build_warp_table(params)
         grid = kf.make_grid("symmetric", 1, params.theta, kappa=-1, n=3)
         surf = kf.slice_surface(grid, warp, lam_value=2.0)
         geom = kf.compute_geometry(surf)
