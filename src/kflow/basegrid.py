@@ -17,9 +17,12 @@ Three modes cover the fibers that appear over a Kottler background:
   the pole regularity f'(0) = f'(pi) = 0.  The collocation d/dmu and its
   square D.D are stored once, stacked as one (2m, m) matrix, so a single
   product with f less its first entry gives both derivatives; constants
-  give exact zeros (docs/derivations.md).  The nodes come from
-  ``scipy.special.roots_jacobi``: a process loads ``scipy.special`` when it
-  builds its first sphere grid, and the other modes never load it.
+  give exact zeros (docs/derivations.md).  The rule is computed with numpy
+  alone, no scipy: the nodes are the eigenvalues of the symmetric Jacobi
+  matrix (Golub and Welsch, Math. Comp. 23, 1969), and the weights are
+  lambda_k^2 / (1 - mu_k^2) from the barycentric weights lambda_k that the
+  collocation matrix uses too (Wang, Huybrechs and Vandewalle, Math. Comp.
+  83, 2014), both mirror-symmetric to the bit.
 * ``symmetric`` -- a single homogeneous node of weight theta (any kappa,
   any n >= 3); all derivatives vanish.  This carries the kappa = -1 runs,
   where no constructive 2-D discretization of a higher-genus hyperbolic
@@ -135,24 +138,42 @@ class ScalarField:
         return field
 
 
-def _jacobi_diff_matrix(x):
-    """Spectral differentiation matrix on arbitrary nodes (barycentric form)."""
-    x = np.asarray(x, dtype=float)
+def _barycentric(x):
+    """The pairwise differences x_j - x_k of increasing nodes, with a unit
+    diagonal, and the barycentric weights lambda_j = 1 / prod_k (x_j - x_k)
+    scaled to max |lambda| = 1.  The summed logs of |x_j - x_k| give |lambda|
+    without overflow; lambda_j has the sign (-1)^(m-1-j)."""
     dx = x[:, None] - x[None, :]
     np.fill_diagonal(dx, 1.0)
     logw = -np.sum(np.log(np.abs(dx)), axis=1)
-    sign = np.prod(np.sign(dx), axis=1)
-    w = sign * np.exp(logw - logw.max())
-    d = (w[None, :] / w[:, None]) / dx
+    lam = np.exp(logw - logw.max())
+    lam[-2::-2] *= -1.0
+    return dx, lam
+
+
+def _gauss_jacobi(m, a):
+    """The m-point Gauss rule for the weight (1 - mu^2)^a on (-1, 1): its
+    nodes in increasing order, their ``_barycentric`` differences and
+    weights, and the quadrature weights up to a common factor.  The nodes are
+    the eigenvalues of the symmetric Jacobi matrix (Golub and Welsch 1969);
+    the weights are lambda^2 / (1 - mu^2) (Wang, Huybrechs and Vandewalle
+    2014).  Both are made mirror-symmetric to the bit."""
+    k = np.arange(1.0, m)
+    off = np.sqrt(k * (k + 2.0 * a) / (4.0 * (k + a) ** 2 - 1.0))
+    mu = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    mu = (mu - mu[::-1]) / 2.0
+    dx, lam = _barycentric(mu)
+    w = lam * lam / (1.0 - mu * mu)
+    return mu, dx, lam, (w + w[::-1]) / 2.0
+
+
+def _stacked_operator(dx, lam):
+    """The collocation d/dmu, D, on the nodes with ``_barycentric``'s
+    differences ``dx`` and weights ``lam``, and d^2/dmu^2 = D.D, stacked as
+    one (2m, m) matrix [D; D.D], so a single product gives both derivatives."""
+    d = (lam[None, :] / lam[:, None]) / dx
     np.fill_diagonal(d, 0.0)
     np.fill_diagonal(d, -d.sum(axis=1))
-    return d
-
-
-def _stacked_operator(mu):
-    """The collocation d/dmu and d^2/dmu^2 = D.D on the nodes ``mu``, stacked as
-    one (2m, m) matrix [D; D.D], so a single product gives both derivatives."""
-    d = _jacobi_diff_matrix(mu)
     return np.concatenate((d, d @ d))
 
 
@@ -221,12 +242,7 @@ def make_grid(mode, resolution, theta_or_L=None, *, n=3, kappa=None):
         problem = theta_or_L is not None and _sphere_area_problem(n, theta_or_L)
         if problem:
             raise ConfigurationError(f"grid: {problem}")
-        from scipy.special import roots_jacobi  # loaded by the first sphere grid only
-
-        a = (n - 3) / 2.0
-        mu, wmu = roots_jacobi(resolution, a, a)
-        transverse = sphere_area(n - 2)
-        w = transverse * wmu
+        mu, dx, lam, w = _gauss_jacobi(resolution, (n - 3) / 2.0)
         w *= theta_exact / w.sum()
         th = np.arccos(mu)
         return BaseGrid(
@@ -242,7 +258,7 @@ def make_grid(mode, resolution, theta_or_L=None, *, n=3, kappa=None):
             aux={
                 "mu": mu,
                 "minus_mu": -mu,
-                "stacked": _stacked_operator(mu),
+                "stacked": _stacked_operator(dx, lam),
                 "one_minus_mu_sq": 1.0 - mu**2,
             },
         )

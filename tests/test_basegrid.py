@@ -15,7 +15,7 @@ import kflow
 
 from kflow.basegrid import (
     ScalarField,
-    _jacobi_diff_matrix,
+    _barycentric,
     _torus_derivatives,
     beckner_report,
     differentiate,
@@ -76,6 +76,12 @@ def _derivative_digest(mode, m):
     return hashlib.sha256(raw).hexdigest()
 
 
+def _rule_digest(n, m):
+    """sha256 of a sphere grid's nodes and quadrature weights."""
+    grid = make_grid("sphere_axisym", m, n=n)
+    return hashlib.sha256(grid.aux["mu"].tobytes() + grid.quad_weights.tobytes()).hexdigest()
+
+
 def _digests_by_blas_threads(cases, digest="test_basegrid._derivative_digest"):
     """``digest(*case)`` for each case, from one process with one OpenBLAS
     thread and one with two.  ``digest`` names a function as
@@ -126,6 +132,88 @@ class TestMakeGrid:
     def test_symmetric_theta_free(self):
         g = make_grid("symmetric", 1, 7.0, kappa=1, n=4)
         assert integrate(ScalarField.constant(g, 1.0)) == pytest.approx(7.0, rel=1e-14)
+
+
+# Sizes for the sphere rule checks: a single-tile grid, odd sizes with a node
+# at mu = 0, the flow's 64 and the largest grids the tests build.
+RULE_SIZES = (8, 9, 16, 33, 64, 128, 256, 512)
+
+
+class TestSphereRule:
+    """The Gauss-Jacobi rule of ``sphere_axisym`` grids, computed with numpy:
+    Golub-Welsch nodes and barycentric weights.  Each tolerance sits above
+    the largest error measured over these sizes (noted per test)."""
+
+    @pytest.mark.parametrize("m", RULE_SIZES)
+    def test_n4_closed_form(self, m):
+        # For n = 4 the weight is (1 - mu^2)^(1/2): the nodes are the zeros
+        # cos(k pi / (m+1)) of the Chebyshev U_m, and the weights go as
+        # sin^2(k pi / (m+1)).  Measured: 7.2e-16 on the nodes, 7.2e-12 on the
+        # weights (m = 512).
+        grid = make_grid("sphere_axisym", m, n=4)
+        angle = np.arange(m, 0, -1) * math.pi / (m + 1)
+        want_w = np.sin(angle) ** 2
+        want_w *= grid.theta / want_w.sum()
+        assert np.max(np.abs(grid.aux["mu"] - np.cos(angle))) <= 1e-15
+        assert np.max(np.abs(grid.quad_weights / want_w - 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize("m", [16, 64, 256])
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_moments(self, n, m):
+        # int mu^(2j) (1 - mu^2)^a dmu = B(j + 1/2, a + 1), a = (n-3)/2, is
+        # exact for 2j <= 2m - 1; its ratio to the j = 0 moment is the product
+        # of (i + 1/2) / (i + a + 3/2) over i < j.  Measured: 8.9e-13.
+        grid = make_grid("sphere_axisym", m, n=n)
+        a = (n - 3) / 2.0
+        mu_sq, w = grid.aux["mu"] ** 2, grid.quad_weights / grid.theta
+        power, ratio = np.ones(m), 1.0
+        for j in range(m):
+            assert abs(np.sum(w * power) / ratio - 1.0) <= 2e-12, j
+            power *= mu_sq
+            ratio *= (j + 0.5) / (j + a + 1.5)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_matches_scipy(self, n):
+        # scipy's roots_jacobi to 1e-15 in the nodes and 1e-9 in the weights
+        # (measured: 6.7e-16 and 1.3e-10).  Not past m = 256: there scipy's own
+        # Gauss-Legendre weights are 1.4e-9 from numpy's leggauss.
+        from scipy.special import roots_jacobi
+
+        a = (n - 3) / 2.0
+        for m in RULE_SIZES[:-1]:
+            grid = make_grid("sphere_axisym", m, n=n)
+            mu, w = roots_jacobi(m, a, a)
+            w *= grid.theta / w.sum()
+            assert np.max(np.abs(grid.aux["mu"] - mu)) <= 1e-15, m
+            assert np.max(np.abs(grid.quad_weights / w - 1.0)) <= 1e-9, m
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_structure(self, n):
+        # Nodes strictly increase inside (-1, 1); nodes and weights are
+        # mirror-symmetric bit for bit, with mu = 0 at the middle of odd rules.
+        for m in RULE_SIZES:
+            grid = make_grid("sphere_axisym", m, n=n)
+            mu, w = grid.aux["mu"], grid.quad_weights
+            assert -1.0 < mu[0] and mu[-1] < 1.0 and np.all(np.diff(mu) > 0.0), m
+            assert np.array_equal(mu, -mu[::-1]) and np.array_equal(w, w[::-1]), m
+            assert np.all(w > 0.0), m
+            if m % 2:
+                assert mu[m // 2] == 0.0, m
+
+    @pytest.mark.parametrize("m", [8, 9, 33])
+    def test_barycentric_weights(self, m):
+        # The log-sum weights with the alternating sign (-1)^(m-1-j) equal
+        # 1 / prod_k (x_j - x_k), scaled to max |lambda| = 1.
+        x = make_grid("sphere_axisym", m).aux["mu"]
+        dx, lam = _barycentric(x)
+        assert np.array_equal(np.diag(dx), np.ones(m))
+        direct = 1.0 / np.prod(dx, axis=1)
+        assert np.allclose(lam, direct / np.max(np.abs(direct)), rtol=1e-13, atol=0.0)
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        cases = [(n, m) for n in (3, 4, 5) for m in (64, 256, 512)]
+        one, two = _digests_by_blas_threads(cases, "test_basegrid._rule_digest")
+        assert one == two == [_rule_digest(*case) for case in cases]
 
 
 class TestQuadrature:
@@ -276,12 +364,18 @@ class TestDerivatives:
 
     def test_sphere_stacked_operator(self):
         # The stacked operator is [D; D.D] with D the barycentric collocation
-        # matrix; D differentiates a cubic in mu to rounding.
+        # matrix (lambda_k / lambda_j) / (mu_j - mu_k) off the diagonal and
+        # minus its row sum on it; D differentiates a cubic in mu to rounding.
         grid = make_grid("sphere_axisym", 33)
         mu, stacked = grid.aux["mu"], grid.aux["stacked"]
-        dmat = _jacobi_diff_matrix(mu)
+        dmat = stacked[:33]
         assert stacked.shape == (66, 33) and stacked.flags.c_contiguous
-        assert np.array_equal(stacked, np.concatenate((dmat, dmat @ dmat)))
+        assert np.array_equal(stacked[33:], dmat @ dmat)
+        dx, lam = _barycentric(mu)
+        off = (lam[None, :] / lam[:, None]) / dx
+        np.fill_diagonal(off, 0.0)
+        assert np.array_equal(dmat - np.diag(np.diag(dmat)), off)
+        assert np.array_equal(np.diag(dmat), -off.sum(axis=1))
         f = mu**3 - 2.0 * mu
         got = stacked @ f
         assert np.max(np.abs(got[:33] - (3.0 * mu**2 - 2.0))) < 1e-12

@@ -1,5 +1,5 @@
 """Package surface: every public name a module lists, and every name the
-package re-exports, resolves; only a sphere grid loads scipy.special."""
+package re-exports, resolves; kflow runs with scipy blocked."""
 
 import ast
 import dataclasses
@@ -42,10 +42,12 @@ def test_package_imports_resolve():
                 assert alias.name in public, f"kflow.{node.module}.__all__ lacks {alias.name}"
 
 
-# Run in a fresh interpreter: the pytest process may already hold scipy.special.
-_SCIPY_FREE_RUN = """
+# Run in a fresh interpreter: the pytest process already holds scipy.  A None
+# entry in sys.modules makes every import of scipy or its submodules fail.
+_SCIPY_BLOCKED_RUN = """
 import math, sys, tempfile
 from pathlib import Path
+sys.modules["scipy"] = None
 import kflow as kf
 import kflow.cli as cli
 
@@ -54,26 +56,34 @@ warp = kf.build_warp_table(params)
 grid = kf.make_grid("torus2d", 16, math.sqrt(params.theta))
 surf = kf.random_star_shaped(grid, warp, seed=4, amplitude=0.03, base_r=warp.r_from_rho(2.0))
 kf.run_flow(surf, kf.FlowConfig(t_end=0.05))
+
+spheres = {n: kf.make_grid("sphere_axisym", 24, n=n) for n in (3, 4, 5)}
+for n, sphere in spheres.items():
+    assert abs(sphere.quad_weights.sum() - kf.sphere_area(n - 1)) < 1e-12 * sphere.theta
+sphere_warp = kf.build_warp_table(kf.SpaceParams(4, 1, 1.0, kf.sphere_area(3)))
+surf = kf.random_star_shaped(spheres[4], sphere_warp, seed=4, amplitude=0.05,
+                             base_r=sphere_warp.r_from_rho(3.0))
+kf.run_flow(surf, kf.FlowConfig(t_end=0.05))
+
 graph = kf.kottler_pair_graph(params, 1.0)
 kf.mass_limit(graph)
 kf.mass_identity_check(graph)
-config = Path(kf.__file__).parent / "scenarios" / "kottler-mass.json"
-with tempfile.TemporaryDirectory() as out:
-    assert cli.main(["mass", "--config", str(config), "--out", out, "--quiet"]) == 0
-assert "scipy.special" not in sys.modules, "scipy.special loaded without a sphere grid"
 
-sphere = kf.make_grid("sphere_axisym", 24)
-assert "scipy.special" in sys.modules
-from scipy.special import roots_jacobi
-assert sphere.aux["mu"].tobytes() == roots_jacobi(24, 0.0, 0.0)[0].tobytes()
+scenarios = Path(kf.__file__).parent / "scenarios"
+with tempfile.TemporaryDirectory() as out:
+    for command, name in (("beckner", "beckner-sphere"), ("slice-check", "sphere-slice")):
+        code = cli.main([command, "--config", str(scenarios / f"{name}.json"),
+                         "--out", out, "--quiet"])
+        assert code == 0, f"kflow {command} on {name}.json exited {code}"
 """
 
 
-def test_only_sphere_grids_load_scipy_special():
-    """Torus flows, the mass layer and `kflow mass` run without scipy.special;
-    the first sphere grid loads it and keeps roots_jacobi's nodes."""
+def test_kflow_runs_without_scipy():
+    """A torus flow, sphere grids at n = 3, 4, 5, a sphere flow, the mass
+    layer and the sphere scenarios of `kflow beckner` and `kflow slice-check`
+    run in a process that cannot import scipy."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    done = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN], env=env,
+    done = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED_RUN], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
