@@ -25,7 +25,6 @@ from .errors import (
     DecayViolationError,
     DomainError,
     FlowBreakdownError,
-    GenerationError,
     InvalidDimensionError,
     KFlowError,
     MeanConvexityError,

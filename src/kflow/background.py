@@ -33,9 +33,8 @@ too) and V = sqrt(max(V^2, 0)) (``_v``).
 ``_v_squared_at`` forms V^2 at several masses and 2q at further masses from
 one rho^2 and one rho^(2-n), and ``_ddlam_at`` forms lambda'' at
 several masses from one rho^(1-n), so a radial graph's base space and the
-graph share each power; a mass may be an array.  A lone zero mass, the
-massless kappa = -1 space, needs no power (``_massless``).  The horizon
-root, the warp table, the geometry kernel and the mass layer all read them
+graph share each power; a mass may be an array.  The horizon root, the
+warp table, the geometry kernel and the mass layer all read them
 (docs/derivations.md, "Closed forms of the Kottler potential").
 
 Radial graphs over this background are built in ``kflow.mass``.
@@ -114,12 +113,6 @@ class SpaceParams:
 # power would round differently.  A mass may be an array shaped like rho.
 
 
-def _massless(masses):
-    """True for a lone mass that is a number equal to 0, the massless kappa =
-    -1 space: its mass terms are exact zeros and need no power of rho."""
-    return len(masses) == 1 and not isinstance(masses[0], np.ndarray) and masses[0] == 0.0
-
-
 def _v_squared_at(n, kappa, rho, masses, more=(), rho_sq=None):
     """V^2 = rho^2 + kappa - 2q at each mass of ``masses``, then 2q = 2 m
     rho^(2-n) at each mass of ``masses`` and of ``more``: new values from one
@@ -127,22 +120,18 @@ def _v_squared_at(n, kappa, rho, masses, more=(), rho_sq=None):
     each V^2 ``(rho^2 + kappa) - 2q``.  ``rho_sq`` is rho^2 when the caller
     holds it for another closed form (``_lam_ddlam``); it is read, not
     changed.  At kappa = 0 the sum is rho^2 itself, whose bits adding 0 would
-    not change (rho^2 is never -0).  Among several masses a zero mass gives
-    rho^(2-n) * 0 = 0, the bits of the massless form, at every rho > 0.
+    not change (rho^2 is never -0).  A zero mass gives rho^(2-n) * 0 = +0,
+    which leaves V^2 the bits of rho^2 + kappa, at every rho > 0.
 
     The first V^2 is formed in the array of rho^2 + kappa unless that is the
     caller's rho^2, so one mass makes no more arrays than V^2 written out.
     The loops append rather than build comprehensions: on one radius a
     comprehension's own frame costs as much as the mass terms it forms."""
-    masses_all = masses + more
-    if _massless(masses_all):
-        two_qs = [np.zeros_like(rho) if rho.ndim else 0.0]
-    else:
-        power = rho ** (2 - n)
-        two_qs = []
-        for m in masses_all:
-            two_qs.append(power * (2.0 * m))
-        del power  # so one mass holds two arrays at a time, as V^2 written out does
+    power = rho ** (2 - n)
+    two_qs = []
+    for m in masses + more:
+        two_qs.append(power * (2.0 * m))
+    del power  # so one mass holds two arrays at a time, as V^2 written out does
     if rho_sq is None:
         v2 = rho**2
         if kappa:
@@ -170,9 +159,7 @@ def _lam_ddlam(n, lam_sq, two_q):
 def _ddlam_at(n, rho, masses):
     """lambda'' = rho + (n-2) m rho^(1-n) at lambda = rho for each mass of
     ``masses``: new values from one rho^(1-n), each ``rho^(1-n) * ((n-2) m) +
-    rho``; (V^2)' = 2 lambda''.  A massless lone mass gives lambda'' = rho."""
-    if _massless(masses):
-        return [0.0 + rho]
+    rho``; (V^2)' = 2 lambda'', and a zero mass gives the bits of rho."""
     power = rho ** (1 - n)
     values = []
     for m in masses:  # a loop, as in ``_v_squared_at``

@@ -4,7 +4,7 @@ Subcommands: ``flow``, ``mass``, ``check-inequalities``, ``slice-check``,
 ``beckner``, ``all``.  A scenario is a single JSON file (unknown keys are
 rejected); artifacts (CSV trace, JSON reports, SVG plots) are written under
 ``--out``.  Exit codes: 0 all enabled checks pass, 2 a monitor/check failed
-or was not evaluated, 1 runtime or configuration error.
+or was not evaluated, 1 runtime or configuration error or a malformed command line.
 """
 
 import argparse
@@ -158,7 +158,10 @@ _TABLE = {
 
 class Scenario:
     """A parsed scenario: one attribute per top-level key of the table, each
-    present section with its defaults filled in (``_settings``)."""
+    present section with its defaults filled in (``_settings``), and the
+    ``params``, ``flow_config`` and ``graph`` its parse builds, for the runs."""
+
+    params = flow_config = graph = None
 
     def __init__(self, raw):
         for key, spec in _TABLE.items():
@@ -272,18 +275,29 @@ def scenario_from_dict(raw):
         elif getattr(scn, row.section) is None:
             problems.append(f"scenario.checks: {check!r} needs a {row.section} section")
     try:
-        params = SpaceParams(**scn.space)
-        rho0 = find_horizon(params)
+        scn.params = SpaceParams(**scn.space)
+        rho0 = find_horizon(scn.params)
     except KFlowError as exc:
         problems.append(f"scenario.space: {exc}")
     else:
         problems.extend(f"{at}: must be > the horizon radius rho0 = {rho0:.12g}, got {x!r}"
                         for at, x in _warp_factors(scn) if x <= rho0)
-        if scn.mass is not None:
-            problems.extend(_mass_graph_problems(scn.mass, params))
+        cfg = scn.mass or {}
+        try:  # the graph the runs read; its mass is sampled beyond its inner radius
+            if cfg.get("kind") == "kottler_pair":
+                scn.graph = kottler_pair_graph(scn.params, cfg["m_graph"])
+            elif cfg.get("kind") == "mass_profile":
+                scn.graph = mass_profile_graph(scn.params, cfg["m_horizon"], cfg["m_total"],
+                                               rate=cfg["rate"])
+        except KFlowError as exc:
+            problems.append(f"scenario.mass: {exc}")
+        if scn.graph is not None and scn.graph.rho_inner >= RHO_SCHEDULE[0]:
+            problems.append(f"scenario.mass: the graph's inner radius rho_inner = "
+                            f"{scn.graph.rho_inner:.12g} must be < {RHO_SCHEDULE[0]:g}, "
+                            "the first radius of the mass samples")
     if scn.flow is not None:
         try:
-            FlowConfig(**scn.flow)
+            scn.flow_config = FlowConfig(**scn.flow)
         except KFlowError as exc:
             problems.append(f"scenario.flow: {exc}")
     if problems:
@@ -319,26 +333,6 @@ def _beyond_table(scn, warp):
             "of the warp table" for at, x in _warp_factors(scn) if x > lam_max]
 
 
-def _mass_graph(params, cfg):
-    """The radial graph a mass section describes."""
-    if cfg["kind"] == "kottler_pair":
-        return kottler_pair_graph(params, cfg["m_graph"])
-    return mass_profile_graph(params, cfg["m_horizon"], cfg["m_total"], rate=cfg["rate"])
-
-
-def _mass_graph_problems(cfg, params):
-    """A problem if the graph a mass section describes cannot be built, or
-    reaches the radii at which its mass is sampled."""
-    try:
-        rho_inner = _mass_graph(params, cfg).rho_inner
-    except KFlowError as exc:
-        return [f"scenario.mass: {exc}"]
-    if rho_inner < RHO_SCHEDULE[0]:
-        return []
-    return [f"scenario.mass: the graph's inner radius rho_inner = {rho_inner:.12g} must be "
-            f"< {RHO_SCHEDULE[0]:g}, the first radius of the mass samples"]
-
-
 def _grid(grid, params):
     mode, res = grid["mode"], grid["resolution"]
     if mode == "torus2d":
@@ -354,21 +348,9 @@ def _initial_surface(scn, grid, warp, seed):
     return random_star_shaped(grid, warp, seed=seed, amplitude=cfg["amplitude"], base_r=base_r)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -386,10 +368,10 @@ def _finish(scn, out_dir, artifact, section, payload, detail, quiet):
     return 0 if payload["passed"] else 2
 
 
-def _run_flow_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
+def _run_flow_pipeline(scn, out_dir, grid, warp, seed, quiet):
     surface = _initial_surface(scn, grid, warp, seed)
     try:
-        trace = run_flow(surface, FlowConfig(**scn.flow))
+        trace = run_flow(surface, scn.flow_config)
     except FlowBreakdownError as exc:
         trace = exc.trace
         if trace is not None:
@@ -411,9 +393,8 @@ def _run_flow_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
                    f"q1 jump {report.q1_max_jump:.3g}", quiet)
 
 
-def _run_mass_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
-    cfg = scn.mass
-    graph = _mass_graph(params, cfg)
+def _run_mass_pipeline(scn, out_dir, grid, warp, seed, quiet):
+    params, graph = scn.params, scn.graph
     est = mass_limit(graph)
     # The identity holds for graphs whose inner boundary is a horizon.
     identity = mass_identity_check(graph, estimate=est) if graph.horizon_graph else None
@@ -421,7 +402,7 @@ def _run_mass_pipeline(scn, out_dir, params, grid, warp, seed, quiet):
     rho_probe = np.linspace(graph.rho_inner + 1e-4, graph.rho_inner + 20.0, 60)
     payload = {
         **est.as_dict(),
-        "expect_mass": cfg.get("expect_mass"),
+        "expect_mass": scn.mass.get("expect_mass"),
         "identity": identity.as_dict() if identity else None,
         "identity_residual": identity.residual if identity else None,
         "not_evaluated": {} if identity else {
@@ -449,7 +430,7 @@ def _deficits(geom):
             "scale": deficit_scale(geom)}
 
 
-def _run_slice_check(scn, out_dir, params, grid, warp, seed, quiet):
+def _run_slice_check(scn, out_dir, grid, warp, seed, quiet):
     rows = []
     for lam in scn.slice_check["lambdas"]:
         geom = compute_geometry(slice_surface(grid, warp, lam_value=lam))
@@ -462,7 +443,7 @@ def _run_slice_check(scn, out_dir, params, grid, warp, seed, quiet):
                    f"worst {worst:.3g}", quiet)
 
 
-def _run_inequalities(scn, out_dir, params, grid, warp, seed, quiet):
+def _run_inequalities(scn, out_dir, grid, warp, seed, quiet):
     cfg = scn.inequalities
     base_r = warp.r_from_rho(cfg["base_lambda"])
     rows = []
@@ -476,12 +457,12 @@ def _run_inequalities(scn, out_dir, params, grid, warp, seed, quiet):
                    f"worst {worst:.3g}", quiet)
 
 
-def _run_beckner(scn, out_dir, params, grid, warp, seed, quiet):
+def _run_beckner(scn, out_dir, grid, warp, seed, quiet):
     cfg = scn.beckner
     deficits, relative = [], []
     for k in range(cfg["count"]):
         pert = low_frequency_field(grid, seed + k, cfg["amplitude"])
-        rep = beckner_report(ScalarField(1.0 + pert, grid), params.n)
+        rep = beckner_report(ScalarField(1.0 + pert, grid), scn.params.n)
         deficits.append(rep["sharp"])
         relative.append(rep["sharp"] / max(rep["scale"], 1e-300))
     worst = min(relative)
@@ -529,15 +510,14 @@ def run_scenario(scn, out_root, *, seed=None, resolution=None, quiet=False, dump
         record["seed"] = int(seed)
     if resolution is not None:
         record["grid"] = dict(scn.grid, resolution=resolution)
-    params = SpaceParams(**scn.space)
     warp = grid = None
     if dump_warp or any(needs_warp for _, _, needs_warp in sections):
-        warp = build_warp_table(params)
+        warp = build_warp_table(scn.params)
         problems = _beyond_table(scn, warp)
         if problems:
             raise ConfigurationError(problems)
     if any(attr != "mass" for attr, _, _ in sections):
-        grid = _grid(record["grid"], params)
+        grid = _grid(record["grid"], scn.params)
     out_dir = os.path.join(out_root, scn.name)
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "scenario.normalized.json"), record)
@@ -545,7 +525,7 @@ def run_scenario(scn, out_root, *, seed=None, resolution=None, quiet=False, dump
         warp.to_csv(os.path.join(out_dir, "warp.csv"))
     code = 0
     for _, runner, _ in sections:
-        code = max(code, runner(scn, out_dir, params, grid, warp, record["seed"], quiet))
+        code = max(code, runner(scn, out_dir, grid, warp, record["seed"], quiet))
     return code
 
 
@@ -571,23 +551,32 @@ def _run_file(path, out_root, **options):
         return name, 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1, not argparse's 2, which reads as a failed check
+        raise ConfigurationError(message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="kflow", description=__doc__)
+    parser = _Parser(prog="kflow", description=__doc__)
     parser.add_argument("command", choices=[*_SECTIONS, "all"])
-    parser.add_argument("--config", help="scenario JSON path (not used by 'all')")
+    parser.add_argument("--config", help="scenario JSON path (an error with 'all')")
     parser.add_argument("--out", default="out", help="output directory root")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     parser.add_argument("--resolution", type=int, default=None, help="override grid resolution")
     parser.add_argument("--quiet", action="store_true")
     parser.add_argument("--dump-warp", action="store_true", help="also write warp.csv")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+        if (args.command == "all") != (args.config is None):
+            need = "required for" if args.config is None else "not used by"
+            raise ConfigurationError(f"--config is {need} {args.command!r}")
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     options = dict(seed=args.seed, resolution=args.resolution, quiet=args.quiet,
                    dump_warp=args.dump_warp)
     if args.command != "all":
-        if not args.config:
-            print(f"error: --config is required for {args.command!r}", file=sys.stderr)
-            return 1
         return _run_file(args.config, args.out, only=args.command, **options)[1]
     codes = dict(_run_file(path, args.out, **options) for path in shipped_scenarios())
     if not args.quiet:

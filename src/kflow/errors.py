@@ -43,10 +43,6 @@ class MeanConvexityError(KFlowError):
         self.nodes = nodes
 
 
-class GenerationError(KFlowError):
-    """Random surface generation failed to reach mean convexity."""
-
-
 class NonRepresentableGraphError(KFlowError):
     """The requested graph profile does not exist (negative radicand)."""
 

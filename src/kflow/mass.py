@@ -72,7 +72,7 @@ Sigma = {rho_inner} x N carries H = (n-1) V(rho_inner) / rho_inner.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -356,11 +356,7 @@ class MassEstimate:
     error_estimate: float
 
     def as_dict(self):
-        return {
-            "mass": self.mass,
-            "error_estimate": self.error_estimate,
-            "samples": [[r, v] for r, v in self.samples],
-        }
+        return asdict(self)
 
 
 def mass_limit(graph):
@@ -510,13 +506,7 @@ class IdentityReport:
     boundary_term: float
 
     def as_dict(self):
-        return {
-            "lhs_mass": self.lhs_mass,
-            "rhs_mass": self.rhs_mass,
-            "residual": self.residual,
-            "bulk_term": self.bulk_term,
-            "boundary_term": self.boundary_term,
-        }
+        return asdict(self)
 
 
 def mass_identity_check(graph, *, estimate=None):

@@ -67,7 +67,7 @@ import numpy as np
 
 from .background import _lam_ddlam, _v_squared_at
 from .basegrid import ScalarField, differentiate, low_frequency_field, sharp_constant
-from .errors import ConfigurationError, DomainError, GenerationError, MeanConvexityError
+from .errors import ConfigurationError, DomainError, MeanConvexityError
 
 __all__ = [
     "GraphSurface",
@@ -446,24 +446,10 @@ def slice_surface(grid, warp, lam_value):
 
 
 def random_star_shaped(grid, warp, seed, amplitude, base_r):
-    """Random mean-convex star-shaped graph u = base_r (1 + perturbation).
-
-    The perturbation is a seed-deterministic low-frequency field; on mean
-    convexity failure (compute_geometry raises) the amplitude is halved, up
-    to 8 retries.
-    """
+    """Star-shaped graph u = base_r (1 + amplitude * pert), pert the seed's
+    low-frequency field with sup |pert| = 1.  Its mean convexity is checked
+    where its geometry is formed (``compute_geometry``)."""
     if not 0.0 <= amplitude < math.inf:
         raise DomainError(f"amplitude must be non-negative and finite, got {amplitude!r}")
     pert = low_frequency_field(grid, seed, 1.0)
-    amp = float(amplitude)
-    for _ in range(9):
-        surface = GraphSurface(ScalarField(base_r * (1.0 + amp * pert), grid), warp)
-        try:
-            compute_geometry(surface)
-        except MeanConvexityError:
-            amp *= 0.5
-            continue
-        return surface
-    raise GenerationError(
-        f"could not reach mean convexity from seed={seed}, amplitude={amplitude}"
-    )
+    return GraphSurface(ScalarField(base_r * (1.0 + float(amplitude) * pert), grid), warp)

@@ -494,11 +494,45 @@ class TestMain:
         assert len(calls) == 1
         monkeypatch.undo()
         scn = cli.parse_scenario(path)
-        graph = cli._mass_graph(kf.SpaceParams(**scn.space), scn.mass)
-        own = kf.mass_identity_check(graph)
+        own = kf.mass_identity_check(scn.graph)
         payload = json.loads((tmp_path / name / "mass.json").read_text())
         assert payload["identity"] == own.as_dict()
         assert payload["identity_residual"] == own.residual
+
+    @pytest.mark.parametrize("name", ["kottler-mass", "kottler-mass-hyperbolic",
+                                      "energy-profile-mass"])
+    def test_mass_run_builds_graph_once(self, tmp_path, monkeypatch, name):
+        # The parse builds the radial graph for its checks; the run reads that one.
+        path = next(p for p in cli.shipped_scenarios() if pathlib.Path(p).stem == name)
+        built = []
+
+        def counted(real):
+            def build(*args, **kwargs):
+                built.append(real.__name__)
+                return real(*args, **kwargs)
+            return build
+
+        for family in ("kottler_pair_graph", "mass_profile_graph"):
+            monkeypatch.setattr(cli, family, counted(getattr(cli, family)))
+        code = cli.main(["mass", "--config", path, "--out", str(tmp_path), "--quiet"])
+        assert code == 0
+        assert len(built) == 1, built
+
+    @pytest.mark.parametrize("args, named", [
+        (["flow", "--seed", "abc"], "--seed"),
+        (["flow", "--resolution", "1.5"], "--resolution"),
+        (["flow", "--bogus"], "--bogus"),
+        (["bogus"], "bogus"),
+    ])
+    def test_malformed_command_line_exits_1(self, tmp_path, capsys, args, named):
+        # A malformed command line is a configuration error, exit 1, not a
+        # failed check, exit 2; it names what is wrong and writes nothing.
+        cfg = write_config(tmp_path, SMALL_FLOW)
+        code = cli.main([*args, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "o").exists()
 
     def test_python_m_kflow_help(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -837,6 +871,15 @@ class TestAllCommand:
         for cfg in SHIPPED:
             assert f"error: [{cfg['name']}] [Errno {errno.ENOTDIR}]" in err
             assert f"{cfg['name']}: FAIL" in out
+
+    def test_all_with_config_is_error(self, tmp_path, capsys):
+        # 'all' runs the shipped scenarios, so a --config would be ignored.
+        code = cli.main(["all", "--config", str(tmp_path / "scn.json"),
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--config" in err
+        assert not (tmp_path / "o").exists()
 
     def test_all_dump_warp(self, tmp_path, monkeypatch):
         slices = dict(SMALL_FLOW, name="t-slices", slice_check={"lambdas": [2.0]},

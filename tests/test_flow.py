@@ -9,7 +9,8 @@ import pytest
 import kflow as kf
 from kflow.checks import judge
 from kflow.errors import DomainError, FlowBreakdownError, MeanConvexityError
-from kflow.flow import GRAD_FLOOR
+from kflow.flow import GRAD_FLOOR, FlowSample
+from kflow.surface import FunctionalRecord
 
 # The monitors the report used to pass as a whole.
 MONITORS = ("q1_monotone", "barrier", "area_law", "p_balance", "q2_monotone", "final_bound")
@@ -383,6 +384,46 @@ class TestMinHBound:
             geom = kf.compute_geometry(surf)
             assert 0.0 < geom.lam_h_bound <= float(np.min(surf.lam * geom.H))
             assert geom.lam_h_bound / surf.lam_max <= geom.h_min
+
+
+def _hand_trace(params, times, jk=(1.0, 1.0)):
+    """A trace of slice-like samples at ``times``, with J, K = ``jk`` and Q2
+    rising by 1 per record, built without a flow."""
+    samples = []
+    for k, t in enumerate(times):
+        grow = math.exp(t)
+        rec = FunctionalRecord(area=grow, intVH=grow, intP=grow, intVoverH=grow / 3.0,
+                               J=jk[0], K=jk[1], Q1=0.0, Q2=float(k))
+        lam = 2.0 * math.exp(t / 2.0)
+        samples.append(FlowSample(t=t, functionals=rec, h_min=2.0, h_max=2.0, grad_sup=0.0,
+                                  u_min=1.0, u_max=1.0, lam_umin=lam, lam_umax=lam, dt=0.1))
+    return kf.FlowTrace(params=params, config=kf.FlowConfig(t_end=times[-1]), samples=samples)
+
+
+class TestMonitorThresholds:
+    """The boundaries of the Q2 regime test and of the p balance's
+    uniform-spacing test, on hand-built traces."""
+
+    @pytest.mark.parametrize("excess, pairs", [(0.5e-12, 3), (2e-12, 0)])
+    def test_q2_regime_slack_is_1e12_of_scale(self, params_flat, excess, pairs):
+        # J <= K + 1e-12 max(|J|, |K|, 1) counts as the regime J <= K.
+        k = 1000.0
+        trace = _hand_trace(params_flat, [0.0, 0.1, 0.2, 0.3], jk=(k * (1.0 + excess), k))
+        rep = kf.monotonicity_report(trace)
+        assert rep.q2_samples_in_regime == pairs
+        assert rep.q2_max_jump == (1.0 if pairs else 0.0)
+
+    @pytest.mark.parametrize("uneven, evaluated", [(1e-10, True), (1e-6, False)])
+    def test_p_balance_spacing_rtol_is_1e8(self, params_flat, uneven, evaluated):
+        # One record time off by ``uneven`` of the spacing: within rtol 1e-8
+        # the samples count as uniform, beyond it the balance is not formed.
+        times = [0.1 * k for k in range(8)]
+        times[4] += 0.1 * uneven
+        rep = kf.monotonicity_report(_hand_trace(params_flat, times))
+        assert ("p_balance_max_rel" not in rep.not_evaluated) == evaluated
+        assert math.isnan(rep.p_balance_max_rel) != evaluated
+        if not evaluated:
+            assert "uniformly spaced" in rep.not_evaluated["p_balance_max_rel"]
 
 
 class TestMonotonicityReport:

@@ -139,6 +139,21 @@ class TestMassLimit:
         with pytest.raises(DecayViolationError):
             kf.mass_limit(graph)
 
+    @pytest.mark.parametrize("growth", [1.5, 3.0])
+    def test_increment_guard_is_2x(self, pair_flat, monkeypatch, growth):
+        # Samples whose last increment exceeds twice the first are refused as
+        # not converging; below that this guard lets them through.
+        values = iter([1.0, 1.001, 1.001 + growth * 0.001])
+        monkeypatch.setattr(kflow.mass, "mass_integrand", lambda graph, rho: next(values))
+        if growth > 2.0:
+            with pytest.raises(DecayViolationError, match="not converging"):
+                kf.mass_limit(pair_flat)
+        else:
+            try:
+                kf.mass_limit(pair_flat)
+            except DecayViolationError as exc:
+                assert "not converging" not in str(exc)
+
     def test_mass_shift_consistency(self, base_flat):
         # the same heavy space measured over two lighter backgrounds
         for m_base in (0.3, 0.6):
@@ -658,12 +673,9 @@ class TestMassIntegrandPinned:
                 powers.clear()
                 got = kf.mass_integrand(graph, rho)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
-                # the massless base's V^2 and (V^2)' = 2 rho need no power
-                user_graph = graph.f_prime is f_prime
-                massive = params.m != 0.0
-                assert sorted(powers) == sorted(
-                    [2] + [2 - n] * (massive or not user_graph) + [1 - n] * massive)
-                assert len(calls) == user_graph
+                # one power of each kind per radius, on the massless base too
+                assert sorted(powers) == sorted([2, 2 - n, 1 - n])
+                assert len(calls) == (graph.f_prime is f_prime)
             est = kf.mass_limit(graph)
             assert est.samples == tuple(
                 (r, _reference_mass_integrand(params, psi, r)) for r in (50.0, 100.0, 200.0))

@@ -11,7 +11,7 @@ import pytest
 import kflow as kf
 import kflow.background
 import kflow.surface
-from kflow.basegrid import ScalarField, differentiate
+from kflow.basegrid import ScalarField, differentiate, low_frequency_field
 from kflow.errors import DomainError, MeanConvexityError
 
 THETA = (2.0 * math.pi) ** 2
@@ -470,6 +470,23 @@ class TestRandomSurface:
         for amplitude in (-0.1, math.nan, math.inf):
             with pytest.raises(DomainError, match="amplitude"):
                 kf.random_star_shaped(torus64, warp_flat, seed=0, amplitude=amplitude, base_r=1.0)
+
+    def test_returns_the_graph_asked_for_and_forms_no_geometry(self, params_flat, warp_flat,
+                                                              monkeypatch):
+        # Mean convexity is judged where the geometry is first formed; at this
+        # amplitude it fails there, and the amplitude is not lowered first.
+        grid = kf.make_grid("torus2d", 16, math.sqrt(params_flat.theta))
+        base_r = warp_flat.r_from_rho(2.0)
+        formed = []
+        real = kflow.surface.compute_geometry
+        monkeypatch.setattr(kflow.surface, "compute_geometry",
+                            lambda surface: formed.append(surface) or real(surface))
+        surf = kf.random_star_shaped(grid, warp_flat, seed=0, amplitude=0.8, base_r=base_r)
+        assert formed == []
+        want = base_r * (1.0 + 0.8 * low_frequency_field(grid, 0, 1.0))
+        assert surf.u.values.tobytes() == want.tobytes()
+        with pytest.raises(MeanConvexityError):
+            kf.compute_geometry(surf)
 
 
 class TestValidation:
