@@ -47,7 +47,6 @@ from .mass import (
     MassEstimate,
     RadialGraph,
     ShapeRecord,
-    graph_from_f_prime,
     kottler_pair_graph,
     mass_identity_check,
     mass_integrand,

@@ -48,7 +48,8 @@ class NonRepresentableGraphError(KFlowError):
 
 
 class DecayViolationError(KFlowError):
-    """Metric perturbation decays too slowly for the mass limit to exist."""
+    """``mass_limit``'s finite-radius mass samples do not converge: their
+    increments grow, or their fitted error slope is shallower than rho^-1.5."""
 
 
 class FlowBreakdownError(KFlowError):

@@ -3,8 +3,7 @@
 A radial graph {t = f(rho)} in the Riemannian cylinder (R x P, V^2 dt^2 + g)
 induces on P \\ (interior) the metric g + psi d rho (x) d rho with
 psi = (V f')^2.  This module is the one place that builds such graphs.
-Each family gives psi and either f' itself or d log(psi V^2) / d rho; in
-the second case
+Each family gives psi and d log(psi V^2) / d rho, from which
 
     f'  = sqrt(psi / V^2),
     f'' = f' (d log psi / d rho - (V^2)' / V^2) / 2.
@@ -18,8 +17,12 @@ from one rho^(1-n).  The shape operator reads all five values from one
 evaluator call; ``psi`` and the mass integrand make only the psi step, so
 they form no rho^(1-n) of the graph and no f''.
 
-The decay order tau, with psi = O(rho^(-tau-2)), is fitted once per graph
-from a log-log slope over 50 <= rho <= 800, and must exceed n/2.
+Both families decay at order tau = n, psi = O(rho^(-n-2)), by
+construction: psi = 2 q_dm / (V_graph^2 V^2), with q_dm = dm rho^(2-n) and
+dm >= 0 bounded (m_graph - m, or mtilde(rho) - m -> m_total - m), and
+psi = 0 exactly at equal masses.  So tau > n/2, the mass limit exists, and
+no decay order is fitted; ``mass_limit``'s convergence guards check its
+samples.
 
 A Kottler space of mass m_graph >= m_base embeds as a radial graph over the
 mass-m_base space (``kottler_pair_graph``), with
@@ -43,7 +46,7 @@ so the mass evaluated against the mass-m base at finite radius is
 
 with m(rho) -> total mass as rho -> oo.  Generic admissible profiles leave a
 rho^-2 error term, removed here by Richardson extrapolation of the samples
-at rho = 50, 100, 200 (``RHO_SCHEDULE``) after a decay-validation fit; for
+at rho = 50, 100, 200 (``RHO_SCHEDULE``); for
 the exact Kottler-over-Kottler profile even that term cancels and the
 samples converge at O(rho^-n).
 
@@ -78,7 +81,7 @@ import numpy as np
 
 from ._util import fit_log_slope, integrate_panels
 from .background import (SpaceParams, _ddlam_at, _v, _v_squared_at, _v_squared_prime,
-                         find_horizon, mass_from_horizon_area, v_squared)
+                         find_horizon, mass_from_horizon_area)
 from .errors import DecayViolationError, DomainError, NonRepresentableGraphError, NumericsError
 
 __all__ = [
@@ -88,7 +91,6 @@ __all__ = [
     "IdentityReport",
     "kottler_pair_graph",
     "mass_profile_graph",
-    "graph_from_f_prime",
     "mass_integrand",
     "mass_limit",
     "radial_shape_operator",
@@ -105,14 +107,12 @@ class RadialGraph:
     """Radial graph data over a Kottler base.
 
     ``psi`` is the radial metric perturbation (V f')^2 in a cancellation-free
-    closed form; ``f_prime2`` may be None, in which case a high-order finite
-    difference of f' is used where a second derivative is needed.
-    ``f_prime``, ``f_prime2`` and ``psi`` must accept arrays of radii.
+    closed form; ``f_prime``, ``f_prime2`` and ``psi`` accept arrays of
+    radii, and ``f_prime2`` is never None.
     ``psi_step`` maps an array of radii to (V^2, psi, the family's terms),
     from one rho^(2-n), and ``pointwise`` maps it to the tuple
     (V^2, (V^2)', psi, f', f''), from one ``psi_step`` call and one
     rho^(1-n) (module docstring).
-    ``decay_tau`` is the fitted decay order (psi = O(rho^(-tau-2))).
     """
 
     base: SpaceParams
@@ -122,94 +122,42 @@ class RadialGraph:
     psi_step: object
     pointwise: object
     rho_inner: float
-    decay_tau: float
     horizon_graph: bool
     bulk_cut: float
     oracle: dict = None
 
 
-# The radii of the decay-order fit and their logs, formed once (read-only).
-_DECAY_RHO = np.geomspace(50.0, 800.0, 7)
-_DECAY_LOG_RHO = np.log(_DECAY_RHO)
-_DECAY_RHO.flags.writeable = False
-_DECAY_LOG_RHO.flags.writeable = False
-
-
-def _decay_order(psi):
-    """Fitted tau with psi = O(rho^(-tau-2)), from a log-log slope on [50, 800];
-    NaN when psi is not finite there."""
-    vals = np.abs(np.asarray(psi(_DECAY_RHO), dtype=float))
-    if not np.isfinite(vals).all():
-        return math.nan
-    if np.all(vals < 1e-280):
-        return math.inf
-    slope = fit_log_slope(_DECAY_LOG_RHO, vals)
-    return math.inf if slope is None else -slope - 2.0
-
-
-def _f_prime2_fd(fp, rho_inner, rho):
-    """f'' by a fourth-order central difference of f', with steps kept
-    inside (rho_inner, oo)."""
-    h = np.maximum(1e-5 * np.maximum(1.0, rho), 1e-7)
-    h = np.where(rho > rho_inner, np.minimum(h, 0.25 * (rho - rho_inner)), h)
-    return (fp(rho - 2 * h) - 8 * fp(rho - h) + 8 * fp(rho + h) - fp(rho + 2 * h)) / (12.0 * h)
-
-
-def _radial_graph(params, rho_inner, horizon_graph, bulk_cut, *, psi_step=None,
-                  dlog_step=None, f_prime=None, f_prime2=None, oracle=None):
-    """The radial graph over ``params`` with inner radius ``rho_inner``.
-
-    Either a family gives its two steps, from which f' and f'' are formed
-    (module docstring):
+def _radial_graph(params, rho_inner, horizon_graph, bulk_cut, psi_step, dlog_step,
+                  oracle=None):
+    """The radial graph over ``params`` with inner radius ``rho_inner``, from
+    a family's two steps (module docstring):
 
     * ``psi_step(rho)`` = (V^2, psi, terms), the base V^2 and the family's
       own V^2 terms from one rho^(2-n);
     * ``dlog_step(rho, terms)`` = (lambda'', d log(psi V^2) / d rho), the
       base lambda'' = (V^2)' / 2 and the family's own lambda'' from one
-      rho^(1-n);
+      rho^(1-n).
 
-    or ``f_prime`` (with an optional ``f_prime2``) is a user profile and
-    psi = V^2 f'^2.  The graph's ``pointwise`` makes one call of each step;
-    ``psi`` makes only the first.  Raises DecayViolationError unless the
-    fitted decay order exceeds n/2.
+    The graph's ``pointwise`` makes one call of each step and forms f' and
+    f''; ``psi`` makes only the first.
     """
-    if f_prime is None:
-        def pointwise(rho):
-            v2, psi, terms = psi_step(rho)
-            ddlam, dlog_psi_v2 = dlog_step(rho, terms)
-            dv2 = 2.0 * ddlam
-            fp = np.sqrt(np.maximum(psi, 0.0) / np.maximum(v2, 1e-300))
-            dlog_psi = dlog_psi_v2 - dv2 / v2
-            return v2, dv2, psi, fp, fp * (0.5 * dlog_psi - 0.5 * dv2 / v2)
+    def pointwise(rho):
+        v2, psi, terms = psi_step(rho)
+        ddlam, dlog_psi_v2 = dlog_step(rho, terms)
+        dv2 = 2.0 * ddlam
+        fp = np.sqrt(np.maximum(psi, 0.0) / np.maximum(v2, 1e-300))
+        dlog_psi = dlog_psi_v2 - dv2 / v2
+        return v2, dv2, psi, fp, fp * (0.5 * dlog_psi - 0.5 * dv2 / v2)
 
-        def f_prime(rho):
-            return pointwise(np.asarray(rho, dtype=float))[3]
+    def f_prime(rho):
+        return pointwise(np.asarray(rho, dtype=float))[3]
 
-        def f_prime2(rho):
-            return pointwise(np.asarray(rho, dtype=float))[4]
-    else:
-        def psi_step(rho):  # V^2, psi and f'
-            v2 = v_squared(params, rho)
-            fp = np.asarray(f_prime(rho), dtype=float)
-            return v2, v2 * fp**2, fp
-
-        def pointwise(rho):
-            v2, psi, fp = psi_step(rho)
-            if f_prime2 is None:
-                fpp = _f_prime2_fd(f_prime, rho_inner, rho)
-            else:
-                fpp = np.asarray(f_prime2(rho), dtype=float)
-            return v2, _v_squared_prime(params, rho), psi, fp, fpp
+    def f_prime2(rho):
+        return pointwise(np.asarray(rho, dtype=float))[4]
 
     def psi(rho):
         return psi_step(np.asarray(rho, dtype=float))[1]
 
-    tau = _decay_order(psi)
-    if not tau > params.n / 2.0:  # a NaN fit fails too
-        raise DecayViolationError(
-            f"decay order tau={tau:.4g} is not > n/2 = {params.n / 2.0:.4g}; "
-            "the mass limit need not exist"
-        )
     return RadialGraph(
         base=params,
         f_prime=f_prime,
@@ -218,7 +166,6 @@ def _radial_graph(params, rho_inner, horizon_graph, bulk_cut, *, psi_step=None,
         psi_step=psi_step,
         pointwise=pointwise,
         rho_inner=float(rho_inner),
-        decay_tau=tau,
         horizon_graph=horizon_graph,
         bulk_cut=bulk_cut,
         oracle=oracle,
@@ -245,7 +192,7 @@ def kottler_pair_graph(params, m_graph):
 
     rho_start = find_horizon(replace(params, m=m_graph))
     return _radial_graph(params, rho_start, m_graph > params.m, rho_start + 20.0,
-                         psi_step=psi_step, dlog_step=dlog_step)
+                         psi_step, dlog_step)
 
 
 def mass_profile_graph(params, m_horizon, m_total, rate=1.0):
@@ -291,8 +238,8 @@ def mass_profile_graph(params, m_horizon, m_total, rate=1.0):
 
     return _radial_graph(
         params, rho_i, True, rho_i + max(45.0 / rate, 10.0),
-        psi_step=psi_step,
-        dlog_step=dlog_step,
+        psi_step,
+        dlog_step,
         oracle={
             "mtilde": lambda rho: mtilde_and_prime(rho)[0],
             "mtilde_prime": lambda rho: mtilde_and_prime(rho)[1],
@@ -300,19 +247,6 @@ def mass_profile_graph(params, m_horizon, m_total, rate=1.0):
             "m_horizon": float(m_horizon),
         },
     )
-
-
-def graph_from_f_prime(params, f_prime, rho_inner, f_prime2=None):
-    """Wrap a user profile f'(rho); its decay order is fitted from the
-    profile itself and must exceed n/2."""
-    rho0 = find_horizon(params)
-    if not rho0 <= rho_inner < math.inf:  # inside the horizon V^2 < 0
-        raise DomainError(
-            f"rho_inner={rho_inner!r} must be finite and at or beyond "
-            f"the horizon radius {rho0:.12g}"
-        )
-    return _radial_graph(params, rho_inner, False, max(4.0 * rho_inner, 200.0),
-                         f_prime=f_prime, f_prime2=f_prime2)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +259,7 @@ def mass_integrand(graph, rho):
 
     The three displayed pieces are evaluated separately; the potential-
     gradient pair cancels identically for radial perturbations.  V^2 and psi
-    come from one ``graph.psi_step`` call, so f'' is never formed, and f'
-    only for a user profile, whose psi is V^2 f'^2.
+    come from one ``graph.psi_step`` call, so neither f' nor f'' is formed.
     """
     params = graph.base
     rho = float(rho)

@@ -87,6 +87,18 @@ def write_config(tmp_path, obj, name="scn.json"):
     return str(path)
 
 
+def assert_breakdown_artifacts(base, reason):
+    """A flow breakdown writes the traces and a report.json of the breakdown
+    and the verdict alone: no checks are judged and no plots are made."""
+    report = json.loads((base / "report.json").read_text())
+    assert sorted(report) == ["breakdown", "passed"]
+    assert report["passed"] is False
+    assert sorted(report["breakdown"]) == ["reason", "t"]
+    assert report["breakdown"]["reason"].startswith(reason)
+    assert (base / "trace.csv").exists() and (base / "trace.json").exists()
+    assert not (base / "plots").exists()
+
+
 def _locations(obj, path=()):
     """Paths to every dict key and list element inside ``obj``."""
     if isinstance(obj, dict):
@@ -316,9 +328,19 @@ class TestRunScenario:
         scn = cli.parse_scenario(write_config(tmp_path, SMALL_FLOW))
         code = cli.run_scenario(scn, str(tmp_path / "out"), quiet=True)
         assert code == 2
-        report = json.loads((tmp_path / "out" / "t-flow" / "report.json").read_text())
-        assert report["passed"] is False
-        assert report["breakdown"]
+        assert_breakdown_artifacts(tmp_path / "out" / "t-flow", "H_min=")
+
+    def test_rejection_cascade_exit_2_with_report(self, tmp_path, capsys):
+        # A slice at the top of the table leaves it on every step.
+        cfg = copy.deepcopy(SMALL_FLOW)
+        cfg["grid"]["resolution"] = 16
+        top = kf.build_warp_table(kf.SpaceParams(**cfg["space"])).lam_nodes[-1]
+        cfg["surface"]["slice_lambda"] = float(top)
+        out = tmp_path / "out"
+        code = cli.main(["flow", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert code == 2
+        assert "flow breakdown" in capsys.readouterr().out
+        assert_breakdown_artifacts(out / "t-flow", "step rejection cascade")
 
     @pytest.mark.parametrize("command", ["check-inequalities", "beckner"])
     def test_worst_relative_is_row_minimum(self, tmp_path, command):

@@ -173,6 +173,21 @@ class TestRunFlow:
         assert err.value.trace.breakdown["t"] == 0.005  # H = 1.87 on this slice
         assert err.value.surface is not None
 
+    def test_step_rejection_cascade(self, params_flat, warp_flat):
+        # A slice at the top of the table: every step, however short, leaves
+        # it, so dt is halved from 0.005 until it falls below 1e-13, which
+        # takes 36 rejections (0.005 / 2^36 < 1e-13 < 0.005 / 2^35).
+        grid = kf.make_grid("torus2d", 16, math.sqrt(params_flat.theta))
+        surf = kf.slice_surface(grid, warp_flat, lam_value=warp_flat.lam_nodes[-1])
+        with pytest.raises(FlowBreakdownError) as err:
+            kf.run_flow(surf, kf.FlowConfig(t_end=0.01, dt_max=0.005))
+        trace = err.value.trace
+        assert trace.breakdown["t"] == 0.0
+        assert trace.breakdown["reason"].startswith("step rejection cascade")
+        assert trace.rejected_steps == 36
+        assert trace.dt_history == []
+        assert err.value.surface is surf
+
     def test_symmetry_preservation(self, torus64, warp_flat):
         # initial data invariant under a half-period shift stays invariant
         x, y = np.meshgrid(torus64.coords[0], torus64.coords[1], indexing="ij")

@@ -79,9 +79,7 @@ def weingarten_oracle(graph, rho, h=1e-6):
 
 class TestMassIntegrand:
     def test_zero_perturbation_returns_base_mass(self, base_flat):
-        zero = kf.graph_from_f_prime(
-            base_flat, lambda r: np.zeros_like(np.asarray(r, dtype=float)), rho_inner=2.0
-        )
+        zero = kf.kottler_pair_graph(base_flat, base_flat.m)  # psi == 0 exactly
         for rho in (5.0, 50.0, 500.0):
             assert kf.mass_integrand(zero, rho) == base_flat.m
 
@@ -117,27 +115,9 @@ class TestMassLimit:
         assert abs(est.mass - 1.0) <= est.error_estimate + 1e-7
 
     def test_zero_perturbation_exact(self, base_flat):
-        zero = kf.graph_from_f_prime(
-            base_flat, lambda r: np.zeros_like(np.asarray(r, dtype=float)), rho_inner=2.0
-        )
+        zero = kf.kottler_pair_graph(base_flat, base_flat.m)
         est = kf.mass_limit(zero)
         assert est.mass == pytest.approx(base_flat.m, abs=1e-13)
-
-    def test_slow_decay_rejected_at_construction(self, base_flat):
-        # psi ~ rho^-3 => fitted tau = 1.0 < 1.5, caught by the fit
-        with pytest.raises(DecayViolationError):
-            kf.graph_from_f_prime(
-                base_flat, lambda r: np.asarray(r, float) ** -2.5, rho_inner=2.0
-            )
-
-    def test_divergent_samples_rejected(self, base_flat):
-        # psi ~ rho^-4 passes tau > n/2 but the integrand grows ~ rho:
-        # mass_limit must refuse to extrapolate
-        graph = kf.graph_from_f_prime(
-            base_flat, lambda r: np.asarray(r, float) ** -3.0, rho_inner=2.0
-        )
-        with pytest.raises(DecayViolationError):
-            kf.mass_limit(graph)
 
     @pytest.mark.parametrize("growth", [1.5, 3.0])
     def test_increment_guard_is_2x(self, pair_flat, monkeypatch, growth):
@@ -154,6 +134,29 @@ class TestMassLimit:
             except DecayViolationError as exc:
                 assert "not converging" not in str(exc)
 
+    @pytest.mark.parametrize("power", [-0.75, -0.78])
+    def test_error_slope_guard_is_1_5(self, pair_flat, monkeypatch, power):
+        # Samples 1 + 0.1 rho^power leave errors against their extrapolated
+        # mass whose fitted slope lies just above -1.5 (refused) at -0.75 and
+        # just below it (accepted) at -0.78.  Their increments shrink, so the
+        # increment guard lets both through.
+        values = iter([1.0 + 0.1 * rho**power for rho in kflow.mass.RHO_SCHEDULE])
+        slopes, fit = [], kflow.mass.fit_log_slope
+
+        def recording_fit(x, y):
+            slopes.append(fit(x, y))
+            return slopes[-1]
+
+        monkeypatch.setattr(kflow.mass, "mass_integrand", lambda graph, rho: next(values))
+        monkeypatch.setattr(kflow.mass, "fit_log_slope", recording_fit)
+        if power == -0.75:
+            with pytest.raises(DecayViolationError, match="shallower than rho"):
+                kf.mass_limit(pair_flat)
+            assert len(slopes) == 1 and -1.5 < slopes[0] < -1.49
+        else:
+            kf.mass_limit(pair_flat)
+            assert len(slopes) == 1 and -1.51 < slopes[0] < -1.5
+
     def test_mass_shift_consistency(self, base_flat):
         # the same heavy space measured over two lighter backgrounds
         for m_base in (0.3, 0.6):
@@ -168,12 +171,7 @@ class TestShapeOperator:
             assert abs(kf.radial_shape_operator(pair_flat, float(rho)).s2) < 1e-9
 
     def test_flat_graph_is_totally_geodesic(self, base_flat):
-        zero = kf.graph_from_f_prime(
-            base_flat,
-            lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            rho_inner=2.0,
-            f_prime2=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        )
+        zero = kf.kottler_pair_graph(base_flat, base_flat.m)  # f' == f'' == 0
         rec = kf.radial_shape_operator(zero, 5.0)
         assert rec.kappa_rad == 0.0 and rec.kappa_tan == 0.0 and rec.s2 == 0.0
 
@@ -207,12 +205,8 @@ class TestArrayPath:
     bulk quadrature evaluates it once per panel array."""
 
     @pytest.fixture(scope="class")
-    def graphs(self, base_flat, pair_flat, family_flat):
-        fd_only = kf.graph_from_f_prime(
-            base_flat, lambda r: 0.3 * np.asarray(r, float) ** -3.5, rho_inner=2.0
-        )
-        assert fd_only.f_prime2 is None  # exercises the finite-difference fallback
-        return [pair_flat, family_flat, fd_only]
+    def graphs(self, pair_flat, family_flat):
+        return [pair_flat, family_flat]
 
     def test_array_matches_scalar_calls(self, graphs):
         for graph in graphs:
@@ -312,9 +306,8 @@ class TestMassIdentity:
         assert f"bulk_cut={family_flat.bulk_cut:.6g}" in msg
 
     def test_requires_horizon_graph(self, base_flat):
-        zero = kf.graph_from_f_prime(
-            base_flat, lambda r: np.zeros_like(np.asarray(r, dtype=float)), rho_inner=2.0
-        )
+        zero = kf.kottler_pair_graph(base_flat, base_flat.m)
+        assert not zero.horizon_graph
         with pytest.raises(DomainError):
             kf.mass_identity_check(zero)
 
@@ -395,8 +388,11 @@ class TestGraphProfile:
             kf.kottler_pair_graph(replace(params_flat, m=1.0), 0.5)
 
     def test_decay_order_fit(self, params_flat):
+        # psi = O(rho^(-n-2)): log-slope fit between 50 and 800
         graph = kf.kottler_pair_graph(params_flat, 1.0)
-        assert graph.decay_tau == pytest.approx(3.0, abs=0.05)
+        rho = np.geomspace(50.0, 800.0, 7)
+        slope = np.polyfit(np.log(rho), np.log(graph.psi(rho)), 1)[0]
+        assert slope == pytest.approx(-5.0, abs=0.05)
 
 
 def _reference_pair(params, m_graph):
@@ -464,8 +460,8 @@ BASES = [(3, 0, 0.5, THETA), (3, -1, 0.0, THETA), (4, 1, 0.5, 2.0 * math.pi**2),
 
 class TestProfilesPinned:
     """psi, f' and f'' of both families are bitwise equal to the formulas
-    written out in full, on arrays and on scalars, and tau is the fit of
-    log |psi| against log rho."""
+    written out in full, on arrays and on scalars, and psi decays like
+    rho^(-n-2)."""
 
     @staticmethod
     def _assert_bitwise(graph, reference):
@@ -500,13 +496,12 @@ class TestProfilesPinned:
         for graph in (kf.kottler_pair_graph(params, params.m + 0.4),
                       kf.mass_profile_graph(params, params.m + 0.2, params.m + 0.55)):
             slope = np.polyfit(np.log(rho), np.log(np.abs(graph.psi(rho))), 1)[0]
-            assert graph.decay_tau == pytest.approx(-slope - 2.0, rel=1e-12)
-            assert graph.decay_tau == pytest.approx(params.n, abs=0.05)
+            assert slope == pytest.approx(-(params.n + 2), abs=0.05)
 
 
 def _reference_shape(graph, rho):
     """kappa_rad, kappa_tan and S2 with V^2, (V^2)', f', psi and f'' each
-    evaluated on its own, f'' by finite differences when the graph has none."""
+    evaluated on its own."""
     params, n = graph.base, graph.base.n
     rho = np.asarray(rho, dtype=float)
     v2 = v_squared(params, rho)
@@ -516,30 +511,16 @@ def _reference_shape(graph, rho):
     big_g = 1.0 + v2 * graph.psi(rho)
     sqrt_g = np.sqrt(big_g)
     k_tan = v2 * v * fp / (rho * sqrt_g)
-    if graph.f_prime2 is not None:
-        fpp = np.asarray(graph.f_prime2(rho), dtype=float)
-    else:
-        h = np.maximum(1e-5 * np.maximum(1.0, rho), 1e-7)
-        h = np.where(rho > graph.rho_inner, np.minimum(h, 0.25 * (rho - graph.rho_inner)), h)
-        f = graph.f_prime
-        fpp = (f(rho - 2 * h) - 8 * f(rho - h) + 8 * f(rho + h) - f(rho + 2 * h)) / (12.0 * h)
+    fpp = np.asarray(graph.f_prime2(rho), dtype=float)
     k_rad = (v / sqrt_g) * ((v2 * fpp + 2.0 * v * dv * fp) / big_g + v * dv * fp)
     s2 = (n - 1) * k_rad * k_tan + 0.5 * (n - 1) * (n - 2) * k_tan**2
     return k_rad, k_tan, s2
 
 
-def _four_graphs(params):
-    """A Kottler pair, a dominant-energy profile, a user f' with f'' and a
-    user f' whose f'' is a finite difference."""
-    rho_inner = kf.find_horizon(params) + 0.5
-    user = {"params": params, "rho_inner": rho_inner,
-            "f_prime": lambda r: 0.3 * np.asarray(r, float) ** -3.5}
-    graphs = [kf.kottler_pair_graph(params, params.m + 0.4),
-              kf.mass_profile_graph(params, params.m + 0.2, params.m + 0.55, rate=1.3),
-              kf.graph_from_f_prime(**user, f_prime2=lambda r: -1.05 * np.asarray(r, float) ** -4.5),
-              kf.graph_from_f_prime(**user)]
-    assert graphs[3].f_prime2 is None
-    return graphs
+def _two_graphs(params):
+    """A Kottler pair and a dominant-energy profile."""
+    return [kf.kottler_pair_graph(params, params.m + 0.4),
+            kf.mass_profile_graph(params, params.m + 0.2, params.m + 0.55, rate=1.3)]
 
 
 class TestShapeOperatorPinned:
@@ -549,7 +530,7 @@ class TestShapeOperatorPinned:
 
     @pytest.mark.parametrize("base", BASES)
     def test_bitwise(self, base):
-        for graph in _four_graphs(kf.SpaceParams(*base)):
+        for graph in _two_graphs(kf.SpaceParams(*base)):
             rho = graph.rho_inner + np.concatenate(
                 [np.geomspace(1e-7, 1.0, 11), np.geomspace(1.5, 3000.0, 23)])
             rec = kf.radial_shape_operator(graph, rho)
@@ -569,7 +550,7 @@ class TestShapeOperatorPinned:
         params = kf.SpaceParams(*base)
         n = params.n
         powers = _record_powers(monkeypatch)
-        for graph in _four_graphs(params)[:2]:
+        for graph in _two_graphs(params):
             for rho in (graph.rho_inner + 0.5, graph.rho_inner + 40.0,
                         graph.rho_inner + np.geomspace(1e-3, 100.0, 5)):
                 powers.clear()
@@ -632,9 +613,8 @@ def _reference_mass_integrand(params, psi, rho):
 
 class TestMassIntegrandPinned:
     """mass_integrand and the mass_limit samples are bitwise equal to the
-    formula written out with the reference psi, on every family; a radius
-    forms one rho^(2-n) and one rho^(1-n), and a user profile's f' is called
-    once (no finite-difference f'')."""
+    formula written out with the reference psi, on both families; a radius
+    forms one rho^(2-n) and one rho^(1-n)."""
 
     @pytest.mark.parametrize("base", BASES)
     def test_bitwise(self, base, monkeypatch):
@@ -642,48 +622,32 @@ class TestMassIntegrandPinned:
         n = params.n
         m_h, m_t, rate = params.m + 0.2, params.m + 0.55, 1.3
         rho_i = kf.find_horizon(replace(params, m=m_h))
-        calls = []
-
-        def f_prime(r):  # psi = O(rho^(-n-2)), so the mass limit is m + 0.045
-            calls.append(1)
-            return 0.3 * np.asarray(r, float) ** (-(n + 4) / 2)
-
-        def user_psi(r):
-            return v_squared(params, r) * f_prime(r) ** 2
-
-        user = {"params": params, "rho_inner": kf.find_horizon(params) + 0.5,
-                "f_prime": f_prime}
         cases = [
             (kf.kottler_pair_graph(params, params.m + 0.4),
              _reference_pair(params, params.m + 0.4)[0]),
             (kf.mass_profile_graph(params, m_h, m_t, rate=rate),
              _reference_profile(params, rho_i, m_t, m_h, rate)[0]),
-            (kf.graph_from_f_prime(
-                **user, f_prime2=lambda r: -0.15 * (n + 4) * np.asarray(r, float) ** (-(n + 6) / 2)),
-             user_psi),
-            (kf.graph_from_f_prime(**user), user_psi),
         ]
+        kf.find_horizon(params)  # the base's horizon search is cached, not per radius
         powers = _record_powers(monkeypatch)
         for graph, psi in cases:
             for rho in (graph.rho_inner + 0.5, 7.5, 60.0, 150.0, 700.0):
                 if rho <= graph.rho_inner:
                     continue
                 want = _reference_mass_integrand(params, psi, rho)
-                calls.clear()
                 powers.clear()
                 got = kf.mass_integrand(graph, rho)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
                 # one power of each kind per radius, on the massless base too
                 assert sorted(powers) == sorted([2, 2 - n, 1 - n])
-                assert len(calls) == (graph.f_prime is f_prime)
             est = kf.mass_limit(graph)
             assert est.samples == tuple(
                 (r, _reference_mass_integrand(params, psi, r)) for r in (50.0, 100.0, 200.0))
 
 
 class TestNonFinite:
-    """NaN and infinite radii or decay orders raise DomainError (or
-    DecayViolationError) instead of returning NaN."""
+    """NaN and infinite radii, areas and masses raise DomainError instead
+    of returning NaN."""
 
     @pytest.mark.parametrize("sched", [[50.0, 100.0, math.inf], [50.0, math.nan, 200.0],
                                        [math.nan, 100.0, 200.0], [50.0, 100.0, 200.0, math.nan]])
@@ -712,15 +676,3 @@ class TestNonFinite:
         for m_total in (math.nan, math.inf):
             with pytest.raises(DomainError):
                 kf.mass_profile_graph(base_flat, 0.75, m_total)
-
-    def test_graph_from_f_prime_inner_radius(self, base_flat):
-        # rho_inner = 0.5 lies inside the horizon (rho0 = 1), where V^2 < 0
-        for rho_inner in (math.nan, math.inf, 0.5):
-            with pytest.raises(DomainError):
-                kf.graph_from_f_prime(base_flat, lambda r: np.asarray(r, float) ** -3.5,
-                                      rho_inner=rho_inner)
-
-    def test_nan_decay_order(self, base_flat):
-        with pytest.raises(DecayViolationError):
-            kf.graph_from_f_prime(base_flat, lambda r: np.full(np.shape(r), math.nan),
-                                  rho_inner=2.0)

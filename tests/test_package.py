@@ -117,7 +117,8 @@ def test_settable_surface():
         kflow.build_warp_table: "(params)",
         kflow.mass_limit: "(graph)",
         kflow.mass_identity_check: "(graph, *, estimate=None)",
-        kflow.graph_from_f_prime: "(params, f_prime, rho_inner, f_prime2=None)",
+        kflow.kottler_pair_graph: "(params, m_graph)",
+        kflow.mass_profile_graph: "(params, m_horizon, m_total, rate=1.0)",
     }
     for func, signature in signatures.items():
         assert str(inspect.signature(func)) == signature, func.__name__
